@@ -17,9 +17,15 @@ Design points that matter for the rest of the package:
   gradient 0 at the origin. These keep training finite on silent frames.
 * Graph replay order is the construction order, so gradients are bitwise
   reproducible run to run.
+* Inside ``no_grad()`` nothing is recorded: every op returns a constant,
+  which is how the read-only forward passes (inference, validation, feature
+  dumps) skip the tape that no ``backward`` would read.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -137,11 +143,35 @@ def parameter(data, name=None):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block.
+
+    Every op run inside returns a constant (no parents, no backward
+    closure), whatever its inputs; values are the same as outside. The
+    previous mode comes back on exit, also on an exception, so blocks nest.
+    The mode is per thread.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _make(data, parents, backward):
-    """Create an op result; folds to a constant when nothing needs grad."""
-    need = any(p.requires_grad for p in parents)
+    """Create an op result; folds to a constant when nothing needs grad or
+    inside ``no_grad``."""
     out = Tensor(data)
-    if need:
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -26,10 +26,11 @@ import jsonschema
 import numpy as np
 
 from .arraysim import SceneSpec, synth_scene, toy_dataset
+from .autodiff import no_grad
 from .beamform import ArrayGeometry, srp_phat, time_avg_beampattern
 from .checkpoint import load_model, save_model
 from .errors import ArgumentError, ArrayVadError, NumericError
-from .frontends import FRONTEND_KINDS, make_frontend
+from .frontends import FRONTEND_KINDS, FrameCache, make_frontend
 from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
                       write_rttm)
@@ -288,10 +289,16 @@ def _write_csv(path, header, rows):
 
 
 def _infer_labels(frontend, model, signal, win_s, hop_s):
-    def posterior_fn(window):
-        return posteriors(tcn_forward(model, frontend.features(window).data))
+    """Sliding-window labels; no tape, and each window analyses only the
+    frames the previous one did not (per-window MVN and TCN are kept)."""
+    cache = FrameCache(frontend)
 
-    return sliding_infer(posterior_fn, signal, win_s=win_s, hop_s=hop_s)
+    def posterior_fn(window):
+        feats = frontend.features(window, cache=cache)
+        return posteriors(tcn_forward(model, feats.data))
+
+    with no_grad():
+        return sliding_infer(posterior_fn, signal, win_s=win_s, hop_s=hop_s)
 
 
 def _score_pair(ref_labels, hyp_labels):
@@ -354,13 +361,15 @@ def _cmd_features(args):
             raise ArgumentError(
                 f"checkpoint holds a {frontend.kind!r} frontend, config asks "
                 f"for {variant!r}")
-        feats = frontend.features(signal).data
+        with no_grad():
+            feats = frontend.features(signal).data
     else:
         fe_cfg = {k: v for k, v in cfg.items() if k != "variant"}
         fe_cfg["kind"] = variant
         fe_cfg.setdefault("sample_rate", signal.sample_rate)
         frontend = make_frontend(fe_cfg, seed=args.seed)
-        feats = frontend.features(signal).data
+        with no_grad():
+            feats = frontend.features(signal).data
     out = _out_dir(args)
     write_features_csv(out / "features.csv", feats)
     _say(f"features: {variant}, {feats.shape[0]} frames x {feats.shape[1]} "

@@ -7,6 +7,16 @@ normalization of attention inputs, mel matrix) enters the graph as
 constants; only the combination weights (and, for the analytic bank, the
 filter impulse responses) carry gradients.
 
+``features`` is two steps. ``analyse`` is the per-frame step: work that
+depends on one analysis frame's samples only, that is the STFT with its
+magnitude, log-magnitude and angle (or real/imaginary parts), or the
+analytic bank outputs with their log-magnitude. ``window_features`` is the
+per-window step: whatever looks across the frames of the window (MVN of the
+attention inputs, attention, MVDR statistics) plus channel combination and
+mel/log. Analysed frames lie along ``frame_axis`` of each part, so frames
+shared by overlapping windows can be analysed once (``FrameCache``) while
+the per-window step, and so the output, stays exactly as without reuse.
+
 Every frontend also has a plain-numpy ``combined`` path reusing the
 evaluation ops in ``combinator``; the tests hold the two paths together,
 which is what makes the graph trustworthy.
@@ -39,7 +49,9 @@ from .errors import ArgumentError
 from .signal_io import MultichannelSignal
 from .spectral import (
     LOG_EPS,
+    ComplexSpectrogram,
     StftConfig,
+    frame_count,
     frame_signal,
     hilbert_basis,
     log_compress,
@@ -74,6 +86,7 @@ class Frontend:
     """Base: config plumbing shared by every variant."""
 
     kind = None
+    frame_axis = 1  # analysed parts are (C, T, K)
 
     def __init__(self, sample_rate, n_mels, attn_dim, seed):
         self.sample_rate = int(sample_rate)
@@ -115,6 +128,27 @@ class Frontend:
         self._check_signal(signal)
         return stft(signal, self.stft_cfg)
 
+    @property
+    def frame_len(self):
+        """Samples per analysis frame."""
+        return self.stft_cfg.win_samples(self.sample_rate)
+
+    @property
+    def frame_hop(self):
+        """Samples between the starts of consecutive analysis frames."""
+        return self.stft_cfg.hop_samples(self.sample_rate)
+
+    def features(self, signal, cache=None) -> ad.Tensor:
+        """(T, F) features of ``signal``: ``window_features(analyse(signal))``.
+
+        With a ``FrameCache``, frames the previous window analysed are taken
+        from it instead of being analysed again; the result is the same.
+        Each kind binds ``features = Frontend.features`` in its own class,
+        so tracing (``perfbench``) can wrap and time the kinds apart.
+        """
+        frames = self.analyse(signal) if cache is None else cache.frames(signal)
+        return self.window_features(frames)
+
     def _mel_tensor(self):
         return ad.Tensor(mel_filterbank(self.n_mels, self.stft_cfg.n_bins,
                                         self.sample_rate))
@@ -130,13 +164,14 @@ class Frontend:
             "attn_dim": self.attn_dim,
         }
 
-    # subclasses: features(), combined(), feature_dim
+    # subclasses: analyse(), window_features(), combined(), feature_dim
 
 
 class SaccStftFrontend(Frontend):
     """Real simplex weights over per-channel STFT magnitudes, then log-mel."""
 
     kind = "sacc"
+    features = Frontend.features
 
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0):
         super().__init__(sample_rate, n_mels, attn_dim, seed)
@@ -146,10 +181,14 @@ class SaccStftFrontend(Frontend):
     def feature_dim(self):
         return self.n_mels
 
-    def features(self, signal) -> ad.Tensor:
-        spec = self._stft(signal)
-        mag = np.abs(spec.values)
-        att_in = np.transpose(mvn(log_compress(mag)), (1, 0, 2))
+    def analyse(self, signal):
+        """(magnitude, log-magnitude), each (C, T, K)."""
+        mag = np.abs(self._stft(signal).values)
+        return mag, log_compress(mag)
+
+    def window_features(self, frames) -> ad.Tensor:
+        mag, log_mag = frames
+        att_in = np.transpose(mvn(log_mag), (1, 0, 2))
         w = weights_graph(ad.Tensor(att_in), self.params)
         combined = combine_real_graph(w, ad.Tensor(np.transpose(mag, (1, 0, 2))))
         return self._logmel(combined)
@@ -163,6 +202,8 @@ class AnalyticSaccFrontend(Frontend):
     real/imag parts of the weighted channel combination."""
 
     kind = "analytic"
+    frame_axis = 0  # analysed parts are (T, C, n_filters)
+    features = Frontend.features
 
     def __init__(self, sample_rate=16000, n_filters=32, kernel_len=400,
                  stride=160, attn_dim=256, seed=0):
@@ -185,6 +226,14 @@ class AnalyticSaccFrontend(Frontend):
     def feature_dim(self):
         return 2 * self.n_filters
 
+    @property
+    def frame_len(self):
+        return self.kernel_len
+
+    @property
+    def frame_hop(self):
+        return self.stride
+
     def _bank_outputs(self, signal):
         """(T, C, n_filters) real and imaginary graph nodes."""
         self._check_signal(signal)
@@ -196,10 +245,14 @@ class AnalyticSaccFrontend(Frontend):
         im = ft @ ad.transpose(imag_ir, (1, 0))
         return re, im
 
-    def features(self, signal) -> ad.Tensor:
+    def analyse(self, signal):
+        """(real, imaginary, log-magnitude) bank outputs, each (T, C, F)."""
         re, im = self._bank_outputs(signal)
-        mag = ad.complex_abs(re, im)
-        att_in = mvn_graph(ad.tlog(mag + LOG_EPS), time_axis=0)
+        return re, im, ad.tlog(ad.complex_abs(re, im) + LOG_EPS)
+
+    def window_features(self, frames) -> ad.Tensor:
+        re, im, log_mag = (ad.as_tensor(part) for part in frames)
+        att_in = mvn_graph(log_mag, time_axis=0)
         w = weights_graph(att_in, _subparams(self.params, ""))
         re_c = (w * re).sum(axis=1)
         im_c = (w * im).sum(axis=1)
@@ -225,25 +278,31 @@ class AnalyticSaccFrontend(Frontend):
         }
 
 
-def _split_mag_phase(spec_values, parts):
-    """Numpy attention inputs for the two representation parts."""
+def _analyse_parts(values, parts):
+    """Per-frame parts of complex STFT values for either layout:
+    (magnitude, angle, log-magnitude) or (real, imaginary)."""
     if parts == "mag_phase":
-        first = mvn(log_compress(np.abs(spec_values)))
-        second = mvn(np.angle(spec_values))
-    else:
-        first = mvn(spec_values.real)
-        second = mvn(spec_values.imag)
-    return first, second
+        mag = np.abs(values)
+        return mag, np.angle(values), log_compress(mag)
+    return values.real, values.imag
 
 
-def _complex_combo_graph(w1, w2, spec_values, parts):
+def _attention_inputs(frames, parts):
+    """Numpy attention inputs of the two representation parts, (C, T, K)."""
+    if parts == "mag_phase":
+        _, angle, log_mag = frames
+        return mvn(log_mag), mvn(angle)
+    return mvn(frames[0]), mvn(frames[1])
+
+
+def _complex_combo_graph(w1, w2, frames, parts):
     """(T,K) re/im of the weighted channel sum for either representation."""
     if parts == "mag_phase":
-        mag = ad.Tensor(np.transpose(np.abs(spec_values), (1, 0, 2)))
-        ang = ad.Tensor(np.transpose(np.angle(spec_values), (1, 0, 2)))
+        mag = ad.Tensor(np.transpose(frames[0], (1, 0, 2)))
+        ang = ad.Tensor(np.transpose(frames[1], (1, 0, 2)))
         return combine_mag_phase_graph(w1, w2, mag, ang)
-    yre = ad.Tensor(np.transpose(spec_values.real, (1, 0, 2)))
-    yim = ad.Tensor(np.transpose(spec_values.imag, (1, 0, 2)))
+    yre = ad.Tensor(np.transpose(frames[0], (1, 0, 2)))
+    yim = ad.Tensor(np.transpose(frames[1], (1, 0, 2)))
     re = (w1 * yre - w2 * yim).sum(axis=1)
     im = (w1 * yim + w2 * yre).sum(axis=1)
     return re, im
@@ -254,6 +313,7 @@ class EcSaccFrontend(Frontend):
     then log-mel of the combined magnitude."""
 
     kind = "ecsacc"
+    features = Frontend.features
 
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0,
                  parts="mag_phase"):
@@ -270,14 +330,16 @@ class EcSaccFrontend(Frontend):
     def feature_dim(self):
         return self.n_mels
 
-    def features(self, signal) -> ad.Tensor:
-        spec = self._stft(signal)
-        first, second = _split_mag_phase(spec.values, self.parts)
+    def analyse(self, signal):
+        return _analyse_parts(self._stft(signal).values, self.parts)
+
+    def window_features(self, frames) -> ad.Tensor:
+        first, second = _attention_inputs(frames, self.parts)
         w1 = weights_graph(ad.Tensor(np.transpose(first, (1, 0, 2))),
                            _subparams(self.params, "mag/"))
         w2 = weights_graph(ad.Tensor(np.transpose(second, (1, 0, 2))),
                            _subparams(self.params, "phase/"))
-        re, im = _complex_combo_graph(w1, w2, spec.values, self.parts)
+        re, im = _complex_combo_graph(w1, w2, frames, self.parts)
         return self._logmel(ad.complex_abs(re, im))
 
     def combined(self, signal) -> CombinedSpectrogram:
@@ -297,6 +359,7 @@ class IcSaccFrontend(Frontend):
     a split value head emits the magnitude and phase weight columns."""
 
     kind = "icsacc"
+    features = Frontend.features
 
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0,
                  parts="mag_phase"):
@@ -311,15 +374,16 @@ class IcSaccFrontend(Frontend):
     def feature_dim(self):
         return self.n_mels
 
-    def features(self, signal) -> ad.Tensor:
-        spec = self._stft(signal)
-        k = spec.n_bins
-        first, second = _split_mag_phase(spec.values, self.parts)
+    def analyse(self, signal):
+        return _analyse_parts(self._stft(signal).values, self.parts)
+
+    def window_features(self, frames) -> ad.Tensor:
+        first, second = _attention_inputs(frames, self.parts)
         feats = np.concatenate([first, second], axis=-1)
         w = weights_graph(ad.Tensor(np.transpose(feats, (1, 0, 2))),
-                          self.params, value_split=k)
+                          self.params, value_split=self.stft_cfg.n_bins)
         re, im = _complex_combo_graph(w[:, :, :1], w[:, :, 1:],
-                                      spec.values, self.parts)
+                                      frames, self.parts)
         return self._logmel(ad.complex_abs(re, im))
 
     def combined(self, signal) -> CombinedSpectrogram:
@@ -337,6 +401,7 @@ class MvdrFrontend(Frontend):
     filter from the masked covariances, log-mel of the beamformed magnitude."""
 
     kind = "mvdr"
+    features = Frontend.features
 
     def __init__(self, geometry: ArrayGeometry, sample_rate=16000, n_mels=64):
         super().__init__(sample_rate, n_mels, attn_dim=1, seed=0)
@@ -349,15 +414,20 @@ class MvdrFrontend(Frontend):
     def feature_dim(self):
         return self.n_mels
 
-    def combined(self, signal) -> CombinedSpectrogram:
-        spec = self._stft(signal)
-        mask = cdr_mask(spec, self.geometry)
-        result = mvdr(spec, mask)
-        return CombinedSpectrogram(np.abs(result.values), "mvdr",
-                                   self.sample_rate, self.stft_cfg.hop_s)
+    def _beamformed_mag(self, values):
+        spec = ComplexSpectrogram(values, self.sample_rate, self.stft_cfg.hop_s)
+        return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values)
 
-    def features(self, signal) -> ad.Tensor:
-        mag = self.combined(signal).values
+    def combined(self, signal) -> CombinedSpectrogram:
+        return CombinedSpectrogram(self._beamformed_mag(self._stft(signal).values),
+                                   "mvdr", self.sample_rate, self.stft_cfg.hop_s)
+
+    def analyse(self, signal):
+        """(STFT values,), (C, T, K) complex; MVDR statistics are per window."""
+        return (self._stft(signal).values,)
+
+    def window_features(self, frames) -> ad.Tensor:
+        mag = self._beamformed_mag(frames[0])
         return ad.Tensor(log_compress(mel_project(mag, self.n_mels,
                                                   self.sample_rate)))
 
@@ -368,6 +438,74 @@ class MvdrFrontend(Frontend):
             "n_mels": self.n_mels,
             "geometry": self.geometry.to_dict(),
         }
+
+
+def _values(part):
+    return part.data if isinstance(part, ad.Tensor) else part
+
+
+class FrameCache:
+    """Analysed frames of the previous window, reused by the next one.
+
+    Sliding-window inference runs windows that overlap by most of their
+    length. ``frames(window)`` gives the same parts as
+    ``frontend.analyse(window)``, but carries over the frames the previous
+    window already analysed and runs only the others through ``analyse``.
+    A window off the previous window's frame grid (a tail window aligned to
+    the signal end, or every window when the hop is not a multiple of the
+    frame hop) is analysed in full.
+
+    Overlap is found by content: the window continues the previous one from
+    the first previous frame whose samples equal its own first frame, if
+    every sample the two share is equal too. A frame depends only on its
+    own samples, so reuse never changes a value, whatever order the windows
+    come in. The cache holds one window: its samples (a reference, not a
+    copy) and its analysed frames; frames before the window's start are
+    dropped. It keeps values only, so use it under ``autodiff.no_grad``.
+    """
+
+    def __init__(self, frontend):
+        self.frontend = frontend
+        self._samples = None
+        self._frames = None
+
+    def _first_shared_frame(self, samples):
+        """Index of the previous window's frame that ``samples`` starts on."""
+        prev = self._samples
+        if prev is None or prev.shape[0] != samples.shape[0]:
+            return None
+        fe = self.frontend
+        # Candidates from the first channel; the overlap check covers all.
+        heads = frame_signal(prev[:1], fe.frame_len, fe.frame_hop)[0]
+        same_head = (heads == samples[0, :fe.frame_len]).all(axis=1)
+        for first in np.flatnonzero(same_head):
+            lo = first * fe.frame_hop
+            n = min(prev.shape[1] - lo, samples.shape[1])
+            if np.array_equal(prev[:, lo:lo + n], samples[:, :n]):
+                return int(first)
+        return None
+
+    def frames(self, window: MultichannelSignal):
+        """The parts of ``frontend.analyse(window)``, as numpy arrays."""
+        fe = self.frontend
+        axis = fe.frame_axis
+        n_frames = frame_count(window.n_samples, fe.frame_len, fe.frame_hop)
+        first = self._first_shared_frame(window.samples)
+        if first is None:
+            parts = [_values(p) for p in fe.analyse(window)]
+        else:
+            shared = (slice(None),) * axis + (slice(first, first + n_frames),)
+            parts = [p[shared] for p in self._frames]
+            n_kept = parts[0].shape[axis]
+            if n_kept < n_frames:
+                lo = n_kept * fe.frame_hop
+                hi = (n_frames - 1) * fe.frame_hop + fe.frame_len
+                rest = MultichannelSignal(window.samples[:, lo:hi],
+                                          window.sample_rate, window.channel_ids)
+                parts = [np.concatenate([kept, _values(new)], axis=axis)
+                         for kept, new in zip(parts, fe.analyse(rest))]
+        self._samples, self._frames = window.samples, parts
+        return tuple(parts)
 
 
 def make_frontend(config: dict, seed=None) -> Frontend:

@@ -9,7 +9,7 @@ row comes out per input frame.
 
 Everything runs on the float64 autodiff graph, so a scalar loss computed
 from ``tcn_forward`` output can be swept backward through every parameter
-with ``GradTape.gradients`` (or ``arrayvad.autodiff.grad`` directly).
+with ``arrayvad.autodiff.grad``.
 
 Convolutions are expressed as shifted matmuls over a left-padded sequence:
 tap ``j`` of a kernel reads the input ``(kernel-1-j) * dilation`` frames in
@@ -19,8 +19,8 @@ the past, so frame ``t`` of the output never sees frames after ``t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .autodiff import (
     as_tensor,
     concat,
     getitem,
-    grad as _graph_grad,
     parameter,
     relu,
     tmean,
@@ -128,22 +127,6 @@ class ModelParams:
         for name, t in self.tensors.items():
             if not np.isfinite(t.data).all():
                 raise NumericError(f"non-finite values in parameter {name}")
-
-
-@dataclass
-class GradTape:
-    """One reverse sweep over a parameter set.
-
-    The op graph is recorded implicitly as forward ops run on the tensors;
-    this object binds the parameter dictionary so a single call turns a
-    scalar loss into a complete name -> gradient mapping. Parameters the
-    loss never touched come back as zero arrays.
-    """
-
-    params: Mapping[str, Tensor] = field(default_factory=dict)
-
-    def gradients(self, loss: Tensor) -> Dict[str, np.ndarray]:
-        return _graph_grad(loss, self.params)
 
 
 def _conv_layer_names(cfg):

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .errors import ArgumentError, NumericError
-from .seqmodel import GradTape, ModelParams, decisions, posteriors, tcn_forward
+from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
 from .signal_io import slice_segment
 from .signal_io import MultichannelSignal, mask_channels
@@ -340,12 +340,13 @@ def _crop_item(item, segment_s, rng):
 def _validation_f1(frontend, model, items):
     """OSD F1 over all validation frames with argmax decisions."""
     refs, hyps = [], []
-    for item in items:
-        feats = frontend.features(item.signal)
-        logits = tcn_forward(model, feats)
-        hyp = decisions(posteriors(logits))
-        refs.append(_aligned_labels(item, hyp.size))
-        hyps.append(hyp)
+    with ad.no_grad():
+        for item in items:
+            feats = frontend.features(item.signal)
+            logits = tcn_forward(model, feats)
+            hyp = decisions(posteriors(logits))
+            refs.append(_aligned_labels(item, hyp.size))
+            hyps.append(hyp)
     ref = FrameLabels(np.concatenate(refs))
     hyp = FrameLabels(np.concatenate(hyps))
     return osd_metrics(ref, hyp).f1
@@ -381,7 +382,6 @@ def train(frontend, model: ModelParams, train_items, val_items,
     use_inv = icfg is not None and icfg.lam < 1.0
     all_params = {"frontend/" + k: t for k, t in frontend.params.items()}
     all_params.update({"model/" + k: t for k, t in model.tensors.items()})
-    tape = GradTape(all_params)
     state = AdamState.for_params(all_params)
     rng = np.random.default_rng(tcfg.seed)
 
@@ -419,7 +419,7 @@ def train(frontend, model: ModelParams, train_items, val_items,
             else:
                 loss = ce_mean
             try:
-                grads = tape.gradients(loss)
+                grads = ad.grad(loss, all_params)
             except NumericError as exc:
                 raise NumericError(
                     f"training diverged at step {step}: {exc}") from exc

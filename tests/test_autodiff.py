@@ -262,3 +262,50 @@ def test_constant_folding_keeps_graph_small():
     out = a @ b + 1.0
     assert not out.requires_grad
     assert out._parents == ()
+
+
+def test_no_grad_results_have_no_parents():
+    w = ad.parameter(RNG.normal(size=(3, 4)))
+    v = ad.parameter(RNG.normal(size=(4, 2)))
+    with ad.no_grad():
+        results = [w * 2.0, w @ v, ad.softmax(w, axis=0), w[1:], (w @ v).sum(),
+                   ad.concat([w, w], axis=0), ad.complex_abs(w, w)]
+    for out in results:
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+    assert np.array_equal(results[1].data, (w @ v).data)
+    assert (w @ v).requires_grad
+
+
+def test_no_grad_restores_mode_after_nesting_and_exceptions():
+    w = ad.parameter(np.ones(2))
+
+    def recording():
+        return (w * 3.0).requires_grad
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not recording()
+        assert not recording()
+        with pytest.raises(NumericError):
+            with ad.no_grad():
+                raise NumericError("inner failure")
+        assert not recording()
+    assert recording()
+    with pytest.raises(ArgumentError):
+        with ad.no_grad():
+            ad.backward(w)  # not a scalar
+    assert recording()
+
+
+def test_graph_built_after_no_grad_passes_finite_differences():
+    def build(p):
+        h = ad.softmax(p["x"] @ p["w"], axis=-1)
+        return (h * h).sum() + ad.tlog(p["x"] * p["x"] + 1.0).sum()
+
+    with ad.no_grad():
+        params = {"x": ad.parameter(RNG.normal(size=(3, 4))),
+                  "w": ad.parameter(RNG.normal(size=(4, 5)))}
+        assert not build(params).requires_grad
+    check_op(build, {"x": (3, 4), "w": (4, 5)})
