@@ -17,9 +17,13 @@ softmax so the weights form a convex combination. Variants:
   map yields both weight sets while keeping the parameter count of exactly
   one bank at the doubled width (strictly below two separate banks).
 
-All weight math runs on the autodiff tape so the same code path serves
-training and plain evaluation (constants fold away when nothing is
-learnable).
+This module holds the attention initialisation, the tape building blocks
+(``weights_graph``, ``combine_real_graph``, ``combine_mag_phase_graph``,
+``mvn_graph``) and the numpy containers ``CombinationWeights`` and
+``CombinedSpectrogram``. Each frontend assembles the building blocks in its
+``_combine`` step; the same step serves training, inference and, under
+``autodiff.no_grad``, ``Frontend.combined`` (constants fold away when
+nothing is learnable).
 """
 
 from __future__ import annotations
@@ -30,14 +34,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ArgumentError
-from .spectral import ComplexSpectrogram, log_compress, mel_project, mvn
 
 TWO_PI = 2.0 * np.pi
 
-_REAL_KINDS = ("sacc", "mvdr")
-_COMPLEX_KINDS = ("ecsacc", "icsacc")
-_ANALYTIC_KIND = "analytic"
-VALID_KINDS = _REAL_KINDS + _COMPLEX_KINDS + (_ANALYTIC_KIND,)
+VALID_KINDS = ("sacc", "mvdr", "ecsacc", "icsacc", "analytic")
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,6 @@ class CombinedSpectrogram:
 # -- tape-level building blocks ----------------------------------------------
 
 
-def params_to_tensors(params: AttentionParams, requires_grad=False):
-    make = ad.parameter if requires_grad else ad.Tensor
-    return {name: make(arr) for name, arr in params.as_arrays().items()}
-
-
 def attention_scores_graph(feats_tc, p, value_split=None):
     """Raw attention scores before the channel softmax.
 
@@ -212,7 +207,12 @@ def channel_softmax_graph(scores):
 
 
 def weights_graph(feats_tc, p, value_split=None):
-    """Full weight computation on the tape; returns (T, C, cols)."""
+    """Full weight computation on the tape; returns (T, C, cols).
+
+    Per frame: q, k, v are linear maps of the frame's channel feature
+    matrix; attention rows are softmax(q k^T / sqrt(attn_dim)); the scores
+    att @ v pass through a second softmax over channels.
+    """
     return channel_softmax_graph(attention_scores_graph(feats_tc, p, value_split))
 
 
@@ -242,135 +242,3 @@ def mvn_graph(x, time_axis=0):
     centered = x - mean
     var = (centered * centered).sum(axis=time_axis, keepdims=True) * (1.0 / n)
     return centered / (var.sqrt() + 1e-6)
-
-
-# -- public ops ---------------------------------------------------------------
-
-
-def _check_feats(feats):
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 3:
-        raise ArgumentError("feats must be (channels, frames, feat_dim)")
-    return feats
-
-
-def attention_weights(feats, params: AttentionParams) -> CombinationWeights:
-    """Real combination weights from per-channel features (C, T, feat_dim).
-
-    Per frame: q, k, v are linear maps of the frame's channel feature
-    matrix; attention rows are softmax(q k^T / sqrt(attn_dim)); the scores
-    att @ v pass through a second softmax over channels. Both softmaxes are
-    max-subtracted for stability.
-    """
-    feats = _check_feats(feats)
-    if feats.shape[2] != params.feat_dim:
-        raise ArgumentError(
-            f"feature width {feats.shape[2]} does not match params ({params.feat_dim})"
-        )
-    feats_tc = ad.Tensor(np.transpose(feats, (1, 0, 2)))
-    w = weights_graph(feats_tc, params_to_tensors(params))
-    return CombinationWeights(w.data[:, :, 0].T, kind="real")
-
-
-def combine_magnitude(weights: CombinationWeights, mag) -> np.ndarray:
-    """Weighted channel sum of real per-channel values (C, T, K) -> (T, K)."""
-    if weights.kind != "real":
-        raise ArgumentError("combine_magnitude expects real weights")
-    mag = np.asarray(mag, dtype=np.float64)
-    if mag.ndim != 3 or mag.shape[:2] != weights.values.shape:
-        raise ArgumentError("mag must be (C, T, K) matching the weights")
-    return np.einsum("ct,ctk->tk", weights.values, mag)
-
-
-def combine_complex(weights: CombinationWeights, spec_values) -> np.ndarray:
-    """Weighted channel sum of complex values with complex weights."""
-    if weights.kind != "complex":
-        raise ArgumentError("combine_complex expects complex weights")
-    values = np.asarray(spec_values, dtype=np.complex128)
-    if values.ndim != 3 or values.shape[:2] != weights.values.shape:
-        raise ArgumentError("values must be (C, T, K) matching the weights")
-    return np.einsum("ct,ctk->tk", weights.values, values)
-
-
-def _mag_phase_inputs(spec: ComplexSpectrogram, parts):
-    """Per-channel attention inputs for the two representation parts."""
-    if parts == "mag_phase":
-        first = mvn(log_compress(np.abs(spec.values)))
-        second = mvn(np.angle(spec.values))
-    elif parts == "real_imag":
-        first = mvn(spec.values.real)
-        second = mvn(spec.values.imag)
-    else:
-        raise ArgumentError(f"parts must be 'mag_phase' or 'real_imag', got {parts!r}")
-    return first, second
-
-
-def _complex_weights_from_pair(w_first, w_second, parts):
-    """(T,C,1) weight pairs -> complex (C,T) channel weights."""
-    a = w_first[:, :, 0].T
-    b = w_second[:, :, 0].T
-    if parts == "mag_phase":
-        return a * np.exp(1j * TWO_PI * b)
-    return a + 1j * b
-
-
-def ecsacc_combine(spec: ComplexSpectrogram, mag_params: AttentionParams,
-                   phase_params: AttentionParams, parts="mag_phase") -> CombinedSpectrogram:
-    """Two attention banks, one per representation part, then a complex
-    channel combination sum_c (w_mag*|Y|) * exp(j*(2*pi*w_phase + angle(Y)))."""
-    first, second = _mag_phase_inputs(spec, parts)
-    p1 = params_to_tensors(mag_params)
-    p2 = params_to_tensors(phase_params)
-    f1 = ad.Tensor(np.transpose(first, (1, 0, 2)))
-    f2 = ad.Tensor(np.transpose(second, (1, 0, 2)))
-    w1 = weights_graph(f1, p1).data
-    w2 = weights_graph(f2, p2).data
-    w = CombinationWeights(_complex_weights_from_pair(w1, w2, parts), kind="complex")
-    values = combine_complex(w, spec.values)
-    return CombinedSpectrogram(values, "ecsacc", spec.sample_rate, spec.hop_s, weights=w)
-
-
-def icsacc_combine(spec: ComplexSpectrogram, params: AttentionParams,
-                   parts="mag_phase") -> CombinedSpectrogram:
-    """Single attention bank over the feature-axis concatenation of both
-    representation parts; the split value map yields both weight columns."""
-    first, second = _mag_phase_inputs(spec, parts)
-    n_bins = spec.n_bins
-    if params.feat_dim != 2 * n_bins:
-        raise ArgumentError(
-            f"params sized for width {params.feat_dim}, expected {2 * n_bins}"
-        )
-    feats = np.concatenate([first, second], axis=-1)
-    feats_tc = ad.Tensor(np.transpose(feats, (1, 0, 2)))
-    w = weights_graph(feats_tc, params_to_tensors(params), value_split=n_bins).data
-    wc = CombinationWeights(
-        _complex_weights_from_pair(w[:, :, :1], w[:, :, 1:], parts), kind="complex"
-    )
-    values = combine_complex(wc, spec.values)
-    return CombinedSpectrogram(values, "icsacc", spec.sample_rate, spec.hop_s, weights=wc)
-
-
-def sacc_combine(spec: ComplexSpectrogram, params: AttentionParams) -> CombinedSpectrogram:
-    """Real-weight magnitude combination driven by MVN log-magnitudes."""
-    mag = np.abs(spec.values)
-    w = attention_weights(mvn(log_compress(mag)), params)
-    values = combine_magnitude(w, mag)
-    return CombinedSpectrogram(values, "sacc", spec.sample_rate, spec.hop_s, weights=w)
-
-
-def frontend_features(combined: CombinedSpectrogram, n_mels=64) -> np.ndarray:
-    """Features handed to the sequence model, (T, F).
-
-    Real kinds project magnitudes onto mel filters and log-compress; complex
-    kinds take the magnitude first. The analytic kind concatenates real and
-    imaginary parts instead of a mel projection (F = 2 * n_filters) and
-    ignores n_mels.
-    """
-    if combined.kind == _ANALYTIC_KIND:
-        v = np.asarray(combined.values, dtype=np.complex128)
-        return np.concatenate([v.real, v.imag], axis=-1)
-    if combined.kind in _COMPLEX_KINDS:
-        mag = np.abs(combined.values)
-    else:
-        mag = np.asarray(combined.values, dtype=np.float64)
-    return log_compress(mel_project(mag, n_mels, combined.sample_rate))

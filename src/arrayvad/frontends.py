@@ -17,9 +17,13 @@ mel/log. Analysed frames lie along ``frame_axis`` of each part, so frames
 shared by overlapping windows can be analysed once (``FrameCache``) while
 the per-window step, and so the output, stays exactly as without reuse.
 
-Every frontend also has a plain-numpy ``combined`` path reusing the
-evaluation ops in ``combinator``; the tests hold the two paths together,
-which is what makes the graph trustworthy.
+The combination is one method per kind, ``_combine``: attention inputs,
+weights and the weighted channel sum, returning the combined values and the
+weight tensors. ``window_features`` is ``_combine`` followed by mel/log
+(for ``analytic``, the real/imaginary concatenation). ``combined`` runs the
+same ``_combine`` under ``autodiff.no_grad`` and returns the values and
+per-channel weights as numpy (a ``CombinedSpectrogram``), so the weights the
+``beampattern`` command analyses are the ones training learned through.
 
 ``make_frontend`` builds any variant from a JSON-able config dict; the
 same dict comes back from ``config()`` so checkpoints can rebuild the
@@ -33,16 +37,13 @@ import numpy as np
 from . import autodiff as ad
 from .beamform import ArrayGeometry, cdr_mask, mvdr
 from .combinator import (
-    AttentionParams,
+    TWO_PI,
+    CombinationWeights,
     CombinedSpectrogram,
     attention_init,
-    attention_weights,
     combine_mag_phase_graph,
     combine_real_graph,
-    ecsacc_combine,
-    icsacc_combine,
     mvn_graph,
-    sacc_combine,
     weights_graph,
 )
 from .errors import ArgumentError
@@ -70,12 +71,6 @@ def _attn_tensors(feat_dim, attn_dim, seed, prefix=""):
     init = attention_init(feat_dim, attn_dim, seed)
     return {prefix + name: ad.parameter(arr)
             for name, arr in init.as_arrays().items()}
-
-
-def _attn_view(params, prefix=""):
-    """Numpy AttentionParams over the live tensor data (no copy)."""
-    return AttentionParams(**{name: params[prefix + name].data
-                              for name in _ATTN_NAMES})
 
 
 def _subparams(params, prefix):
@@ -149,6 +144,26 @@ class Frontend:
         frames = self.analyse(signal) if cache is None else cache.frames(signal)
         return self.window_features(frames)
 
+    def combined(self, signal) -> CombinedSpectrogram:
+        """Channel-combined values of ``signal`` and the weights that built
+        them, as numpy: ``_combine(analyse(signal))`` off the tape.
+
+        A (re, im) pair of combined values becomes one complex array.
+        """
+        with ad.no_grad():
+            values, weights = self._combine(self.analyse(signal))
+        if isinstance(values, tuple):
+            values = values[0].data + 1j * values[1].data
+        if weights is not None:
+            weights = self._combination_weights(weights)
+        return CombinedSpectrogram(_values(values), self.kind,
+                                   self.sample_rate, self.stft_cfg.hop_s,
+                                   weights=weights)
+
+    def _combination_weights(self, w):
+        """(T, C, 1) weight tensor -> real (C, T) ``CombinationWeights``."""
+        return CombinationWeights(w.data[:, :, 0].T, kind="real")
+
     def _mel_tensor(self):
         return ad.Tensor(mel_filterbank(self.n_mels, self.stft_cfg.n_bins,
                                         self.sample_rate))
@@ -164,7 +179,7 @@ class Frontend:
             "attn_dim": self.attn_dim,
         }
 
-    # subclasses: analyse(), window_features(), combined(), feature_dim
+    # subclasses: analyse(), _combine(), window_features(), feature_dim
 
 
 class SaccStftFrontend(Frontend):
@@ -186,15 +201,16 @@ class SaccStftFrontend(Frontend):
         mag = np.abs(self._stft(signal).values)
         return mag, log_compress(mag)
 
-    def window_features(self, frames) -> ad.Tensor:
+    def _combine(self, frames):
+        """(T, K) combined magnitude and the (T, C, 1) weights."""
         mag, log_mag = frames
         att_in = np.transpose(mvn(log_mag), (1, 0, 2))
         w = weights_graph(ad.Tensor(att_in), self.params)
-        combined = combine_real_graph(w, ad.Tensor(np.transpose(mag, (1, 0, 2))))
-        return self._logmel(combined)
+        return combine_real_graph(w, ad.Tensor(np.transpose(mag, (1, 0, 2)))), w
 
-    def combined(self, signal) -> CombinedSpectrogram:
-        return sacc_combine(self._stft(signal), _attn_view(self.params))
+    def window_features(self, frames) -> ad.Tensor:
+        combined, _ = self._combine(frames)
+        return self._logmel(combined)
 
 
 class AnalyticSaccFrontend(Frontend):
@@ -250,22 +266,19 @@ class AnalyticSaccFrontend(Frontend):
         re, im = self._bank_outputs(signal)
         return re, im, ad.tlog(ad.complex_abs(re, im) + LOG_EPS)
 
-    def window_features(self, frames) -> ad.Tensor:
+    def _combine(self, frames):
+        """(T, F) real and imaginary combined bank outputs and the
+        (T, C, 1) weights."""
         re, im, log_mag = (ad.as_tensor(part) for part in frames)
         att_in = mvn_graph(log_mag, time_axis=0)
         w = weights_graph(att_in, _subparams(self.params, ""))
         re_c = (w * re).sum(axis=1)
         im_c = (w * im).sum(axis=1)
-        return ad.concat([re_c, im_c], axis=-1)
+        return (re_c, im_c), w
 
-    def combined(self, signal) -> CombinedSpectrogram:
-        re, im = self._bank_outputs(signal)
-        values = np.transpose(re.data + 1j * im.data, (1, 0, 2))
-        w = attention_weights(mvn(log_compress(np.abs(values))),
-                              _attn_view(self.params))
-        out = np.einsum("ct,ctk->tk", w.values, values)
-        return CombinedSpectrogram(out, "analytic", self.sample_rate,
-                                   self.stft_cfg.hop_s, weights=w)
+    def window_features(self, frames) -> ad.Tensor:
+        (re_c, im_c), _ = self._combine(frames)
+        return ad.concat([re_c, im_c], axis=-1)
 
     def config(self):
         return {
@@ -308,7 +321,43 @@ def _complex_combo_graph(w1, w2, frames, parts):
     return re, im
 
 
-class EcSaccFrontend(Frontend):
+class _ComplexSaccFrontend(Frontend):
+    """What ``ecsacc`` and ``icsacc`` share: STFT parts in either layout, a
+    complex channel combination from two weight columns, log-mel of the
+    combined magnitude."""
+
+    def __init__(self, sample_rate, n_mels, attn_dim, seed, parts):
+        super().__init__(sample_rate, n_mels, attn_dim, seed)
+        if parts not in ("mag_phase", "real_imag"):
+            raise ArgumentError(f"unknown parts layout {parts!r}")
+        self.parts = parts
+
+    @property
+    def feature_dim(self):
+        return self.n_mels
+
+    def analyse(self, signal):
+        return _analyse_parts(self._stft(signal).values, self.parts)
+
+    def window_features(self, frames) -> ad.Tensor:
+        (re, im), _ = self._combine(frames)
+        return self._logmel(ad.complex_abs(re, im))
+
+    def _combination_weights(self, w):
+        """(T, C, 1) weight pair -> complex (C, T) ``CombinationWeights``:
+        a * exp(j*2*pi*b) for mag_phase, a + j*b for real_imag."""
+        a, b = (part.data[:, :, 0].T for part in w)
+        if self.parts == "mag_phase":
+            return CombinationWeights(a * np.exp(1j * TWO_PI * b), kind="complex")
+        return CombinationWeights(a + 1j * b, kind="complex")
+
+    def config(self):
+        out = super().config()
+        out["parts"] = self.parts
+        return out
+
+
+class EcSaccFrontend(_ComplexSaccFrontend):
     """Two attention banks (magnitude and phase parts), complex combination,
     then log-mel of the combined magnitude."""
 
@@ -317,44 +366,23 @@ class EcSaccFrontend(Frontend):
 
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0,
                  parts="mag_phase"):
-        super().__init__(sample_rate, n_mels, attn_dim, seed)
-        if parts not in ("mag_phase", "real_imag"):
-            raise ArgumentError(f"unknown parts layout {parts!r}")
-        self.parts = parts
+        super().__init__(sample_rate, n_mels, attn_dim, seed, parts)
         k = self.stft_cfg.n_bins
         self.params = {}
         self.params.update(_attn_tensors(k, self.attn_dim, seed, "mag/"))
         self.params.update(_attn_tensors(k, self.attn_dim, seed + 1, "phase/"))
 
-    @property
-    def feature_dim(self):
-        return self.n_mels
-
-    def analyse(self, signal):
-        return _analyse_parts(self._stft(signal).values, self.parts)
-
-    def window_features(self, frames) -> ad.Tensor:
+    def _combine(self, frames):
+        """(T, K) re/im of the combination and the two (T, C, 1) weights."""
         first, second = _attention_inputs(frames, self.parts)
         w1 = weights_graph(ad.Tensor(np.transpose(first, (1, 0, 2))),
                            _subparams(self.params, "mag/"))
         w2 = weights_graph(ad.Tensor(np.transpose(second, (1, 0, 2))),
                            _subparams(self.params, "phase/"))
-        re, im = _complex_combo_graph(w1, w2, frames, self.parts)
-        return self._logmel(ad.complex_abs(re, im))
-
-    def combined(self, signal) -> CombinedSpectrogram:
-        return ecsacc_combine(self._stft(signal),
-                              _attn_view(self.params, "mag/"),
-                              _attn_view(self.params, "phase/"),
-                              parts=self.parts)
-
-    def config(self):
-        out = super().config()
-        out["parts"] = self.parts
-        return out
+        return _complex_combo_graph(w1, w2, frames, self.parts), (w1, w2)
 
 
-class IcSaccFrontend(Frontend):
+class IcSaccFrontend(_ComplexSaccFrontend):
     """One attention bank over the feature-axis concatenation of both parts;
     a split value head emits the magnitude and phase weight columns."""
 
@@ -363,37 +391,19 @@ class IcSaccFrontend(Frontend):
 
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0,
                  parts="mag_phase"):
-        super().__init__(sample_rate, n_mels, attn_dim, seed)
-        if parts not in ("mag_phase", "real_imag"):
-            raise ArgumentError(f"unknown parts layout {parts!r}")
-        self.parts = parts
+        super().__init__(sample_rate, n_mels, attn_dim, seed, parts)
         self.params = _attn_tensors(2 * self.stft_cfg.n_bins, self.attn_dim,
                                     seed)
 
-    @property
-    def feature_dim(self):
-        return self.n_mels
-
-    def analyse(self, signal):
-        return _analyse_parts(self._stft(signal).values, self.parts)
-
-    def window_features(self, frames) -> ad.Tensor:
+    def _combine(self, frames):
+        """(T, K) re/im of the combination and the two (T, C, 1) weight
+        columns of the split value head."""
         first, second = _attention_inputs(frames, self.parts)
         feats = np.concatenate([first, second], axis=-1)
         w = weights_graph(ad.Tensor(np.transpose(feats, (1, 0, 2))),
                           self.params, value_split=self.stft_cfg.n_bins)
-        re, im = _complex_combo_graph(w[:, :, :1], w[:, :, 1:],
-                                      frames, self.parts)
-        return self._logmel(ad.complex_abs(re, im))
-
-    def combined(self, signal) -> CombinedSpectrogram:
-        return icsacc_combine(self._stft(signal), _attn_view(self.params),
-                              parts=self.parts)
-
-    def config(self):
-        out = super().config()
-        out["parts"] = self.parts
-        return out
+        w1, w2 = w[:, :, :1], w[:, :, 1:]
+        return _complex_combo_graph(w1, w2, frames, self.parts), (w1, w2)
 
 
 class MvdrFrontend(Frontend):
@@ -414,20 +424,18 @@ class MvdrFrontend(Frontend):
     def feature_dim(self):
         return self.n_mels
 
-    def _beamformed_mag(self, values):
-        spec = ComplexSpectrogram(values, self.sample_rate, self.stft_cfg.hop_s)
-        return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values)
-
-    def combined(self, signal) -> CombinedSpectrogram:
-        return CombinedSpectrogram(self._beamformed_mag(self._stft(signal).values),
-                                   "mvdr", self.sample_rate, self.stft_cfg.hop_s)
-
     def analyse(self, signal):
         """(STFT values,), (C, T, K) complex; MVDR statistics are per window."""
         return (self._stft(signal).values,)
 
+    def _combine(self, frames):
+        """(T, K) beamformed magnitude; a fixed beamformer has no
+        per-channel weights, so the weights are None."""
+        spec = ComplexSpectrogram(frames[0], self.sample_rate, self.stft_cfg.hop_s)
+        return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values), None
+
     def window_features(self, frames) -> ad.Tensor:
-        mag = self._beamformed_mag(frames[0])
+        mag, _ = self._combine(frames)
         return ad.Tensor(log_compress(mel_project(mag, self.n_mels,
                                                   self.sample_rate)))
 

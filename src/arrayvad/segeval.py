@@ -296,22 +296,3 @@ def metrics_to_json(vad: VadMetrics = None, osd: OsdMetrics = None) -> str:
         out["osd"] = {"precision": osd.precision, "recall": osd.recall,
                       "f1": osd.f1, "degenerate": osd.degenerate}
     return json.dumps(out, indent=2, sort_keys=True)
-
-
-def format_metrics_table(vad: VadMetrics = None, osd: OsdMetrics = None) -> str:
-    """Aligned plain-text rendering of the metric values."""
-    rows = []
-    if vad is not None:
-        rows += [("VAD false alarm", vad.false_alarm), ("VAD miss", vad.miss),
-                 ("VAD error rate", vad.error_rate)]
-    if osd is not None:
-        rows += [("OSD precision", osd.precision), ("OSD recall", osd.recall),
-                 ("OSD F1", osd.f1)]
-        if osd.degenerate:
-            rows.append(("OSD degenerate", "yes"))
-    width = max(len(name) for name, _ in rows) if rows else 0
-    lines = []
-    for name, value in rows:
-        shown = f"{value:7.2f}" if isinstance(value, float) else f"{value:>7}"
-        lines.append(f"{name:<{width}}  {shown}")
-    return "\n".join(lines)

@@ -233,18 +233,6 @@ def posteriors(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def vad_osd_scores(probs):
-    """Per-frame detection scores from 3-class posteriors.
-
-    Speech activity is the mass on the one-speaker and overlap classes
-    combined; overlap is the mass on the overlap class alone.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != 3:
-        raise ArgumentError("expected (frames, 3) posteriors")
-    return probs[:, 1] + probs[:, 2], probs[:, 2]
-
-
 def decisions(probs) -> np.ndarray:
     """Argmax class per frame; ties resolve toward the lower class index."""
     probs = np.asarray(probs, dtype=np.float64)

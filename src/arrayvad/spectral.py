@@ -1,10 +1,10 @@
 """Spectral analysis front end pieces.
 
 Covers the fixed STFT path (framing, periodic Hann window, mel projection,
-log compression, per-bin mean/variance normalization), the learnable
-analytic filterbank whose imaginary impulse responses are the discrete
-Hilbert transforms of the real ones, and the on-disk dump formats for
-spectrograms and feature matrices.
+log compression, per-bin mean/variance normalization), the Hilbert basis
+that gives the learnable analytic filterbank of
+``frontends.AnalyticSaccFrontend`` its imaginary impulse responses, and the
+feature-matrix CSV format.
 
 Framing is left aligned with no center padding: frame t covers samples
 [t*hop, t*hop + win), and the frame count is floor((N - win) / hop) + 1.
@@ -23,11 +23,6 @@ from .signal_io import MultichannelSignal
 
 LOG_EPS = 1e-8
 MVN_EPS = 1e-6
-
-_DUMP_MAGIC = 0x41565350  # "AVSP"
-_DUMP_VERSION = 1
-_FLAG_COMPLEX = 1
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -186,7 +181,7 @@ def mvn(x, time_axis=None):
     return (x - mean) / (std + MVN_EPS)
 
 
-# -- learnable analytic filterbank --------------------------------------------
+# -- analytic-signal basis ----------------------------------------------------
 
 
 @functools.lru_cache(maxsize=8)
@@ -209,131 +204,7 @@ def hilbert_basis(kernel_len):
     return np.ascontiguousarray(analytic.imag)
 
 
-def hilbert_imag(real_ir):
-    """Imaginary impulse responses for rows of ``real_ir`` ((F, L) or (L,))."""
-    real_ir = np.asarray(real_ir, dtype=np.float64)
-    basis = hilbert_basis(real_ir.shape[-1])
-    return real_ir @ basis.T
-
-
-@dataclass(frozen=True)
-class AnalyticFilterBank:
-    """Bank of learnable analytic FIR filters applied with a fixed stride.
-
-    Only ``real_ir`` is free; ``imag_ir`` is always the Hilbert transform of
-    it, recomputed on access so the pair can never drift apart.
-    """
-
-    real_ir: np.ndarray
-    stride: int
-    sample_rate: int
-
-    def __post_init__(self):
-        ir = np.asarray(self.real_ir, dtype=np.float64)
-        if ir.ndim != 2:
-            raise ArgumentError("real_ir must be (n_filters, kernel_len)")
-        if ir.shape[1] % 2 != 0:
-            raise ArgumentError("kernel_len must be even")
-        if self.stride < 1:
-            raise ArgumentError("stride must be >= 1")
-        object.__setattr__(self, "real_ir", ir)
-
-    @property
-    def imag_ir(self):
-        return hilbert_imag(self.real_ir)
-
-    @property
-    def n_filters(self):
-        return self.real_ir.shape[0]
-
-    @property
-    def kernel_len(self):
-        return self.real_ir.shape[1]
-
-
-def analytic_fb_init(n_filters, kernel_len, stride, sample_rate, seed=0):
-    """Uniform init in [-1/sqrt(L), 1/sqrt(L)], deterministic in ``seed``."""
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(kernel_len)
-    ir = rng.uniform(-bound, bound, size=(n_filters, kernel_len))
-    return AnalyticFilterBank(ir, stride, sample_rate)
-
-
-def analytic_fb_apply(signal: MultichannelSignal, bank: AnalyticFilterBank):
-    """Strided complex filterbank outputs, (C, T, n_filters) complex128.
-
-    T follows the same framing rule as the STFT with win = kernel_len and
-    hop = stride, so bank features align frame for frame with STFT features
-    when the sizes match.
-    """
-    if signal.sample_rate != bank.sample_rate:
-        raise ArgumentError(
-            f"bank built for {bank.sample_rate} Hz, signal is {signal.sample_rate} Hz"
-        )
-    frames = frame_signal(signal.samples, bank.kernel_len, bank.stride)
-    real = np.einsum("ctl,fl->ctf", frames, bank.real_ir)
-    imag = np.einsum("ctl,fl->ctf", frames, bank.imag_ir)
-    return real + 1j * imag
-
-
-# -- dump formats -------------------------------------------------------------
-
-
-def write_spectral_binary(path, values, sample_rate, hop_s):
-    """Raw little-endian float64 dump with an 8-value int64 header.
-
-    Header: magic, version, C, T, K, sample_rate, hop in microseconds, flags.
-    Flag bit 0 marks complex data (interleaved re/im pairs).
-    """
-    values = np.asarray(values)
-    if values.ndim != 3:
-        raise ArgumentError("expected (C, T, K) values")
-    is_complex = np.iscomplexobj(values)
-    flags = _FLAG_COMPLEX if is_complex else 0
-    header = np.array(
-        [
-            _DUMP_MAGIC,
-            _DUMP_VERSION,
-            values.shape[0],
-            values.shape[1],
-            values.shape[2],
-            int(sample_rate),
-            int(round(hop_s * 1e6)),
-            flags,
-        ],
-        dtype="<i8",
-    )
-    if is_complex:
-        payload = np.ascontiguousarray(values.astype(np.complex128)).view(np.float64)
-    else:
-        payload = values.astype(np.float64)
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(payload.astype("<f8").tobytes())
-
-
-def read_spectral_binary(path):
-    """Inverse of write_spectral_binary; returns (values, sample_rate, hop_s)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 64:
-        raise FormatError("spectral dump truncated before header end")
-    header = np.frombuffer(raw[:64], dtype="<i8")
-    if header[0] != _DUMP_MAGIC:
-        raise FormatError(f"bad magic 0x{int(header[0]):x} in spectral dump")
-    if header[1] != _DUMP_VERSION:
-        raise FormatError(f"unsupported spectral dump version {int(header[1])}")
-    c, t, k = (int(x) for x in header[2:5])
-    rate, hop_us, flags = int(header[5]), int(header[6]), int(header[7])
-    n_values = c * t * k * (2 if flags & _FLAG_COMPLEX else 1)
-    body = np.frombuffer(raw[64:], dtype="<f8")
-    if body.size != n_values:
-        raise FormatError(f"expected {n_values} float64 values, found {body.size}")
-    if flags & _FLAG_COMPLEX:
-        values = body.view(np.complex128).reshape(c, t, k)
-    else:
-        values = body.reshape(c, t, k)
-    return values.copy(), rate, hop_us / 1e6
+# -- feature CSV --------------------------------------------------------------
 
 
 def write_features_csv(path, features, names=None):

@@ -143,14 +143,12 @@ def cross_entropy(logits, labels) -> Tensor:
     return (lse - picked).mean()
 
 
-def invariant_loss(x_ref, masked_feats, cosine=False) -> Tensor:
+def invariant_loss(x_ref, masked_feats) -> Tensor:
     """Channel-count invariance penalty between reference and masked features.
 
-    Default form: mean over duplicates of
+    Mean over duplicates of
     ||X_ref - X_p||_F / ((||X_ref||_F + eps) * (||X_p||_F + eps)).
-    The eps guard on each norm keeps zero feature maps finite. With
-    ``cosine=True`` the term is 1 - cosine similarity instead (experimental
-    alternative, off by default).
+    The eps guard on each norm keeps zero feature maps finite.
     """
     x_ref = as_tensor(x_ref)
     if not masked_feats:
@@ -164,11 +162,8 @@ def invariant_loss(x_ref, masked_feats, cosine=False) -> Tensor:
                 f"masked features {xp.shape} do not match reference "
                 f"{x_ref.shape}")
         dup_norm = tsqrt(tsum(xp * xp)) + _EPS_NORM
-        if cosine:
-            term = 1.0 - tsum(x_ref * xp) / (ref_norm * dup_norm)
-        else:
-            diff = x_ref - xp
-            term = tsqrt(tsum(diff * diff)) / (ref_norm * dup_norm)
+        diff = x_ref - xp
+        term = tsqrt(tsum(diff * diff)) / (ref_norm * dup_norm)
         total = term if total is None else total + term
     return total * (1.0 / len(masked_feats))
 

@@ -36,3 +36,98 @@ def relative_error(a, b, floor=1e-8):
     """Max elementwise |a-b| / max(|a|, |b|, floor)."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# -- naive channel-combination references ---------------------------------------
+#
+# Per-frame loops with their own softmax and normalization code, so the
+# vectorized tape path in ``combinator``/``frontends`` is checked against an
+# independent route. ``p`` is anything with wq, wk, wv, bq, bk, bv and
+# attn_dim attributes (``combinator.AttentionParams``); values are complex
+# (C, T, K) spectra.
+
+
+def naive_softmax(x, axis=-1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def naive_mvn(x):
+    """Mean/std normalization over the frame axis of (C, T, K)."""
+    mean = x.mean(axis=1, keepdims=True)
+    std = x.std(axis=1, keepdims=True)
+    return (x - mean) / (std + 1e-6)
+
+
+def naive_weights(feats, p):
+    """Frame-by-frame reference for the attention weight computation."""
+    n_ch, n_frames, _ = feats.shape
+    out = np.zeros((n_ch, n_frames))
+    for t in range(n_frames):
+        frame = feats[:, t, :]
+        q = frame @ p.wq + p.bq
+        k = frame @ p.wk + p.bk
+        v = frame @ p.wv + p.bv
+        att = naive_softmax(q @ k.T / np.sqrt(p.attn_dim), axis=-1)
+        scores = att @ v
+        out[:, t] = naive_softmax(scores[:, 0], axis=0)
+    return out
+
+
+def naive_parts(values, parts):
+    """Normalized attention inputs of the two representation parts."""
+    if parts == "mag_phase":
+        return (naive_mvn(np.log(np.abs(values) + 1e-8)),
+                naive_mvn(np.angle(values)))
+    return naive_mvn(values.real), naive_mvn(values.imag)
+
+
+def naive_complex_sum(values, w_first, w_second, parts):
+    """(T, K) channel sum and complex (C, T) weights from a weight pair:
+    w = a * exp(j*2*pi*b) for mag_phase, a + j*b for real_imag."""
+    if parts == "mag_phase":
+        w = w_first * np.exp(1j * 2 * np.pi * w_second)
+    else:
+        w = w_first + 1j * w_second
+    out = np.zeros(values.shape[1:], dtype=complex)
+    for c in range(values.shape[0]):
+        out += w[c][:, None] * values[c]
+    return out, w
+
+
+def naive_sacc(values, p):
+    """(T, K) convex magnitude combination and its real (C, T) weights."""
+    mag = np.abs(values)
+    w = naive_weights(naive_mvn(np.log(mag + 1e-8)), p)
+    out = np.zeros(mag.shape[1:])
+    for c in range(mag.shape[0]):
+        out += w[c][:, None] * mag[c]
+    return out, w
+
+
+def naive_ecsacc(values, pm, pp, parts="mag_phase"):
+    """Two banks, one per part; returns (T, K) values and (C, T) weights."""
+    first, second = naive_parts(values, parts)
+    return naive_complex_sum(values, naive_weights(first, pm),
+                             naive_weights(second, pp), parts)
+
+
+def naive_icsacc(values, p, parts="mag_phase"):
+    """One bank over both parts with a split value head; returns (T, K)
+    values and (C, T) weights."""
+    first, second = naive_parts(values, parts)
+    k = values.shape[2]
+    feats = np.concatenate([first, second], axis=-1)
+    n_ch, n_frames, _ = feats.shape
+    wm = np.zeros((n_ch, n_frames))
+    wp = np.zeros((n_ch, n_frames))
+    for t in range(n_frames):
+        frame = feats[:, t, :]
+        q = frame @ p.wq + p.bq
+        kk = frame @ p.wk + p.bk
+        att = naive_softmax(q @ kk.T / np.sqrt(p.attn_dim), axis=-1)
+        v_mag = frame[:, :k] @ p.wv[:k] + p.bv
+        v_phase = frame[:, k:] @ p.wv[k:] + p.bv
+        wm[:, t] = naive_softmax((att @ v_mag)[:, 0], axis=0)
+        wp[:, t] = naive_softmax((att @ v_phase)[:, 0], axis=0)
+    return naive_complex_sum(values, wm, wp, parts)

@@ -279,16 +279,16 @@ def test_untrained_pipeline_smoke(scene_out, workdir, untrained_ckpt, capsys):
 # -- beampattern / srp --------------------------------------------------------
 
 
-def test_beampattern_csv(trained_out, scene_out, workdir):
+def _check_beampattern_csv(ckpt, scene_out, workdir, name):
     cfg_path = workdir / "bp.json"
     cfg_path.write_text(json.dumps({
         "geometry": {"n_mics": 4, "radius": 0.05},
         "freqs": [600.0, 1200.0],
         "n_angles": 72,
     }))
-    out = workdir / "bp"
+    out = workdir / name
     assert main(["beampattern", "--config", str(cfg_path),
-                 "--checkpoint", str(trained_out / "model.ckpt"),
+                 "--checkpoint", str(ckpt),
                  "--wav", str(scene_out / "scene.wav"),
                  "--out", str(out)]) == 0
     lines = (out / "beampattern.csv").read_text().splitlines()
@@ -298,6 +298,26 @@ def test_beampattern_csv(trained_out, scene_out, workdir):
                        for line in lines[1:]])
     assert values.shape == (72, 3)
     assert np.isfinite(values).all()
+
+
+def test_beampattern_csv(trained_out, scene_out, workdir):
+    _check_beampattern_csv(trained_out / "model.ckpt", scene_out, workdir, "bp")
+
+
+@pytest.mark.parametrize("fe_cfg", [
+    {"kind": "ecsacc", "attn_dim": 4},
+    {"kind": "icsacc", "attn_dim": 4},
+    {"kind": "analytic", "attn_dim": 4, "n_filters": 8},
+], ids=lambda cfg: cfg["kind"])
+def test_beampattern_csv_untrained(fe_cfg, scene_out, workdir):
+    """Complex (ecsacc, icsacc) and filterbank (analytic) weights reach
+    ``time_avg_beampattern`` through the command."""
+    frontend = make_frontend(dict(fe_cfg, seed=3))
+    model = tcn_init(TcnConfig(input_dim=frontend.feature_dim, bottleneck=8,
+                               hidden=8, layers_per_block=2, blocks=1), seed=4)
+    ckpt = workdir / f"untrained_{fe_cfg['kind']}.ckpt"
+    save_model(ckpt, frontend, model)
+    _check_beampattern_csv(ckpt, scene_out, workdir, f"bp_{fe_cfg['kind']}")
 
 
 def test_beampattern_rejects_weightless_frontend(scene_out, workdir):

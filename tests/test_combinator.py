@@ -1,80 +1,79 @@
-"""Combinator tests. The reference implementations here are deliberately
-naive per-frame loops with their own softmax, mean and std code, so the
-vectorized tape path is checked against an independent route."""
+"""Combinator tests. The reference implementations in ``helpers`` are
+deliberately naive per-frame loops with their own softmax, mean and std
+code, so the vectorized tape path is checked against an independent route."""
 
 import numpy as np
 import pytest
 
 from arrayvad import autodiff as ad
 from arrayvad.combinator import (
-    AttentionParams,
-    CombinationWeights,
     attention_init,
-    attention_weights,
-    combine_magnitude,
-    ecsacc_combine,
-    frontend_features,
-    icsacc_combine,
-    sacc_combine,
+    combine_mag_phase_graph,
+    combine_real_graph,
+    weights_graph,
 )
 from arrayvad.errors import ArgumentError
-from arrayvad.spectral import ComplexSpectrogram
+from arrayvad.frontends import make_frontend
+from arrayvad.signal_io import MultichannelSignal
+from arrayvad.spectral import StftConfig, mel_project, stft
 
-from helpers import numeric_gradient, relative_error
+from helpers import (
+    naive_ecsacc,
+    naive_icsacc,
+    naive_mvn,
+    naive_weights,
+    numeric_gradient,
+    relative_error,
+)
 
-RNG = np.random.default_rng(99)
-
-
-def _softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _naive_mvn(x):
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
-    return (x - mean) / (std + 1e-6)
+RATE = 16000
 
 
-def naive_weights(feats, p):
-    """Frame-by-frame reference for the attention weight computation."""
-    n_ch, n_frames, _ = feats.shape
-    out = np.zeros((n_ch, n_frames))
-    for t in range(n_frames):
-        frame = feats[:, t, :]
-        q = frame @ p.wq + p.bq
-        k = frame @ p.wk + p.bk
-        v = frame @ p.wv + p.bv
-        att = _softmax(q @ k.T / np.sqrt(p.attn_dim), axis=-1)
-        scores = att @ v
-        out[:, t] = _softmax(scores[:, 0], axis=0)
-    return out
-
-
-def random_spec(c=4, t=6, k=9, seed=0):
+def random_values(c=4, t=6, k=9, seed=0):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((c, t, k)) + 1j * rng.standard_normal((c, t, k))
-    return ComplexSpectrogram(vals, 16000, 0.01)
+    return rng.standard_normal((c, t, k)) + 1j * rng.standard_normal((c, t, k))
 
 
 def random_feats(c=4, t=6, k=9, seed=0):
     return np.random.default_rng(seed).standard_normal((c, t, k))
 
 
-def test_attention_weights_match_naive_reference():
+def random_signal(c=3, n=1600, seed=0):
+    rng = np.random.default_rng(seed)
+    return MultichannelSignal(0.1 * rng.standard_normal((c, n)), RATE)
+
+
+def graph_weights(feats, p, value_split=None):
+    """``weights_graph`` on (C, T, K) features; returns (T, C, cols)."""
+    tensors = {name: ad.Tensor(arr) for name, arr in p.as_arrays().items()}
+    feats_tc = ad.Tensor(np.transpose(feats, (1, 0, 2)))
+    return weights_graph(feats_tc, tensors, value_split).data
+
+
+def real_weights(feats, p):
+    """(C, T) real weights of (C, T, K) features."""
+    return graph_weights(feats, p)[:, :, 0].T
+
+
+def combine_real(w, mag):
+    """``combine_real_graph`` of (C, T) weights and (C, T, K) values."""
+    return combine_real_graph(ad.Tensor(w.T[:, :, None]),
+                              ad.Tensor(np.transpose(mag, (1, 0, 2)))).data
+
+
+def test_weights_graph_matches_naive_reference():
     feats = random_feats(c=5, t=7, k=11, seed=3)
     p = attention_init(11, 6, seed=4)
-    got = attention_weights(feats, p)
+    got = real_weights(feats, p)
     want = naive_weights(feats, p)
-    assert got.kind == "real"
-    assert np.max(np.abs(got.values - want)) < 1e-12
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_weights_on_simplex_over_many_inputs():
     p = attention_init(9, 5, seed=8)
     for seed in range(20):
         feats = random_feats(c=6, t=4, k=9, seed=seed) * 10.0
-        w = attention_weights(feats, p).values
+        w = real_weights(feats, p)
         assert np.all(w >= 0) and np.all(w <= 1)
         assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
 
@@ -82,7 +81,7 @@ def test_weights_on_simplex_over_many_inputs():
 def test_identical_channels_give_uniform_weights():
     one = random_feats(c=1, t=5, k=7, seed=1)
     feats = np.repeat(one, 6, axis=0)
-    w = attention_weights(feats, attention_init(7, 4, seed=2)).values
+    w = real_weights(feats, attention_init(7, 4, seed=2))
     assert np.allclose(w, 1.0 / 6.0, atol=1e-12)
 
 
@@ -91,11 +90,11 @@ def test_weights_permute_with_channels_and_sum_is_invariant():
     mag = np.abs(random_feats(c=6, t=5, k=8, seed=11))
     p = attention_init(8, 4, seed=12)
     perm = np.array([3, 0, 5, 1, 4, 2])
-    w = attention_weights(feats, p)
-    w_perm = attention_weights(feats[perm], p)
-    assert np.allclose(w_perm.values, w.values[perm], atol=1e-12)
-    a = combine_magnitude(w, mag)
-    b = combine_magnitude(w_perm, mag[perm])
+    w = real_weights(feats, p)
+    w_perm = real_weights(feats[perm], p)
+    assert np.allclose(w_perm, w[perm], atol=1e-12)
+    a = combine_real(w, mag)
+    b = combine_real(w_perm, mag[perm])
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -105,121 +104,93 @@ def test_dropping_duplicate_channels_keeps_combination():
     dup = np.concatenate([base, base], axis=0)
     dup_mag = np.concatenate([mag, mag], axis=0)
     p = attention_init(6, 3, seed=21)
-    full = combine_magnitude(attention_weights(dup, p), dup_mag)
-    kept = combine_magnitude(attention_weights(base, p), mag)
+    full = combine_real(real_weights(dup, p), dup_mag)
+    kept = combine_real(real_weights(base, p), mag)
     assert np.allclose(full, kept, atol=1e-6)
 
 
 def test_combined_magnitude_stays_within_channel_envelope():
     feats = random_feats(c=5, t=6, k=7, seed=30)
     mag = np.abs(random_feats(c=5, t=6, k=7, seed=31))
-    out = combine_magnitude(attention_weights(feats, attention_init(7, 4, seed=32)), mag)
+    out = combine_real(real_weights(feats, attention_init(7, 4, seed=32)), mag)
     assert np.all(out <= mag.max(axis=0) + 1e-12)
     assert np.all(out >= mag.min(axis=0) - 1e-12)
 
 
-def test_combine_magnitude_validates_inputs():
-    w = CombinationWeights(np.full((2, 3), 0.5), kind="real")
-    with pytest.raises(ArgumentError):
-        combine_magnitude(w, np.zeros((3, 3, 4)))
-    cw = CombinationWeights(np.full((2, 3), 0.5 + 0j), kind="complex")
-    with pytest.raises(ArgumentError):
-        combine_magnitude(cw, np.zeros((2, 3, 4)))
-
-
 def test_attention_width_mismatch_rejected():
+    fe = make_frontend({"kind": "sacc", "attn_dim": 4}, seed=0)
+    wide = attention_init(fe.stft_cfg.n_bins + 1, 4, seed=1).as_arrays()
     with pytest.raises(ArgumentError):
-        attention_weights(random_feats(k=9), attention_init(8, 4))
+        fe.load_state(wide)
 
 
 # -- EcSACC -------------------------------------------------------------------
 
 
-def naive_ecsacc(spec, pm, pp):
-    mag = np.abs(spec.values)
-    ang = np.angle(spec.values)
-    wm = naive_weights(_naive_mvn(np.log(mag + 1e-8)), pm)
-    wp = naive_weights(_naive_mvn(ang), pp)
-    t, k = mag.shape[1], mag.shape[2]
-    out = np.zeros((t, k), dtype=complex)
-    for c in range(mag.shape[0]):
-        out += (wm[c][:, None] * mag[c]) * np.exp(1j * (2 * np.pi * wp[c][:, None] + ang[c]))
-    return out, wm, wp
-
-
 def test_ecsacc_matches_naive_reference():
-    spec = random_spec(c=4, t=5, k=8, seed=40)
+    values = random_values(c=4, t=5, k=8, seed=40)
     pm = attention_init(8, 4, seed=41)
     pp = attention_init(8, 4, seed=42)
-    got = ecsacc_combine(spec, pm, pp)
-    want, wm, wp = naive_ecsacc(spec, pm, pp)
-    assert np.max(np.abs(got.values - want)) < 1e-12
-    assert np.allclose(np.abs(got.weights.values), wm, atol=1e-12)
+    w_mag = graph_weights(naive_mvn(np.log(np.abs(values) + 1e-8)), pm)
+    w_phase = graph_weights(naive_mvn(np.angle(values)), pp)
+    re, im = combine_mag_phase_graph(
+        ad.Tensor(w_mag), ad.Tensor(w_phase),
+        ad.Tensor(np.transpose(np.abs(values), (1, 0, 2))),
+        ad.Tensor(np.transpose(np.angle(values), (1, 0, 2))))
+    want, w = naive_ecsacc(values, pm, pp)
+    assert np.max(np.abs(re.data + 1j * im.data - want)) < 1e-12
+    assert np.allclose(w_mag[:, :, 0].T, np.abs(w), atol=1e-12)
 
 
 def test_ecsacc_single_channel_reproduces_input():
-    spec = random_spec(c=1, t=6, k=9, seed=50)
-    out = ecsacc_combine(spec, attention_init(9, 4, seed=51), attention_init(9, 4, seed=52))
-    assert np.max(np.abs(out.values - spec.values[0])) < 1e-12
+    fe = make_frontend({"kind": "ecsacc", "attn_dim": 4}, seed=51)
+    sig = random_signal(c=1, seed=50)
+    out = fe.combined(sig)
+    spec = stft(sig, StftConfig()).values
+    assert np.max(np.abs(out.values - spec[0])) < 1e-12
 
 
 def test_ecsacc_weight_magnitudes_on_simplex():
-    spec = random_spec(c=5, t=4, k=7, seed=60)
-    out = ecsacc_combine(spec, attention_init(7, 3, seed=61), attention_init(7, 3, seed=62))
+    fe = make_frontend({"kind": "ecsacc", "attn_dim": 3}, seed=61)
+    out = fe.combined(random_signal(c=5, seed=60))
     assert out.weights.kind == "complex"
     assert np.allclose(np.abs(out.weights.values).sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_ecsacc_real_imag_parts_variant():
-    spec = random_spec(c=3, t=4, k=6, seed=70)
-    out = ecsacc_combine(
-        spec, attention_init(6, 3, seed=71), attention_init(6, 3, seed=72), parts="real_imag"
-    )
-    assert out.values.shape == (4, 6)
+    fe = make_frontend({"kind": "ecsacc", "attn_dim": 3,
+                        "parts": "real_imag"}, seed=71)
+    sig = random_signal(c=3, seed=70)
+    out = fe.combined(sig)
+    assert out.values.shape == (stft(sig, StftConfig()).n_frames, 257)
+    assert np.allclose(out.weights.values.real.sum(axis=0), 1.0, atol=1e-12)
     with pytest.raises(ArgumentError):
-        ecsacc_combine(
-            spec, attention_init(6, 3, seed=71), attention_init(6, 3, seed=72), parts="nope"
-        )
+        make_frontend({"kind": "ecsacc", "parts": "nope"}, seed=71)
 
 
 # -- IcSACC -------------------------------------------------------------------
 
 
-def naive_icsacc(spec, p):
-    mag = np.abs(spec.values)
-    ang = np.angle(spec.values)
-    k = mag.shape[2]
-    feats = np.concatenate([_naive_mvn(np.log(mag + 1e-8)), _naive_mvn(ang)], axis=-1)
-    n_ch, n_frames, _ = feats.shape
-    wm = np.zeros((n_ch, n_frames))
-    wp = np.zeros((n_ch, n_frames))
-    for t in range(n_frames):
-        frame = feats[:, t, :]
-        q = frame @ p.wq + p.bq
-        kk = frame @ p.wk + p.bk
-        att = _softmax(q @ kk.T / np.sqrt(p.attn_dim), axis=-1)
-        v_mag = frame[:, :k] @ p.wv[:k] + p.bv
-        v_phase = frame[:, k:] @ p.wv[k:] + p.bv
-        wm[:, t] = _softmax((att @ v_mag)[:, 0], axis=0)
-        wp[:, t] = _softmax((att @ v_phase)[:, 0], axis=0)
-    out = np.zeros((n_frames, k), dtype=complex)
-    for c in range(n_ch):
-        out += (wm[c][:, None] * mag[c]) * np.exp(1j * (2 * np.pi * wp[c][:, None] + ang[c]))
-    return out
-
-
 def test_icsacc_matches_naive_reference():
-    spec = random_spec(c=4, t=5, k=6, seed=80)
+    values = random_values(c=4, t=5, k=6, seed=80)
     p = attention_init(12, 5, seed=81)
-    got = icsacc_combine(spec, p)
-    want = naive_icsacc(spec, p)
-    assert np.max(np.abs(got.values - want)) < 1e-12
+    feats = np.concatenate([naive_mvn(np.log(np.abs(values) + 1e-8)),
+                            naive_mvn(np.angle(values))], axis=-1)
+    w = ad.Tensor(graph_weights(feats, p, value_split=6))
+    re, im = combine_mag_phase_graph(
+        w[:, :, :1], w[:, :, 1:],
+        ad.Tensor(np.transpose(np.abs(values), (1, 0, 2))),
+        ad.Tensor(np.transpose(np.angle(values), (1, 0, 2))))
+    want, _ = naive_icsacc(values, p)
+    assert np.max(np.abs(re.data + 1j * im.data - want)) < 1e-12
 
 
 def test_icsacc_single_channel_reproduces_input():
-    spec = random_spec(c=1, t=5, k=7, seed=90)
-    out = icsacc_combine(spec, attention_init(14, 4, seed=91))
-    assert np.max(np.abs(out.values - spec.values[0])) < 1e-12
+    fe = make_frontend({"kind": "icsacc", "attn_dim": 4}, seed=91)
+    sig = random_signal(c=1, seed=90)
+    out = fe.combined(sig)
+    spec = stft(sig, StftConfig()).values
+    assert np.max(np.abs(out.values - spec[0])) < 1e-12
 
 
 def test_icsacc_parameter_count_below_two_banks():
@@ -232,18 +203,21 @@ def test_icsacc_parameter_count_below_two_banks():
 
 
 def test_icsacc_rejects_wrong_width():
-    spec = random_spec(c=3, t=4, k=6, seed=95)
+    # the single bank reads both parts side by side: 2 * n_bins wide
+    fe = make_frontend({"kind": "icsacc", "attn_dim": 3}, seed=95)
+    narrow = attention_init(fe.stft_cfg.n_bins, 3, seed=96).as_arrays()
     with pytest.raises(ArgumentError):
-        icsacc_combine(spec, attention_init(6, 3, seed=96))
+        fe.load_state(narrow)
 
 
 # -- SACC and features --------------------------------------------------------
 
 
-def test_sacc_combine_is_convex_magnitude_combination():
-    spec = random_spec(c=5, t=6, k=8, seed=100)
-    out = sacc_combine(spec, attention_init(8, 4, seed=101))
-    mag = np.abs(spec.values)
+def test_sacc_weights_give_convex_magnitude_combination():
+    fe = make_frontend({"kind": "sacc", "attn_dim": 4}, seed=101)
+    sig = random_signal(c=5, seed=100)
+    out = fe.combined(sig)
+    mag = np.abs(stft(sig, StftConfig()).values)
     assert out.kind == "sacc"
     assert np.all(out.values <= mag.max(axis=0) + 1e-12)
     assert np.all(out.values >= mag.min(axis=0) - 1e-12)
@@ -251,27 +225,35 @@ def test_sacc_combine_is_convex_magnitude_combination():
 
 
 def test_frontend_features_real_path_is_log_mel():
-    spec = random_spec(c=3, t=10, k=33, seed=110)
-    out = sacc_combine(spec, attention_init(33, 4, seed=111))
-    feats = frontend_features(out, n_mels=8)
-    assert feats.shape == (10, 8)
+    fe = make_frontend({"kind": "sacc", "n_mels": 8, "attn_dim": 4}, seed=111)
+    sig = random_signal(c=3, seed=110)
+    feats = fe.features(sig).data
+    out = fe.combined(sig)
+    assert feats.shape == (out.values.shape[0], 8)
     assert np.all(np.isfinite(feats))
+    want = np.log(mel_project(out.values, 8, RATE) + 1e-8)
+    assert np.allclose(feats, want, rtol=0, atol=1e-12)
 
 
 def test_frontend_features_complex_path_takes_magnitude():
-    spec = random_spec(c=2, t=5, k=33, seed=120)
-    out = ecsacc_combine(spec, attention_init(33, 4, seed=121), attention_init(33, 4, seed=122))
-    feats = frontend_features(out, n_mels=6)
-    assert feats.shape == (5, 6)
+    fe = make_frontend({"kind": "ecsacc", "n_mels": 6, "attn_dim": 4},
+                       seed=121)
+    sig = random_signal(c=2, seed=120)
+    feats = fe.features(sig).data
+    out = fe.combined(sig)
+    assert np.iscomplexobj(out.values)
+    assert feats.shape == (out.values.shape[0], 6)
+    want = np.log(mel_project(np.abs(out.values), 6, RATE) + 1e-8)
+    assert np.allclose(feats, want, rtol=0, atol=1e-12)
 
 
 def test_frontend_features_analytic_path_concatenates_parts():
-    from arrayvad.combinator import CombinedSpectrogram
-
-    vals = RNG.standard_normal((7, 5)) + 1j * RNG.standard_normal((7, 5))
-    combined = CombinedSpectrogram(vals, "analytic", 16000, 0.01)
-    feats = frontend_features(combined)
-    assert feats.shape == (7, 10)
+    fe = make_frontend({"kind": "analytic", "n_filters": 5, "kernel_len": 16,
+                        "stride": 8, "attn_dim": 4}, seed=7)
+    sig = random_signal(c=2, n=200, seed=112)
+    feats = fe.features(sig).data
+    vals = fe.combined(sig).values
+    assert feats.shape == (vals.shape[0], 10)
     assert np.array_equal(feats[:, :5], vals.real)
     assert np.array_equal(feats[:, 5:], vals.imag)
 
@@ -280,8 +262,6 @@ def test_frontend_features_analytic_path_concatenates_parts():
 
 
 def test_attention_gradients_match_finite_differences():
-    from arrayvad.combinator import weights_graph
-
     feats = np.transpose(random_feats(c=3, t=4, k=5, seed=130), (1, 0, 2))
     probe = np.random.default_rng(131).standard_normal((4, 3, 1))
     init = attention_init(5, 4, seed=132)

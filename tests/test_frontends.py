@@ -1,11 +1,12 @@
-"""Frontend tests: the training graph must agree with the evaluation ops."""
+"""Frontend tests: ``features`` and ``combined`` must agree with naive
+per-frame references built from the frontend's own parameters."""
 
 import numpy as np
 import pytest
 
 from arrayvad.autodiff import backward, tsum
 from arrayvad.beamform import ArrayGeometry
-from arrayvad.combinator import frontend_features
+from arrayvad.combinator import AttentionParams
 from arrayvad.errors import ArgumentError
 from arrayvad.frontends import (
     AnalyticSaccFrontend,
@@ -16,6 +17,9 @@ from arrayvad.frontends import (
     make_frontend,
 )
 from arrayvad.signal_io import MultichannelSignal
+from arrayvad.spectral import frame_signal, hilbert_basis, mel_filterbank, stft
+
+from helpers import naive_ecsacc, naive_icsacc, naive_mvn, naive_sacc, naive_weights
 
 RATE = 16000
 
@@ -41,25 +45,66 @@ def small_frontend(kind, **kw):
 TRAINABLE = ["sacc", "ecsacc", "icsacc"]
 
 
-@pytest.mark.parametrize("kind", TRAINABLE)
-def test_graph_features_match_numpy_path(kind):
-    fe = small_frontend(kind)
+def bank(fe, prefix=""):
+    """One attention bank of ``fe`` as numpy ``AttentionParams``."""
+    return AttentionParams(**{name: fe.params[prefix + name].data
+                              for name in ("wq", "wk", "wv", "bq", "bk", "bv")})
+
+
+def naive_stft_reference(fe, sig):
+    """Combined values, (C, T) weights and log-mel features of an STFT
+    frontend, from the naive per-frame loops."""
+    values = stft(sig, fe.stft_cfg).values
+    if fe.kind == "sacc":
+        out, w = naive_sacc(values, bank(fe))
+    elif fe.kind == "ecsacc":
+        out, w = naive_ecsacc(values, bank(fe, "mag/"), bank(fe, "phase/"),
+                              fe.parts)
+    else:
+        out, w = naive_icsacc(values, bank(fe), fe.parts)
+    mel = mel_filterbank(fe.n_mels, values.shape[2], RATE)
+    return out, w, np.log(np.abs(out) @ mel + 1e-8)
+
+
+@pytest.mark.parametrize("kind, parts", [
+    pytest.param("sacc", None, id="sacc"),
+    pytest.param("ecsacc", "mag_phase", id="ecsacc"),
+    pytest.param("icsacc", "mag_phase", id="icsacc"),
+    pytest.param("ecsacc", "real_imag", id="ecsacc-real_imag"),
+    pytest.param("icsacc", "real_imag", id="icsacc-real_imag"),
+])
+def test_graph_features_match_numpy_path(kind, parts):
+    fe = small_frontend(kind, **({} if parts is None else {"parts": parts}))
     sig = make_signal()
     graph = fe.features(sig)
-    ref = frontend_features(fe.combined(sig), n_mels=fe.n_mels)
-    assert graph.shape == ref.shape == (48, 64)
-    assert np.allclose(graph.data, ref, atol=1e-9)
+    comb = fe.combined(sig)
+    values, weights, feats = naive_stft_reference(fe, sig)
+    assert graph.shape == feats.shape == (48, 64)
     assert graph.requires_grad
+    assert np.max(np.abs(graph.data - feats)) < 1e-12
+    assert np.max(np.abs(comb.values - values)) < 1e-12
+    assert np.max(np.abs(comb.weights.values - weights)) < 1e-12
+    assert comb.weights.kind == ("real" if kind == "sacc" else "complex")
 
 
 def test_analytic_graph_matches_numpy_path():
     fe = small_frontend("analytic", n_filters=6, kernel_len=64, stride=32)
     sig = make_signal(seconds=0.25)
     graph = fe.features(sig)
-    ref = frontend_features(fe.combined(sig))
-    assert graph.shape == ref.shape
+    comb = fe.combined(sig)
+    real_ir = fe.params["real_ir"].data
+    frames = frame_signal(sig.samples, 64, 32)
+    bank_out = (frames @ real_ir.T
+                + 1j * (frames @ (real_ir @ hilbert_basis(64).T).T))
+    w = naive_weights(naive_mvn(np.log(np.abs(bank_out) + 1e-8)), bank(fe))
+    values = sum(w[c][:, None] * bank_out[c] for c in range(w.shape[0]))
+    assert graph.shape == (values.shape[0], 12)
     assert graph.shape[1] == fe.feature_dim == 12
-    assert np.allclose(graph.data, ref, atol=1e-9)
+    assert np.max(np.abs(graph.data - np.concatenate(
+        [values.real, values.imag], axis=-1))) < 1e-12
+    assert np.max(np.abs(comb.values - values)) < 1e-12
+    assert comb.weights.kind == "real"
+    assert np.max(np.abs(comb.weights.values - w)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", TRAINABLE + ["analytic"])
@@ -167,9 +212,11 @@ def test_make_frontend_rejects_nonsense():
 
 
 def test_sample_rate_mismatch_rejected():
-    fe = small_frontend("sacc")
-    with pytest.raises(ArgumentError):
-        fe.features(MultichannelSignal(np.zeros((2, 8000)), 8000))
+    for fe in (small_frontend("sacc"),
+               small_frontend("analytic", n_filters=2, kernel_len=16,
+                              stride=8)):
+        with pytest.raises(ArgumentError):
+            fe.features(MultichannelSignal(np.zeros((2, 8000)), 8000))
 
 
 def test_ecsacc_bank_inits_differ():

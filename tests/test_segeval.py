@@ -10,7 +10,6 @@ from arrayvad.segeval import (
     Segment,
     SegmentSet,
     VadMetrics,
-    format_metrics_table,
     labels_from_segments,
     metrics_to_json,
     osd_metrics,
@@ -362,14 +361,9 @@ def test_osd_no_reference_overlap_is_degenerate():
 # -- reporting helpers --------------------------------------------------------
 
 
-def test_metrics_json_and_table():
+def test_metrics_json():
     vad = VadMetrics(1.5, 2.5, 4.0)
     osd = OsdMetrics(50.0, 25.0, 100.0 / 3.0, degenerate=False)
     blob = json.loads(metrics_to_json(vad=vad, osd=osd))
     assert blob["vad"]["error_rate"] == pytest.approx(4.0)
     assert blob["osd"]["f1"] == pytest.approx(100.0 / 3.0)
-    table = format_metrics_table(vad=vad, osd=osd)
-    assert "VAD error rate" in table
-    assert "4.00" in table
-    # every row is padded to the same width, so the value column lines up
-    assert len({len(line) for line in table.splitlines()}) == 1

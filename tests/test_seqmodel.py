@@ -14,7 +14,6 @@ from arrayvad.seqmodel import (
     receptive_field,
     tcn_forward,
     tcn_init,
-    vad_osd_scores,
 )
 
 TINY = TcnConfig(input_dim=5, bottleneck=4, hidden=6, layers_per_block=2,
@@ -148,14 +147,9 @@ def test_posteriors_contracts():
 
 def test_scores_and_decisions():
     probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.5, 0.4], [0.2, 0.2, 0.6]])
-    vad, osd = vad_osd_scores(probs)
-    assert np.allclose(vad, [0.3, 0.9, 0.8])
-    assert np.allclose(osd, [0.1, 0.4, 0.6])
     assert decisions(probs).tolist() == [0, 1, 2]
     # exact tie goes to the lower class
     assert decisions(np.array([[0.4, 0.4, 0.2]])).tolist() == [0]
-    with pytest.raises(ArgumentError):
-        vad_osd_scores(np.zeros((4, 2)))
 
 
 def test_quadratic_loss_gradient_exact():

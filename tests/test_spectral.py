@@ -1,21 +1,18 @@
 """STFT framing, mel projection, normalization, analytic filterbank and
-dump format tests. Expected values come from direct per-frame numpy
+feature CSV tests. Expected values come from direct per-frame numpy
 computations written independently of the module under test."""
 
 import numpy as np
 import pytest
 
-from arrayvad.errors import ArgumentError, FormatError, RangeError
+from arrayvad.errors import ArgumentError, RangeError
+from arrayvad.frontends import AnalyticSaccFrontend
 from arrayvad.signal_io import MultichannelSignal
 from arrayvad.spectral import (
-    AnalyticFilterBank,
     ComplexSpectrogram,
     StftConfig,
-    analytic_fb_apply,
-    analytic_fb_init,
     frame_count,
     hilbert_basis,
-    hilbert_imag,
     hz_to_mel,
     log_compress,
     mel_filterbank,
@@ -23,10 +20,8 @@ from arrayvad.spectral import (
     mel_to_hz,
     mvn,
     read_features_csv,
-    read_spectral_binary,
     stft,
     write_features_csv,
-    write_spectral_binary,
 )
 
 RNG = np.random.default_rng(21)
@@ -194,8 +189,7 @@ def test_mvn_2d_defaults_to_time_rows():
 
 def test_hilbert_spectrum_is_one_sided():
     ir = RNG.standard_normal((5, 64))
-    bank = AnalyticFilterBank(ir, stride=8, sample_rate=16000)
-    analytic = bank.real_ir + 1j * bank.imag_ir
+    analytic = ir + 1j * (ir @ hilbert_basis(64).T)
     spec = np.fft.fft(analytic, axis=-1)
     neg = spec[:, 33:]  # strictly negative frequencies for L=64
     total = np.sum(np.abs(spec) ** 2)
@@ -210,7 +204,7 @@ def test_hilbert_of_cos_is_sin():
     f0 = 1000.0
     window = 0.5 - 0.5 * np.cos(2 * np.pi * n / length)
     real = np.cos(2 * np.pi * f0 * n / rate) * window
-    imag = hilbert_imag(real[None, :])[0]
+    imag = (real[None, :] @ hilbert_basis(length).T)[0]
     want = np.sin(2 * np.pi * f0 * n / rate) * window
     peak = np.max(np.abs(want))
     assert np.max(np.abs(imag - want)) < 1e-2 * peak
@@ -234,85 +228,53 @@ def test_hilbert_rejects_odd_length():
 
 
 def test_analytic_apply_matches_naive_correlation():
-    bank = analytic_fb_init(3, 16, stride=8, sample_rate=16000, seed=5)
+    fe = AnalyticSaccFrontend(n_filters=3, kernel_len=16, stride=8, seed=5)
     sig = MultichannelSignal(RNG.standard_normal((2, 100)), 16000)
-    out = analytic_fb_apply(sig, bank)
+    re, im, log_mag = (part.data for part in fe.analyse(sig))
     t_expect = (100 - 16) // 8 + 1
-    assert out.shape == (2, t_expect, 3)
-    imag = bank.imag_ir
+    assert re.shape == im.shape == log_mag.shape == (t_expect, 2, 3)
+    real_ir = fe.params["real_ir"].data
+    imag_ir = real_ir @ hilbert_basis(16).T
     for c in range(2):
         for t in range(t_expect):
             seg = sig.samples[c, t * 8 : t * 8 + 16]
             for f in range(3):
-                want = np.dot(seg, bank.real_ir[f]) + 1j * np.dot(seg, imag[f])
-                assert np.isclose(out[c, t, f], want, atol=1e-12)
+                want = np.dot(seg, real_ir[f]) + 1j * np.dot(seg, imag_ir[f])
+                assert np.isclose(re[t, c, f] + 1j * im[t, c, f], want,
+                                  atol=1e-12)
+                assert np.isclose(log_mag[t, c, f], np.log(abs(want) + 1e-8),
+                                  atol=1e-12)
 
 
 def test_analytic_frame_grid_matches_stft():
-    bank = analytic_fb_init(4, 400, stride=160, sample_rate=16000, seed=1)
+    fe = AnalyticSaccFrontend(n_filters=4, kernel_len=400, stride=160, seed=1)
     sig = make_signal(c=2)
-    out = analytic_fb_apply(sig, bank)
+    out = fe.analyse(sig)[0]
     spec = stft(sig, CFG)
-    assert out.shape[1] == spec.n_frames
+    assert out.shape[0] == spec.n_frames
 
 
 def test_analytic_init_bounds_and_determinism():
-    a = analytic_fb_init(8, 64, 8, 16000, seed=3)
-    b = analytic_fb_init(8, 64, 8, 16000, seed=3)
-    c = analytic_fb_init(8, 64, 8, 16000, seed=4)
+    def real_ir(seed):
+        fe = AnalyticSaccFrontend(n_filters=8, kernel_len=64, stride=8,
+                                  seed=seed)
+        return fe.params["real_ir"].data
+
+    a, b, c = real_ir(3), real_ir(3), real_ir(4)
     bound = 1.0 / 8.0
-    assert np.array_equal(a.real_ir, b.real_ir)
-    assert not np.array_equal(a.real_ir, c.real_ir)
-    assert np.max(np.abs(a.real_ir)) <= bound
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.max(np.abs(a)) <= bound
 
 
 def test_analytic_apply_rate_mismatch():
-    bank = analytic_fb_init(2, 16, 8, 16000)
+    fe = AnalyticSaccFrontend(n_filters=2, kernel_len=16, stride=8)
     sig = MultichannelSignal(np.zeros((1, 64)), 8000)
     with pytest.raises(ArgumentError):
-        analytic_fb_apply(sig, bank)
+        fe.analyse(sig)
 
 
-# -- dumps --------------------------------------------------------------------
-
-
-def test_binary_dump_round_trip_real(tmp_path):
-    vals = RNG.standard_normal((2, 5, 9))
-    path = tmp_path / "r.bin"
-    write_spectral_binary(path, vals, 16000, 0.01)
-    back, rate, hop = read_spectral_binary(path)
-    assert np.array_equal(back, vals)
-    assert rate == 16000 and hop == 0.01
-
-
-def test_binary_dump_round_trip_complex(tmp_path):
-    vals = RNG.standard_normal((1, 4, 6)) + 1j * RNG.standard_normal((1, 4, 6))
-    path = tmp_path / "c.bin"
-    write_spectral_binary(path, vals, 8000, 0.02)
-    back, rate, hop = read_spectral_binary(path)
-    assert np.array_equal(back, vals)
-    assert rate == 8000
-
-
-def test_binary_dump_header_fields(tmp_path):
-    path = tmp_path / "h.bin"
-    write_spectral_binary(path, np.zeros((3, 7, 11)), 16000, 0.01)
-    header = np.fromfile(path, dtype="<i8", count=8)
-    assert header[0] == 0x41565350
-    assert list(header[1:]) == [1, 3, 7, 11, 16000, 10000, 0]
-
-
-def test_binary_dump_rejects_corruption(tmp_path):
-    path = tmp_path / "bad.bin"
-    write_spectral_binary(path, np.zeros((1, 2, 3)), 16000, 0.01)
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        read_spectral_binary(path)
-    path.write_bytes(b"\x00" * 10)
-    with pytest.raises(FormatError):
-        read_spectral_binary(path)
+# -- feature CSV --------------------------------------------------------------
 
 
 def test_features_csv_round_trip(tmp_path):

@@ -118,15 +118,6 @@ def test_invariant_loss_matches_direct_reevaluation():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_invariant_loss_cosine_variant():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(4, 4))
-    assert float(invariant_loss(Tensor(x), [Tensor(x.copy())],
-                                cosine=True).data) == pytest.approx(0.0, abs=1e-9)
-    anti = float(invariant_loss(Tensor(x), [Tensor(-x)], cosine=True).data)
-    assert anti == pytest.approx(2.0, abs=1e-9)
-
-
 def test_invariant_loss_validation():
     x = Tensor(np.zeros((3, 3)))
     with pytest.raises(ArgumentError):
