@@ -12,9 +12,11 @@ Design points that matter for the rest of the package:
   returns a leaf constant, so graphs only contain the differentiable spine.
 * Broadcasting follows numpy rules; backward sums gradients over broadcast
   axes (`_unbroadcast`).
-* A few primitives make subgradient choices at non-differentiable points:
-  ``sqrt`` and ``complex_abs`` return gradient 0 at 0, and ``atan2`` returns
-  gradient 0 at the origin. These keep training finite on silent frames.
+* Two primitives make subgradient choices at non-differentiable points:
+  ``sqrt`` and ``complex_abs`` return gradient 0 at 0. These keep training
+  finite on silent frames.
+* Backward computes no gradient for a constant operand: a product with a
+  constant spectrum routes the gradient to the weights only.
 * Graph replay order is the construction order, so gradients are bitwise
   reproducible run to run.
 * Inside ``no_grad()`` nothing is recorded: every op returns a constant,
@@ -86,9 +88,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -205,8 +204,10 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -215,8 +216,10 @@ def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -225,8 +228,10 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -235,8 +240,11 @@ def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data),
+                                   b.data.shape))
 
     return _make(a.data / b.data, (a, b), backward)
 
@@ -248,18 +256,6 @@ def neg(a):
         _accum(a, -g)
 
     return _make(-a.data, (a,), backward)
-
-
-def power(a, exponent):
-    a = as_tensor(a)
-    if not isinstance(exponent, (int, float)):
-        raise ArgumentError("power exponent must be a python scalar")
-    e = float(exponent)
-
-    def backward(g):
-        _accum(a, g * e * np.power(a.data, e - 1.0))
-
-    return _make(np.power(a.data, e), (a,), backward)
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -341,10 +337,12 @@ def matmul(a, b):
         raise ArgumentError("matmul expects tensors with at least 2 dimensions")
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _accum(a, _unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
@@ -425,19 +423,6 @@ def softmax(a, axis=-1):
     return _make(y, (a,), backward)
 
 
-def atan2(y, x):
-    """Four-quadrant arctangent. Gradient is 0 at the origin."""
-    y, x = as_tensor(y), as_tensor(x)
-    r2 = x.data * x.data + y.data * y.data
-
-    def backward(g):
-        safe = np.where(r2 > 0, r2, 1.0)
-        _accum(y, np.where(r2 > 0, g * x.data / safe, 0.0))
-        _accum(x, np.where(r2 > 0, -g * y.data / safe, 0.0))
-
-    return _make(np.arctan2(y.data, x.data), (y, x), backward)
-
-
 def complex_abs(re, im):
     """Magnitude of re + j*im with gradient 0 where the magnitude is 0."""
     re, im = as_tensor(re), as_tensor(im)
@@ -449,18 +434,6 @@ def complex_abs(re, im):
         _accum(im, np.where(out_data > 0, g * im.data / safe, 0.0))
 
     return _make(out_data, (re, im), backward)
-
-
-def complex_mul(a_re, a_im, b_re, b_im):
-    """Product of two complex values given as (re, im) tensor pairs."""
-    re = sub(mul(a_re, b_re), mul(a_im, b_im))
-    im = add(mul(a_re, b_im), mul(a_im, b_re))
-    return re, im
-
-
-def complex_angle(re, im):
-    """Phase of re + j*im; gradient 0 at zero magnitude (see atan2)."""
-    return atan2(im, re)
 
 
 # -- backward pass ------------------------------------------------------------

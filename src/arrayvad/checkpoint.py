@@ -19,6 +19,7 @@ arrays are byte-identical regardless of insertion order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -119,7 +120,10 @@ def read_checkpoint(path):
         name_len = take_u64()
         if pos + name_len > len(raw):
             raise FormatError("checkpoint truncated in name table")
-        name = raw[pos:pos + name_len].decode("utf-8")
+        try:
+            name = raw[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint tensor name is not utf-8: {exc}") from exc
         pos += name_len
         ndim = take_u64()
         shape = tuple(take_u64() for _ in range(ndim))
@@ -128,12 +132,14 @@ def read_checkpoint(path):
 
     tensors = {}
     for name, shape, offset in toc:
-        n_items = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * n_items
-        if end > len(raw):
+        n_items = math.prod(shape)
+        if offset + 8 * n_items > len(raw):
             raise FormatError(f"checkpoint truncated in data for {name!r}")
         flat = np.frombuffer(raw, dtype="<f8", count=n_items, offset=offset)
-        tensors[name] = flat.reshape(shape).copy()
+        try:
+            tensors[name] = flat.reshape(shape).copy()
+        except ValueError as exc:
+            raise FormatError(f"bad shape {shape} for {name!r}: {exc}") from exc
     if len(tensors) != count:
         raise FormatError("duplicate tensor names in checkpoint")
 

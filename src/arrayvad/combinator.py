@@ -2,20 +2,21 @@
 
 A combinator looks at per-channel time-frequency features and produces one
 combination weight per (channel, frame), normalized over channels with a
-softmax so the weights form a convex combination. Variants:
+softmax so the weights form a convex combination. Every variant then takes
+the same weighted channel sum, sum_c w_c * X_c, as one batched matmul:
 
-* magnitude combination: real weights applied to per-channel magnitudes and
-  summed over channels;
-* magnitude/phase combination: two weight sets from separate attention banks
-  (one per representation part) form a complex per-channel weight
-  w = w_mag * exp(j * 2*pi * w_phase) that multiplies the complex
-  spectrogram before the channel sum;
-* concatenated single-bank combination: one attention bank over the
-  magnitude and phase features concatenated along the feature axis. The
-  bank's value map has a single column; its first half scores the magnitude
-  features and its second half the phase features, so one shared attention
-  map yields both weight sets while keeping the parameter count of exactly
-  one bank at the doubled width (strictly below two separate banks).
+* real combination: real weights times real per-channel values (STFT
+  magnitudes, or the real and imaginary analytic bank outputs side by
+  side), ``combine_real_graph``;
+* complex combination: complex weights w = w_re + j*w_im times the complex
+  STFT, ``combine_mag_phase_graph``. The frontend packs its two weight
+  columns into (w_re, w_im), so the per-bin work is the product alone;
+* concatenated single-bank combination: one attention bank over both
+  representation parts concatenated along the feature axis. The bank's
+  value map has a single column; its first half scores the first part and
+  its second half the second part, so one shared attention map yields both
+  weight columns while keeping the parameter count of exactly one bank at
+  the doubled width (strictly below two separate banks).
 
 This module holds the attention initialisation, the tape building blocks
 (``weights_graph``, ``combine_real_graph``, ``combine_mag_phase_graph``,
@@ -35,84 +36,20 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ArgumentError
 
-TWO_PI = 2.0 * np.pi
-
-VALID_KINDS = ("sacc", "mvdr", "ecsacc", "icsacc", "analytic")
-
-
-@dataclass(frozen=True)
-class AttentionParams:
-    """One attention bank: query/key maps to attn_dim, a one-column value map.
-
-    Shapes: wq, wk (feat_dim, attn_dim); wv (feat_dim, 1); bq, bk (attn_dim,);
-    bv (1,).
-    """
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    bq: np.ndarray
-    bk: np.ndarray
-    bv: np.ndarray
-
-    def __post_init__(self):
-        wq = np.asarray(self.wq, dtype=np.float64)
-        wk = np.asarray(self.wk, dtype=np.float64)
-        wv = np.asarray(self.wv, dtype=np.float64)
-        if wq.ndim != 2 or wk.shape != wq.shape:
-            raise ArgumentError("wq and wk must be matching (feat_dim, attn_dim) matrices")
-        if wv.shape != (wq.shape[0], 1):
-            raise ArgumentError("wv must be (feat_dim, 1)")
-        bq = np.asarray(self.bq, dtype=np.float64)
-        bk = np.asarray(self.bk, dtype=np.float64)
-        bv = np.asarray(self.bv, dtype=np.float64)
-        if bq.shape != (wq.shape[1],) or bk.shape != (wq.shape[1],):
-            raise ArgumentError("bq and bk must be (attn_dim,)")
-        if bv.shape != (1,):
-            raise ArgumentError("bv must be (1,)")
-        for name, arr in (("wq", wq), ("wk", wk), ("wv", wv), ("bq", bq), ("bk", bk), ("bv", bv)):
-            object.__setattr__(self, name, arr)
-
-    @property
-    def feat_dim(self):
-        return self.wq.shape[0]
-
-    @property
-    def attn_dim(self):
-        return self.wq.shape[1]
-
-    @property
-    def n_params(self):
-        return (
-            self.wq.size + self.wk.size + self.wv.size
-            + self.bq.size + self.bk.size + self.bv.size
-        )
-
-    def as_arrays(self):
-        return {
-            "wq": self.wq,
-            "wk": self.wk,
-            "wv": self.wv,
-            "bq": self.bq,
-            "bk": self.bk,
-            "bv": self.bv,
-        }
-
-
 def attention_init(feat_dim, attn_dim, seed=0):
     """Uniform [-1/sqrt(feat_dim), +1/sqrt(feat_dim)] maps, zero biases."""
     if feat_dim < 1 or attn_dim < 1:
         raise ArgumentError("feat_dim and attn_dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(feat_dim)
-    return AttentionParams(
-        wq=rng.uniform(-bound, bound, size=(feat_dim, attn_dim)),
-        wk=rng.uniform(-bound, bound, size=(feat_dim, attn_dim)),
-        wv=rng.uniform(-bound, bound, size=(feat_dim, 1)),
-        bq=np.zeros(attn_dim),
-        bk=np.zeros(attn_dim),
-        bv=np.zeros(1),
-    )
+    return {
+        "wq": rng.uniform(-bound, bound, size=(feat_dim, attn_dim)),
+        "wk": rng.uniform(-bound, bound, size=(feat_dim, attn_dim)),
+        "wv": rng.uniform(-bound, bound, size=(feat_dim, 1)),
+        "bq": np.zeros(attn_dim),
+        "bk": np.zeros(attn_dim),
+        "bv": np.zeros(1),
+    }
 
 
 @dataclass(frozen=True)
@@ -169,8 +106,6 @@ class CombinedSpectrogram:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise ArgumentError("combined values must be (frames, bins)")
-        if self.kind not in VALID_KINDS:
-            raise ArgumentError(f"unknown combined kind {self.kind!r}")
         object.__setattr__(self, "values", v)
 
 
@@ -217,21 +152,25 @@ def weights_graph(feats_tc, p, value_split=None):
 
 
 def combine_real_graph(w_tc1, values_tc):
-    """Convex channel combination: (T,C,1) weights x (T,C,K) -> (T,K)."""
-    return (w_tc1 * values_tc).sum(axis=1)
+    """Weighted channel sum: (T, C, 1) weights x (T, C, K) values -> (T, K),
+    as the batched product (T, 1, C) @ (T, C, K)."""
+    n_frames, _, width = values_tc.shape
+    return (ad.transpose(w_tc1, (0, 2, 1)) @ values_tc).reshape(n_frames, width)
 
 
-def combine_mag_phase_graph(w_mag, w_phase, mag_tc, angle_tc):
-    """Complex combination from magnitude/phase weight pairs.
+def combine_mag_phase_graph(w_re, w_im, re_tc, im_tc):
+    """Complex weighted channel sum, sum_c (w_re + j*w_im) * (re + j*im).
 
-    w_mag, w_phase: (T,C,1); mag_tc, angle_tc: (T,C,K) constants or nodes.
-    Returns (re, im) tensors of shape (T,K) for
-    sum_c (w_mag * mag) * exp(j * (2*pi*w_phase + angle)).
+    w_re, w_im: (T, C, 1); re_tc, im_tc: (T, C, K). One (T, 2, C) @
+    (T, C, 2K) product gives the four real channel sums; returns the (re, im)
+    pair of (T, K) tensors. It serves both ``parts`` layouts; the name stays
+    because ``perfbench`` traces the combination under it.
     """
-    m = w_mag * mag_tc
-    phi = w_phase * TWO_PI + angle_tc
-    re = (m * phi.cos()).sum(axis=1)
-    im = (m * phi.sin()).sum(axis=1)
+    width = re_tc.shape[-1]
+    w = ad.transpose(ad.concat([w_re, w_im], axis=-1), (0, 2, 1))
+    p = w @ ad.concat([re_tc, im_tc], axis=-1)
+    re = p[:, 0, :width] - p[:, 1, width:]
+    im = p[:, 0, width:] + p[:, 1, :width]
     return re, im
 
 

@@ -19,11 +19,21 @@ the per-window step, and so the output, stays exactly as without reuse.
 
 The combination is one method per kind, ``_combine``: attention inputs,
 weights and the weighted channel sum, returning the combined values and the
-weight tensors. ``window_features`` is ``_combine`` followed by mel/log
-(for ``analytic``, the real/imaginary concatenation). ``combined`` runs the
-same ``_combine`` under ``autodiff.no_grad`` and returns the values and
-per-channel weights as numpy (a ``CombinedSpectrogram``), so the weights the
-``beampattern`` command analyses are the ones training learned through.
+weight tensors. The channel sum is one op for every trainable kind: real
+weights times real values (``combine_real_graph``: magnitudes for ``sacc``,
+the bank's real and imaginary outputs side by side for ``analytic``), or
+complex weights w_re + j*w_im times the complex STFT
+(``combine_mag_phase_graph``, both ``parts`` layouts). The ``ecsacc`` and
+``icsacc`` kinds pack their two weight columns into (w_re, w_im) on the
+(T, C, 1) weights only: a*cos(2*pi*b), a*sin(2*pi*b) for ``mag_phase``,
+(a, b) for ``real_imag``. Both combination ops keep their names here
+because ``perfbench`` traces them where this module imports them.
+
+``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
+its combined row as it is). ``combined`` runs the same ``_combine`` under
+``autodiff.no_grad`` and returns the values and per-channel weights as numpy
+(a ``CombinedSpectrogram``), so the weights the ``beampattern`` command
+analyses are the ones the graph applies.
 
 ``make_frontend`` builds any variant from a JSON-able config dict; the
 same dict comes back from ``config()`` so checkpoints can rebuild the
@@ -37,7 +47,6 @@ import numpy as np
 from . import autodiff as ad
 from .beamform import ArrayGeometry, cdr_mask, mvdr
 from .combinator import (
-    TWO_PI,
     CombinationWeights,
     CombinedSpectrogram,
     attention_init,
@@ -64,13 +73,14 @@ from .spectral import (
 
 FRONTEND_KINDS = ("sacc", "analytic", "ecsacc", "icsacc", "mvdr")
 
+TWO_PI = 2.0 * np.pi
+
 _ATTN_NAMES = ("wq", "wk", "wv", "bq", "bk", "bv")
 
 
 def _attn_tensors(feat_dim, attn_dim, seed, prefix=""):
     init = attention_init(feat_dim, attn_dim, seed)
-    return {prefix + name: ad.parameter(arr)
-            for name, arr in init.as_arrays().items()}
+    return {prefix + name: ad.parameter(arr) for name, arr in init.items()}
 
 
 def _subparams(params, prefix):
@@ -152,13 +162,17 @@ class Frontend:
         """
         with ad.no_grad():
             values, weights = self._combine(self.analyse(signal))
-        if isinstance(values, tuple):
-            values = values[0].data + 1j * values[1].data
         if weights is not None:
             weights = self._combination_weights(weights)
-        return CombinedSpectrogram(_values(values), self.kind,
+        return CombinedSpectrogram(self._combined_values(values), self.kind,
                                    self.sample_rate, self.stft_cfg.hop_s,
                                    weights=weights)
+
+    def _combined_values(self, values):
+        """``_combine`` values as numpy; a (re, im) pair becomes complex."""
+        if isinstance(values, tuple):
+            return values[0].data + 1j * values[1].data
+        return _values(values)
 
     def _combination_weights(self, w):
         """(T, C, 1) weight tensor -> real (C, T) ``CombinationWeights``."""
@@ -267,18 +281,21 @@ class AnalyticSaccFrontend(Frontend):
         return re, im, ad.tlog(ad.complex_abs(re, im) + LOG_EPS)
 
     def _combine(self, frames):
-        """(T, F) real and imaginary combined bank outputs and the
+        """(T, 2F) combined [real | imaginary] bank outputs and the
         (T, C, 1) weights."""
-        re, im, log_mag = (ad.as_tensor(part) for part in frames)
-        att_in = mvn_graph(log_mag, time_axis=0)
-        w = weights_graph(att_in, _subparams(self.params, ""))
-        re_c = (w * re).sum(axis=1)
-        im_c = (w * im).sum(axis=1)
-        return (re_c, im_c), w
+        re, im, log_mag = frames
+        att_in = mvn_graph(ad.as_tensor(log_mag), time_axis=0)
+        w = weights_graph(att_in, self.params)
+        return combine_real_graph(w, ad.concat([re, im], axis=-1)), w
 
     def window_features(self, frames) -> ad.Tensor:
-        (re_c, im_c), _ = self._combine(frames)
-        return ad.concat([re_c, im_c], axis=-1)
+        row, _ = self._combine(frames)
+        return row
+
+    def _combined_values(self, row):
+        """The combined [real | imaginary] row as complex (T, F) values."""
+        f = self.n_filters
+        return row.data[:, :f] + 1j * row.data[:, f:]
 
     def config(self):
         return {
@@ -292,33 +309,19 @@ class AnalyticSaccFrontend(Frontend):
 
 
 def _analyse_parts(values, parts):
-    """Per-frame parts of complex STFT values for either layout:
-    (magnitude, angle, log-magnitude) or (real, imaginary)."""
+    """Per-frame parts of complex STFT values: the real and imaginary parts
+    the combination multiplies, then for ``mag_phase`` the log-magnitude and
+    angle the attention reads."""
     if parts == "mag_phase":
-        mag = np.abs(values)
-        return mag, np.angle(values), log_compress(mag)
+        return (values.real, values.imag, log_compress(np.abs(values)),
+                np.angle(values))
     return values.real, values.imag
 
 
 def _attention_inputs(frames, parts):
     """Numpy attention inputs of the two representation parts, (C, T, K)."""
-    if parts == "mag_phase":
-        _, angle, log_mag = frames
-        return mvn(log_mag), mvn(angle)
-    return mvn(frames[0]), mvn(frames[1])
-
-
-def _complex_combo_graph(w1, w2, frames, parts):
-    """(T,K) re/im of the weighted channel sum for either representation."""
-    if parts == "mag_phase":
-        mag = ad.Tensor(np.transpose(frames[0], (1, 0, 2)))
-        ang = ad.Tensor(np.transpose(frames[1], (1, 0, 2)))
-        return combine_mag_phase_graph(w1, w2, mag, ang)
-    yre = ad.Tensor(np.transpose(frames[0], (1, 0, 2)))
-    yim = ad.Tensor(np.transpose(frames[1], (1, 0, 2)))
-    re = (w1 * yre - w2 * yim).sum(axis=1)
-    im = (w1 * yim + w2 * yre).sum(axis=1)
-    return re, im
+    first, second = frames[2:] if parts == "mag_phase" else frames
+    return mvn(first), mvn(second)
 
 
 class _ComplexSaccFrontend(Frontend):
@@ -343,13 +346,25 @@ class _ComplexSaccFrontend(Frontend):
         (re, im), _ = self._combine(frames)
         return self._logmel(ad.complex_abs(re, im))
 
-    def _combination_weights(self, w):
-        """(T, C, 1) weight pair -> complex (C, T) ``CombinationWeights``:
-        a * exp(j*2*pi*b) for mag_phase, a + j*b for real_imag."""
-        a, b = (part.data[:, :, 0].T for part in w)
+    def _complex_sum(self, a, b, frames):
+        """Complex channel sum from the two (T, C, 1) weight columns (a, b).
+
+        The columns become w = w_re + j*w_im: a*exp(j*2*pi*b) for
+        ``mag_phase``, a + j*b for ``real_imag``. Returns the (T, K) re/im
+        of sum_c w_c * X_c and the (w_re, w_im) pair.
+        """
         if self.parts == "mag_phase":
-            return CombinationWeights(a * np.exp(1j * TWO_PI * b), kind="complex")
-        return CombinationWeights(a + 1j * b, kind="complex")
+            phase = b * TWO_PI
+            w_re, w_im = a * phase.cos(), a * phase.sin()
+        else:
+            w_re, w_im = a, b
+        re, im = (ad.Tensor(np.transpose(part, (1, 0, 2))) for part in frames[:2])
+        return combine_mag_phase_graph(w_re, w_im, re, im), (w_re, w_im)
+
+    def _combination_weights(self, w):
+        """(w_re, w_im) weight pair -> complex (C, T) ``CombinationWeights``."""
+        w_re, w_im = (part.data[:, :, 0].T for part in w)
+        return CombinationWeights(w_re + 1j * w_im, kind="complex")
 
     def config(self):
         out = super().config()
@@ -373,13 +388,13 @@ class EcSaccFrontend(_ComplexSaccFrontend):
         self.params.update(_attn_tensors(k, self.attn_dim, seed + 1, "phase/"))
 
     def _combine(self, frames):
-        """(T, K) re/im of the combination and the two (T, C, 1) weights."""
+        """(T, K) re/im of the combination and the (w_re, w_im) weights."""
         first, second = _attention_inputs(frames, self.parts)
         w1 = weights_graph(ad.Tensor(np.transpose(first, (1, 0, 2))),
                            _subparams(self.params, "mag/"))
         w2 = weights_graph(ad.Tensor(np.transpose(second, (1, 0, 2))),
                            _subparams(self.params, "phase/"))
-        return _complex_combo_graph(w1, w2, frames, self.parts), (w1, w2)
+        return self._complex_sum(w1, w2, frames)
 
 
 class IcSaccFrontend(_ComplexSaccFrontend):
@@ -396,14 +411,13 @@ class IcSaccFrontend(_ComplexSaccFrontend):
                                     seed)
 
     def _combine(self, frames):
-        """(T, K) re/im of the combination and the two (T, C, 1) weight
-        columns of the split value head."""
+        """(T, K) re/im of the combination and the (w_re, w_im) weights
+        packed from the two columns of the split value head."""
         first, second = _attention_inputs(frames, self.parts)
         feats = np.concatenate([first, second], axis=-1)
         w = weights_graph(ad.Tensor(np.transpose(feats, (1, 0, 2))),
                           self.params, value_split=self.stft_cfg.n_bins)
-        w1, w2 = w[:, :, :1], w[:, :, 1:]
-        return _complex_combo_graph(w1, w2, frames, self.parts), (w1, w2)
+        return self._complex_sum(w[:, :, :1], w[:, :, 1:], frames)
 
 
 class MvdrFrontend(Frontend):

@@ -23,6 +23,7 @@ range is exactly equally likely.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -354,6 +355,15 @@ def _mean(terms):
     return total * (1.0 / len(terms))
 
 
+def _log_record(result, log, record):
+    """Append ``record`` to the history and, with a log file, write and
+    flush it at once, so the log keeps every record up to a failure."""
+    result.history.append(record)
+    if log is not None:
+        log.write(json.dumps(record, sort_keys=True) + "\n")
+        log.flush()
+
+
 def train(frontend, model: ModelParams, train_items, val_items,
           tcfg: TrainConfig, icfg: Optional[InvariantConfig] = None,
           log_path=None) -> TrainResult:
@@ -362,8 +372,10 @@ def train(frontend, model: ModelParams, train_items, val_items,
     Per step: sample a batch, crop each item to a segment_s window when it
     is longer, run the frontend and classifier per segment, average the
     cross-entropy (reference path only), optionally add the invariance term
-    over channel-masked duplicates, backprop once, update with Adam. Per epoch: validation OSD F1; stop after ``patience`` epochs
-    without a new best and restore the best snapshot before returning.
+    over channel-masked duplicates, backprop once, update with Adam. Per
+    epoch: validation OSD F1; stop after ``patience`` epochs without a new
+    best and restore the best snapshot before returning. Each history
+    record goes to ``log_path`` (NDJSON) as soon as it exists.
     With lam = 1 the duplicate branch is skipped outright, which leaves
     gradients identical to a plain cross-entropy run.
     """
@@ -381,62 +393,65 @@ def train(frontend, model: ModelParams, train_items, val_items,
     rng = np.random.default_rng(tcfg.seed)
 
     result = TrainResult(frontend=frontend, model=model)
-    best_snapshot = None
-    stale_epochs = 0
-    step = 0
-    for epoch in range(tcfg.max_epochs):
-        for _ in range(tcfg.steps_per_epoch):
-            batch = rng.integers(0, len(train_items), size=tcfg.batch_size)
-            for tensor in all_params.values():
-                tensor.grad = None
-            ce_terms, inv_terms = [], []
-            for offset, item_index in enumerate(batch):
-                item = train_items[int(item_index)]
-                signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
-                feats = frontend.features(signal)
-                logits = tcn_forward(model, feats)
-                n_frames = logits.shape[0]
-                if frame_labels.size < n_frames:
-                    raise ArgumentError(
-                        f"segment provides {frame_labels.size} labels for "
-                        f"{n_frames} feature frames")
-                ce_terms.append(cross_entropy(logits, frame_labels[:n_frames]))
+    log_file = (contextlib.nullcontext() if log_path is None
+                else open(log_path, "w", encoding="utf-8"))
+    with log_file as log:
+        best_snapshot = None
+        stale_epochs = 0
+        step = 0
+        for epoch in range(tcfg.max_epochs):
+            for _ in range(tcfg.steps_per_epoch):
+                batch = rng.integers(0, len(train_items), size=tcfg.batch_size)
+                for tensor in all_params.values():
+                    tensor.grad = None
+                ce_terms, inv_terms = [], []
+                for offset, item_index in enumerate(batch):
+                    item = train_items[int(item_index)]
+                    signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
+                    feats = frontend.features(signal)
+                    logits = tcn_forward(model, feats)
+                    n_frames = logits.shape[0]
+                    if frame_labels.size < n_frames:
+                        raise ArgumentError(
+                            f"segment provides {frame_labels.size} labels for "
+                            f"{n_frames} feature frames")
+                    ce_terms.append(cross_entropy(logits, frame_labels[:n_frames]))
+                    if use_inv:
+                        dups = make_masked_duplicates(
+                            signal, icfg,
+                            step=step * tcfg.batch_size + offset)
+                        inv_terms.append(invariant_loss(
+                            feats, [frontend.features(d) for d in dups]))
+                ce_mean = _mean(ce_terms)
                 if use_inv:
-                    dups = make_masked_duplicates(
-                        signal, icfg,
-                        step=step * tcfg.batch_size + offset)
-                    inv_terms.append(invariant_loss(
-                        feats, [frontend.features(d) for d in dups]))
-            ce_mean = _mean(ce_terms)
-            if use_inv:
-                inv_mean = _mean(inv_terms)
-                loss = dual_loss(ce_mean, inv_mean, icfg.lam)
-            else:
-                loss = ce_mean
-            try:
-                grads = ad.grad(loss, all_params)
-            except NumericError as exc:
-                raise NumericError(
-                    f"training diverged at step {step}: {exc}") from exc
-            adam_step(all_params, grads, state, tcfg.lr)
-            record = {"step": step, "epoch": epoch,
-                      "ce": float(ce_mean.data), "loss": float(loss.data)}
-            if use_inv:
-                record["inv"] = float(inv_mean.data)
-            result.history.append(record)
-            step += 1
+                    inv_mean = _mean(inv_terms)
+                    loss = dual_loss(ce_mean, inv_mean, icfg.lam)
+                else:
+                    loss = ce_mean
+                try:
+                    grads = ad.grad(loss, all_params)
+                except NumericError as exc:
+                    raise NumericError(
+                        f"training diverged at step {step}: {exc}") from exc
+                adam_step(all_params, grads, state, tcfg.lr)
+                record = {"step": step, "epoch": epoch,
+                          "ce": float(ce_mean.data), "loss": float(loss.data)}
+                if use_inv:
+                    record["inv"] = float(inv_mean.data)
+                _log_record(result, log, record)
+                step += 1
 
-        f1 = _validation_f1(frontend, model, val_items)
-        result.history.append({"epoch": epoch, "val_osd_f1": f1})
-        if f1 > result.best_f1:
-            result.best_f1 = f1
-            result.best_epoch = epoch
-            best_snapshot = (frontend.state_arrays(), model.state_arrays())
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= tcfg.patience:
-                break
+            f1 = _validation_f1(frontend, model, val_items)
+            _log_record(result, log, {"epoch": epoch, "val_osd_f1": f1})
+            if f1 > result.best_f1:
+                result.best_f1 = f1
+                result.best_epoch = epoch
+                best_snapshot = (frontend.state_arrays(), model.state_arrays())
+                stale_epochs = 0
+            else:
+                stale_epochs += 1
+                if stale_epochs >= tcfg.patience:
+                    break
 
     if best_snapshot is not None:
         fe_state, model_state = best_snapshot
@@ -444,8 +459,4 @@ def train(frontend, model: ModelParams, train_items, val_items,
         for name, tensor in model.tensors.items():
             tensor.data[...] = model_state[name]
 
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for record in result.history:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
     return result

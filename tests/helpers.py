@@ -42,9 +42,9 @@ def relative_error(a, b, floor=1e-8):
 #
 # Per-frame loops with their own softmax and normalization code, so the
 # vectorized tape path in ``combinator``/``frontends`` is checked against an
-# independent route. ``p`` is anything with wq, wk, wv, bq, bk, bv and
-# attn_dim attributes (``combinator.AttentionParams``); values are complex
-# (C, T, K) spectra.
+# independent route. ``p`` maps wq, wk, wv, bq, bk, bv to numpy arrays (as
+# ``combinator.attention_init`` returns them); values are complex (C, T, K)
+# spectra.
 
 
 def naive_softmax(x, axis=-1):
@@ -65,10 +65,10 @@ def naive_weights(feats, p):
     out = np.zeros((n_ch, n_frames))
     for t in range(n_frames):
         frame = feats[:, t, :]
-        q = frame @ p.wq + p.bq
-        k = frame @ p.wk + p.bk
-        v = frame @ p.wv + p.bv
-        att = naive_softmax(q @ k.T / np.sqrt(p.attn_dim), axis=-1)
+        q = frame @ p["wq"] + p["bq"]
+        k = frame @ p["wk"] + p["bk"]
+        v = frame @ p["wv"] + p["bv"]
+        att = naive_softmax(q @ k.T / np.sqrt(p["wq"].shape[1]), axis=-1)
         scores = att @ v
         out[:, t] = naive_softmax(scores[:, 0], axis=0)
     return out
@@ -123,11 +123,11 @@ def naive_icsacc(values, p, parts="mag_phase"):
     wp = np.zeros((n_ch, n_frames))
     for t in range(n_frames):
         frame = feats[:, t, :]
-        q = frame @ p.wq + p.bq
-        kk = frame @ p.wk + p.bk
-        att = naive_softmax(q @ kk.T / np.sqrt(p.attn_dim), axis=-1)
-        v_mag = frame[:, :k] @ p.wv[:k] + p.bv
-        v_phase = frame[:, k:] @ p.wv[k:] + p.bv
+        q = frame @ p["wq"] + p["bq"]
+        kk = frame @ p["wk"] + p["bk"]
+        att = naive_softmax(q @ kk.T / np.sqrt(p["wq"].shape[1]), axis=-1)
+        v_mag = frame[:, :k] @ p["wv"][:k] + p["bv"]
+        v_phase = frame[:, k:] @ p["wv"][k:] + p["bv"]
         wm[:, t] = naive_softmax((att @ v_mag)[:, 0], axis=0)
         wp[:, t] = naive_softmax((att @ v_phase)[:, 0], axis=0)
     return naive_complex_sum(values, wm, wp, parts)

@@ -51,7 +51,7 @@ _ATTN_KEYS = ("wq", "wk", "wv", "bq", "bk", "bv")
 
 def _attn_params(feat_dim, seed, prefix=""):
     init = attention_init(feat_dim, _D, seed)
-    return {prefix + k: ad.parameter(v) for k, v in init.as_arrays().items()}
+    return {prefix + k: ad.parameter(v) for k, v in init.items()}
 
 
 def _sub(params, prefix):
@@ -81,6 +81,15 @@ def _fd_check(loss_fn, params):
             worst = max(worst, err)
             checked += 1
     return worst, checked
+
+
+def _complex_sum(a, b, spec_t):
+    """Complex channel sum of (T, C, K) ``spec_t`` with the weight columns
+    (a, b) packed as w = a*exp(j*2*pi*b), as the mag/phase frontends do."""
+    phase = b * (2.0 * np.pi)
+    return combine_mag_phase_graph(a * phase.cos(), a * phase.sin(),
+                                   ad.Tensor(spec_t.real),
+                                   ad.Tensor(spec_t.imag))
 
 
 def _rand_spec(rng):
@@ -127,9 +136,8 @@ def test_criterion_01_gradient_oracle():
         att = mvn_graph(ad.tlog(ad.complex_abs(re, im) + LOG_EPS),
                         time_axis=0)
         w = weights_graph(att, _sub(p_ana, ""))
-        re_c = (w * re).sum(axis=1)
-        im_c = (w * im).sum(axis=1)
-        return ad.tsum(ad.concat([re_c, im_c], axis=-1) * ad.Tensor(probe_a))
+        row = combine_real_graph(w, ad.concat([re, im], axis=-1))
+        return ad.tsum(row * ad.Tensor(probe_a))
 
     results["analytic"] = _fd_check(analytic_loss, p_ana)
 
@@ -137,8 +145,7 @@ def test_criterion_01_gradient_oracle():
     z2 = _rand_spec(rng)
     first = np.transpose(mvn(log_compress(np.abs(z2))), (1, 0, 2))
     second = np.transpose(mvn(np.angle(z2)), (1, 0, 2))
-    mag2 = np.transpose(np.abs(z2), (1, 0, 2))
-    ang2 = np.transpose(np.angle(z2), (1, 0, 2))
+    z2_t = np.transpose(z2, (1, 0, 2))
     probe2 = rng.normal(size=(_T, 8))
     p_ec = {}
     p_ec.update(_attn_params(_K, seed=3, prefix="mag/"))
@@ -147,8 +154,7 @@ def test_criterion_01_gradient_oracle():
     def ecsacc_loss():
         w1 = weights_graph(ad.Tensor(first), _sub(p_ec, "mag/"))
         w2 = weights_graph(ad.Tensor(second), _sub(p_ec, "phase/"))
-        re, im = combine_mag_phase_graph(w1, w2, ad.Tensor(mag2),
-                                         ad.Tensor(ang2))
+        re, im = _complex_sum(w1, w2, z2_t)
         return ad.tsum(_logmel_graph(ad.complex_abs(re, im))
                        * ad.Tensor(probe2))
 
@@ -159,15 +165,13 @@ def test_criterion_01_gradient_oracle():
     cat = np.concatenate([mvn(log_compress(np.abs(z3))),
                           mvn(np.angle(z3))], axis=-1)
     cat_t = np.transpose(cat, (1, 0, 2))
-    mag3 = np.transpose(np.abs(z3), (1, 0, 2))
-    ang3 = np.transpose(np.angle(z3), (1, 0, 2))
+    z3_t = np.transpose(z3, (1, 0, 2))
     probe3 = rng.normal(size=(_T, 8))
     p_ic = _attn_params(2 * _K, seed=5)
 
     def icsacc_loss():
         w = weights_graph(ad.Tensor(cat_t), p_ic, value_split=_K)
-        re, im = combine_mag_phase_graph(w[:, :, :1], w[:, :, 1:],
-                                         ad.Tensor(mag3), ad.Tensor(ang3))
+        re, im = _complex_sum(w[:, :, :1], w[:, :, 1:], z3_t)
         return ad.tsum(_logmel_graph(ad.complex_abs(re, im))
                        * ad.Tensor(probe3))
 

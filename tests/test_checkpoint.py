@@ -1,5 +1,7 @@
 """Checkpoint container tests: exact round trips, canonical bytes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ def test_corrupt_files_raise_format_error(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(FormatError):
         read_checkpoint(empty)
+
+    # header (magic "AVCK", version 1, one tensor), then its table entry
+    header = struct.pack("<3Q", 0x4156434B, 1, 1)
+    not_utf8 = tmp_path / "name.ckpt"
+    not_utf8.write_bytes(header + struct.pack("<Q", 1) + b"\xff"
+                         + struct.pack("<3Q", 1, 1, 57) + bytes(8))
+    with pytest.raises(FormatError):
+        read_checkpoint(not_utf8)
+
+    too_big = tmp_path / "dims.ckpt"  # zero items, but no such array
+    too_big.write_bytes(header + struct.pack("<Q", 1) + b"a"
+                        + struct.pack("<4Q", 2, 0, 2 ** 63, 65))
+    with pytest.raises(FormatError):
+        read_checkpoint(too_big)
 
 
 def test_model_bundle_roundtrip(tmp_path):

@@ -418,6 +418,19 @@ def test_data_errors(scene_out, workdir, untrained_ckpt):
     assert main(["score", "--ref", str(empty), "--hyp", str(empty)]) == 2
 
 
+def test_infer_rejects_non_utf8_tensor_name(scene_out, workdir,
+                                            untrained_ckpt, capsys):
+    raw = bytearray(untrained_ckpt.read_bytes())
+    raw[32] = 0xFF  # first byte of the first tensor name, after the header
+    bad = workdir / "bad_name.ckpt"
+    bad.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(bad),
+                 "--wav", str(scene_out / "scene.wav"),
+                 "--out", str(workdir / "x")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["simulate", "--help"]) == 0

@@ -45,9 +45,26 @@ def random_signal(c=3, n=1600, seed=0):
 
 def graph_weights(feats, p, value_split=None):
     """``weights_graph`` on (C, T, K) features; returns (T, C, cols)."""
-    tensors = {name: ad.Tensor(arr) for name, arr in p.as_arrays().items()}
+    tensors = {name: ad.Tensor(arr) for name, arr in p.items()}
     feats_tc = ad.Tensor(np.transpose(feats, (1, 0, 2)))
     return weights_graph(feats_tc, tensors, value_split).data
+
+
+def n_params(p):
+    return sum(arr.size for arr in p.values())
+
+
+def spectrum_tc(values):
+    """(T, C, K) real and imaginary parts of complex (C, T, K) values."""
+    return (ad.Tensor(np.transpose(values.real, (1, 0, 2))),
+            ad.Tensor(np.transpose(values.imag, (1, 0, 2))))
+
+
+def packed_weights(first, second):
+    """(w_re, w_im) of a (magnitude, phase) weight column pair,
+    a*cos(2*pi*b) and a*sin(2*pi*b), as the frontends pack them."""
+    phase = 2.0 * np.pi * second
+    return ad.Tensor(first * np.cos(phase)), ad.Tensor(first * np.sin(phase))
 
 
 def real_weights(feats, p):
@@ -119,7 +136,7 @@ def test_combined_magnitude_stays_within_channel_envelope():
 
 def test_attention_width_mismatch_rejected():
     fe = make_frontend({"kind": "sacc", "attn_dim": 4}, seed=0)
-    wide = attention_init(fe.stft_cfg.n_bins + 1, 4, seed=1).as_arrays()
+    wide = attention_init(fe.stft_cfg.n_bins + 1, 4, seed=1)
     with pytest.raises(ArgumentError):
         fe.load_state(wide)
 
@@ -133,10 +150,8 @@ def test_ecsacc_matches_naive_reference():
     pp = attention_init(8, 4, seed=42)
     w_mag = graph_weights(naive_mvn(np.log(np.abs(values) + 1e-8)), pm)
     w_phase = graph_weights(naive_mvn(np.angle(values)), pp)
-    re, im = combine_mag_phase_graph(
-        ad.Tensor(w_mag), ad.Tensor(w_phase),
-        ad.Tensor(np.transpose(np.abs(values), (1, 0, 2))),
-        ad.Tensor(np.transpose(np.angle(values), (1, 0, 2))))
+    re, im = combine_mag_phase_graph(*packed_weights(w_mag, w_phase),
+                                     *spectrum_tc(values))
     want, w = naive_ecsacc(values, pm, pp)
     assert np.max(np.abs(re.data + 1j * im.data - want)) < 1e-12
     assert np.allclose(w_mag[:, :, 0].T, np.abs(w), atol=1e-12)
@@ -176,11 +191,9 @@ def test_icsacc_matches_naive_reference():
     p = attention_init(12, 5, seed=81)
     feats = np.concatenate([naive_mvn(np.log(np.abs(values) + 1e-8)),
                             naive_mvn(np.angle(values))], axis=-1)
-    w = ad.Tensor(graph_weights(feats, p, value_split=6))
-    re, im = combine_mag_phase_graph(
-        w[:, :, :1], w[:, :, 1:],
-        ad.Tensor(np.transpose(np.abs(values), (1, 0, 2))),
-        ad.Tensor(np.transpose(np.angle(values), (1, 0, 2))))
+    w = graph_weights(feats, p, value_split=6)
+    re, im = combine_mag_phase_graph(*packed_weights(w[:, :, :1], w[:, :, 1:]),
+                                     *spectrum_tc(values))
     want, _ = naive_icsacc(values, p)
     assert np.max(np.abs(re.data + 1j * im.data - want)) < 1e-12
 
@@ -195,17 +208,17 @@ def test_icsacc_single_channel_reproduces_input():
 
 def test_icsacc_parameter_count_below_two_banks():
     for k, d in ((9, 4), (257, 256), (17, 8)):
-        single = attention_init(2 * k, d, seed=1)
-        bank = attention_init(k, d, seed=1)
-        assert single.n_params == 4 * k * d + 2 * k + 2 * d + 1
-        assert single.n_params < 2 * bank.n_params
-        assert 2 * bank.n_params - single.n_params == 2 * d + 1
+        single = n_params(attention_init(2 * k, d, seed=1))
+        bank = n_params(attention_init(k, d, seed=1))
+        assert single == 4 * k * d + 2 * k + 2 * d + 1
+        assert single < 2 * bank
+        assert 2 * bank - single == 2 * d + 1
 
 
 def test_icsacc_rejects_wrong_width():
     # the single bank reads both parts side by side: 2 * n_bins wide
     fe = make_frontend({"kind": "icsacc", "attn_dim": 3}, seed=95)
-    narrow = attention_init(fe.stft_cfg.n_bins, 3, seed=96).as_arrays()
+    narrow = attention_init(fe.stft_cfg.n_bins, 3, seed=96)
     with pytest.raises(ArgumentError):
         fe.load_state(narrow)
 
@@ -265,7 +278,7 @@ def test_attention_gradients_match_finite_differences():
     feats = np.transpose(random_feats(c=3, t=4, k=5, seed=130), (1, 0, 2))
     probe = np.random.default_rng(131).standard_normal((4, 3, 1))
     init = attention_init(5, 4, seed=132)
-    arrays = {k: v.copy() for k, v in init.as_arrays().items()}
+    arrays = {k: v.copy() for k, v in init.items()}
 
     def loss_fn(arrs):
         p = {k: ad.parameter(v) for k, v in arrs.items()}

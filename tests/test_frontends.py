@@ -6,7 +6,6 @@ import pytest
 
 from arrayvad.autodiff import backward, tsum
 from arrayvad.beamform import ArrayGeometry
-from arrayvad.combinator import AttentionParams
 from arrayvad.errors import ArgumentError
 from arrayvad.frontends import (
     AnalyticSaccFrontend,
@@ -46,9 +45,9 @@ TRAINABLE = ["sacc", "ecsacc", "icsacc"]
 
 
 def bank(fe, prefix=""):
-    """One attention bank of ``fe`` as numpy ``AttentionParams``."""
-    return AttentionParams(**{name: fe.params[prefix + name].data
-                              for name in ("wq", "wk", "wv", "bq", "bk", "bv")})
+    """One attention bank of ``fe`` as a dict of numpy arrays."""
+    return {name: fe.params[prefix + name].data
+            for name in ("wq", "wk", "wv", "bq", "bk", "bv")}
 
 
 def naive_stft_reference(fe, sig):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from arrayvad import autodiff as ad
 from arrayvad.arraysim import SceneSpec, toy_dataset
 from arrayvad.autodiff import Tensor, backward, parameter, tsum
 from arrayvad.beamform import ArrayGeometry
@@ -319,6 +320,28 @@ def test_train_runs_and_logs(tmp_path):
     assert result.best_epoch >= 0
     lines = log.read_text().strip().split("\n")
     assert [json.loads(line) for line in lines] == result.history
+
+
+def test_train_log_keeps_records_up_to_a_failure(tmp_path, monkeypatch):
+    frontend, model = tiny_setup()
+    items = toy_items(4, seed=1)
+    tcfg = TrainConfig(batch_size=1, steps_per_epoch=4, max_epochs=1,
+                       patience=5, seed=0)
+    real_grad = ad.grad
+    calls = []
+
+    def failing_grad(loss, params):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericError("injected failure")
+        return real_grad(loss, params)
+
+    monkeypatch.setattr(ad, "grad", failing_grad)
+    log = tmp_path / "log.ndjson"
+    with pytest.raises(NumericError, match="step 2"):
+        train(frontend, model, items[:3], items[3:], tcfg, log_path=log)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == [0, 1]
 
 
 def test_train_is_deterministic():
