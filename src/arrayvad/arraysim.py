@@ -186,11 +186,6 @@ def _delay_multichannel(track, delays, rate):
     return np.fft.irfft(spec[None, :] * ramps, padded, axis=1)[:, :n]
 
 
-def fractional_delay(x, delay_s, rate):
-    """Shift a waveform later by delay_s; see _delay_multichannel."""
-    return _delay_multichannel(np.asarray(x, dtype=np.float64), [delay_s], rate)[0]
-
-
 # -- scene rendering ----------------------------------------------------------
 
 
@@ -253,13 +248,17 @@ def synth_scene(spec: SceneSpec):
     peak = np.abs(mixture).max()
     if peak > 0.99:
         mixture = mixture * (0.99 / peak)
-    segments = []
-    for index, src in enumerate(spec.sources):
-        duration = min(src.duration, spec.duration_s - src.onset)
-        segments.append(Segment(file_id="scene", onset=src.onset,
-                                duration=duration, speaker=f"src{index}"))
-    signal = MultichannelSignal(mixture, rate)
-    return signal, SegmentSet(tuple(segments))
+    return MultichannelSignal(mixture, rate), _scene_segments(spec)
+
+
+def _scene_segments(spec: SceneSpec) -> SegmentSet:
+    """Ground truth of a scene: one segment per source, cut at the scene end."""
+    return SegmentSet(tuple(
+        Segment(file_id="scene", onset=src.onset,
+                duration=min(src.duration, spec.duration_s - src.onset),
+                speaker=f"src{index}")
+        for index, src in enumerate(spec.sources)
+    ))
 
 
 # -- toy dataset --------------------------------------------------------------
@@ -345,12 +344,6 @@ def toy_dataset(template: SceneSpec, n_segments, seed, render_audio=True):
         if render_audio:
             signal, segments = synth_scene(scene)
         else:
-            signal = None
-            segments = SegmentSet(tuple(
-                Segment(file_id="scene", onset=src.onset,
-                        duration=min(src.duration, scene.duration_s - src.onset),
-                        speaker=f"src{i}")
-                for i, src in enumerate(scene.sources)
-            ))
+            signal, segments = None, _scene_segments(scene)
         labels = labels_from_segments(segments, scene.duration_s)
         yield ToySegment(signal=signal, segments=segments, labels=labels, scene=scene)

@@ -113,54 +113,6 @@ def steering_weights(geom: ArrayGeometry, azimuth, freq) -> np.ndarray:
     return np.exp(-1j * w_bar * np.cos(azimuth - angles)) / geom.n_mics
 
 
-@dataclass(frozen=True)
-class BeampatternGrid:
-    """Evaluation grid: angles, frequencies and the aliasing limit."""
-
-    thetas: tuple
-    freqs: tuple
-    f_sup: float
-
-    def __post_init__(self):
-        thetas = tuple(float(t) for t in self.thetas)
-        freqs = tuple(float(f) for f in self.freqs)
-        if not thetas or not freqs:
-            raise ArgumentError("grid needs at least one angle and one frequency")
-        for f in freqs:
-            if f <= 0:
-                raise ArgumentError(f"grid frequency must be positive, got {f}")
-            if f >= self.f_sup:
-                raise AliasingError(
-                    f"grid frequency {f:.1f} Hz is at or above the aliasing limit "
-                    f"({self.f_sup:.1f} Hz)"
-                )
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "freqs", freqs)
-
-    @classmethod
-    def for_geometry(cls, geom: ArrayGeometry, freqs, thetas=None):
-        if thetas is None:
-            thetas = np.deg2rad(np.arange(360.0))
-        return cls(tuple(np.atleast_1d(thetas)), tuple(np.atleast_1d(freqs)),
-                   aliasing_limit_hz(geom))
-
-
-@dataclass(frozen=True)
-class Beampattern:
-    """Stacked complex responses, one row per frequency."""
-
-    values: np.ndarray  # (F, Theta) complex
-    frame_index: int = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 2:
-            raise ArgumentError("beampattern values must be (freqs, thetas)")
-        if not np.isfinite(v).all():
-            raise NumericError("beampattern contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
 def _check_freq(geom, freq, allow_aliasing):
     if freq <= 0:
         raise ArgumentError(f"frequency must be positive, got {freq}")
@@ -191,14 +143,6 @@ def narrowband_beampattern(weights, geom: ArrayGeometry, freq, thetas,
     return _steering_phases(geom, freq, thetas) @ w
 
 
-def broadband_beampattern(weights, geom: ArrayGeometry,
-                          grid: BeampatternGrid) -> Beampattern:
-    """Narrowband responses stacked over grid.freqs, one row each."""
-    rows = [narrowband_beampattern(weights, geom, f, np.asarray(grid.thetas))
-            for f in grid.freqs]
-    return Beampattern(values=np.stack(rows, axis=0))
-
-
 def time_avg_beampattern(weights, geom: ArrayGeometry, freq, thetas,
                          allow_aliasing=False) -> np.ndarray:
     """Complex responses of per-frame weights (C, T), averaged over frames."""
@@ -209,14 +153,6 @@ def time_avg_beampattern(weights, geom: ArrayGeometry, freq, thetas,
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     responses = _steering_phases(geom, freq, thetas) @ w  # (Theta, T)
     return responses.mean(axis=1)
-
-
-def normalized_magnitude(values) -> np.ndarray:
-    """Magnitude rescaled so the largest entry is 1 (all-zero input passes
-    through). Used for plotting-oriented outputs."""
-    mag = np.abs(np.asarray(values))
-    peak = mag.max()
-    return mag / peak if peak > 0 else mag
 
 
 # -- coherent-to-diffuse ratio masking ----------------------------------------

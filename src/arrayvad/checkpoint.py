@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,7 +42,10 @@ def _config_to_array(config: dict) -> np.ndarray:
 
 
 def _config_from_array(arr: np.ndarray) -> dict:
-    data = np.asarray(arr)
+    data = np.asarray(arr, dtype=np.float64)
+    if not (np.isfinite(data).all() and (data == np.floor(data)).all()
+            and ((data >= 0) & (data <= 255)).all()):
+        raise FormatError("embedded config holds values that are not bytes")
     as_bytes = data.astype(np.uint8).tobytes()
     try:
         return json.loads(as_bytes.decode("utf-8"))
@@ -153,7 +157,7 @@ def read_checkpoint(path):
 # -- model + frontend bundles -------------------------------------------------
 
 
-def save_model(path, frontend: Frontend, model: ModelParams, extra=None):
+def save_model(path, frontend: Frontend, model: ModelParams):
     """Bundle frontend weights, model weights, and both configs in one file."""
     tensors = {}
     for name, arr in frontend.state_arrays().items():
@@ -165,22 +169,33 @@ def save_model(path, frontend: Frontend, model: ModelParams, extra=None):
         "model": model.config.to_dict(),
         "model_seed": model.seed,
     }
-    if extra:
-        config["extra"] = extra
     write_checkpoint(path, tensors, config)
+
+
+@contextmanager
+def _config_section(section):
+    """Report a config value the rebuild cannot use as a FormatError."""
+    try:
+        yield
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"checkpoint {section} config is invalid: {exc}") from exc
 
 
 def load_model(path):
     """Rebuild (frontend, model) from a ``save_model`` checkpoint."""
     tensors, config = read_checkpoint(path)
-    if config is None or "frontend" not in config or "model" not in config:
+    if (not isinstance(config, dict) or "frontend" not in config
+            or "model" not in config):
         raise FormatError("checkpoint does not hold a frontend+model bundle")
-    frontend = make_frontend(config["frontend"])
+    with _config_section("frontend"):
+        frontend = make_frontend(config["frontend"])
     frontend.load_state({name[len("frontend/"):]: arr
                          for name, arr in tensors.items()
                          if name.startswith("frontend/")})
-    model = tcn_init(TcnConfig.from_dict(config["model"]),
-                     seed=int(config.get("model_seed", 0)))
+    with _config_section("model"):
+        model_cfg = TcnConfig.from_dict(config["model"])
+    with _config_section("model_seed"):
+        model = tcn_init(model_cfg, seed=int(config.get("model_seed", 0)))
     saved = {name[len("model/"):]: arr for name, arr in tensors.items()
              if name.startswith("model/")}
     missing = set(model.tensors) - set(saved)

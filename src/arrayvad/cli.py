@@ -36,7 +36,7 @@ from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       write_rttm)
 from .seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
 from .signal_io import mask_channels, read_wav, write_wav
-from .spectral import StftConfig, log_compress, mel_project, stft, write_features_csv
+from .spectral import StftConfig, log_compress, mel_project, stft
 from .trainer import InvariantConfig, TrainConfig, train
 
 EXIT_OK = 0
@@ -279,7 +279,8 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
-    """Plain CSV with %.17g floats, matching the feature dump format."""
+    """Plain CSV with %.17g floats; every CSV the CLI writes, the
+    ``features.csv`` feature dump included, goes through here."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -371,7 +372,9 @@ def _cmd_features(args):
         with no_grad():
             feats = frontend.features(signal).data
     out = _out_dir(args)
-    write_features_csv(out / "features.csv", feats)
+    _write_csv(out / "features.csv",
+               ["frame"] + [f"bin_{i}" for i in range(feats.shape[1])],
+               ([t, *row] for t, row in enumerate(feats)))
     _say(f"features: {variant}, {feats.shape[0]} frames x {feats.shape[1]} "
          f"dims -> {out / 'features.csv'}")
 

@@ -112,14 +112,16 @@ class CombinedSpectrogram:
 # -- tape-level building blocks ----------------------------------------------
 
 
-def attention_scores_graph(feats_tc, p, value_split=None):
-    """Raw attention scores before the channel softmax.
+def weights_graph(feats_tc, p, value_split=None):
+    """Full weight computation on the tape; returns (T, C, cols).
 
     feats_tc: Tensor (T, C, feat_dim). p: dict of Tensors (wq, wk, wv, bq,
-    bk, bv). With value_split=None the value head has one column; with
-    value_split=K the first K feature columns are scored by the first K
-    value rows and the rest by the remaining rows, giving two columns.
-    Returns (T, C, cols).
+    bk, bv). Per frame: q, k, v are linear maps of the frame's channel
+    feature matrix; attention rows are softmax(q k^T / sqrt(attn_dim)); the
+    scores att @ v pass through a second softmax over channels. With
+    value_split=None the value head has one column; with value_split=K the
+    first K feature columns are scored by the first K value rows and the
+    rest by the remaining rows, giving two columns.
     """
     attn_dim = p["wq"].shape[1]
     q = feats_tc @ p["wq"] + p["bq"]
@@ -133,22 +135,7 @@ def attention_scores_graph(feats_tc, p, value_split=None):
         v_mag = feats_tc[:, :, :split] @ p["wv"][:split] + p["bv"]
         v_phase = feats_tc[:, :, split:] @ p["wv"][split:] + p["bv"]
         v = ad.concat([v_mag, v_phase], axis=-1)
-    return att @ v
-
-
-def channel_softmax_graph(scores):
-    """Normalize scores over the channel axis; (T, C, cols) -> same shape."""
-    return ad.softmax(scores, axis=1)
-
-
-def weights_graph(feats_tc, p, value_split=None):
-    """Full weight computation on the tape; returns (T, C, cols).
-
-    Per frame: q, k, v are linear maps of the frame's channel feature
-    matrix; attention rows are softmax(q k^T / sqrt(attn_dim)); the scores
-    att @ v pass through a second softmax over channels.
-    """
-    return channel_softmax_graph(attention_scores_graph(feats_tc, p, value_split))
+    return ad.softmax(att @ v, axis=1)
 
 
 def combine_real_graph(w_tc1, values_tc):

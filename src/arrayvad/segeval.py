@@ -13,7 +13,6 @@ precision/recall/F1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,14 +284,3 @@ def osd_metrics(ref: FrameLabels, hyp: FrameLabels) -> OsdMetrics:
     recall = 100.0 * tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return OsdMetrics(precision=precision, recall=recall, f1=f1, degenerate=degenerate)
-
-
-def metrics_to_json(vad: VadMetrics = None, osd: OsdMetrics = None) -> str:
-    out = {}
-    if vad is not None:
-        out["vad"] = {"false_alarm": vad.false_alarm, "miss": vad.miss,
-                      "error_rate": vad.error_rate}
-    if osd is not None:
-        out["osd"] = {"precision": osd.precision, "recall": osd.recall,
-                      "f1": osd.f1, "degenerate": osd.degenerate}
-    return json.dumps(out, indent=2, sort_keys=True)

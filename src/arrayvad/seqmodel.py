@@ -79,23 +79,6 @@ class TcnConfig:
         return cls(**{k: int(v) for k, v in d.items()})
 
 
-def count_parameters(cfg: TcnConfig) -> int:
-    """Closed-form scalar count of every trainable entry.
-
-    Audited against direct enumeration of ``tcn_init`` output in the tests;
-    keep the two in sync when touching the architecture.
-    """
-    f, b, h, k = cfg.input_dim, cfg.bottleneck, cfg.hidden, cfg.kernel
-    n_conv = cfg.blocks * cfg.layers_per_block
-    total = 2 * f                      # layer norm gain + bias
-    total += f * b + b                 # bottleneck 1x1
-    total += k * b * h + (n_conv - 1) * k * h * h + n_conv * h
-    if b != h:
-        total += b * h                 # residual projection on block 0
-    total += h * cfg.n_classes + cfg.n_classes
-    return total
-
-
 def receptive_field(cfg: TcnConfig) -> int:
     """Frames of past context that can influence one output frame."""
     per_block = sum((cfg.kernel - 1) * 2 ** l
@@ -117,16 +100,6 @@ class ModelParams:
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Detached float64 copies keyed by tensor name, for checkpointing."""
         return {name: np.array(t.data) for name, t in self.tensors.items()}
-
-    def copy(self) -> "ModelParams":
-        fresh = {name: parameter(t.data.copy())
-                 for name, t in self.tensors.items()}
-        return ModelParams(tensors=fresh, config=self.config, seed=self.seed)
-
-    def validate(self):
-        for name, t in self.tensors.items():
-            if not np.isfinite(t.data).all():
-                raise NumericError(f"non-finite values in parameter {name}")
 
 
 def _conv_layer_names(cfg):

@@ -7,7 +7,6 @@ always name channels by their original index in the recording.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,13 +115,6 @@ def write_wav(signal: MultichannelSignal, path, encoding="pcm16"):
     else:
         raise ArgumentError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
     wavfile.write(path, signal.sample_rate, out)
-
-
-def wav_bytes(signal: MultichannelSignal, encoding="pcm16") -> bytes:
-    """Serialize to WAV in memory; used by tests and the CLI."""
-    buf = io.BytesIO()
-    write_wav(signal, buf, encoding=encoding)
-    return buf.getvalue()
 
 
 def mask_channels(signal: MultichannelSignal, keep) -> MultichannelSignal:

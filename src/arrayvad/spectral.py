@@ -3,8 +3,7 @@
 Covers the fixed STFT path (framing, periodic Hann window, mel projection,
 log compression, per-bin mean/variance normalization), the Hilbert basis
 that gives the learnable analytic filterbank of
-``frontends.AnalyticSaccFrontend`` its imaginary impulse responses, and the
-feature-matrix CSV format.
+``frontends.AnalyticSaccFrontend`` its imaginary impulse responses.
 
 Framing is left aligned with no center padding: frame t covers samples
 [t*hop, t*hop + win), and the frame count is floor((N - win) / hop) + 1.
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ArgumentError, FormatError, NumericError, RangeError
+from .errors import ArgumentError, NumericError, RangeError
 from .signal_io import MultichannelSignal
 
 LOG_EPS = 1e-8
@@ -202,35 +201,3 @@ def hilbert_basis(kernel_len):
     spectrum = np.fft.fft(np.eye(kernel_len), axis=0)
     analytic = np.fft.ifft(u[:, None] * spectrum, axis=0)
     return np.ascontiguousarray(analytic.imag)
-
-
-# -- feature CSV --------------------------------------------------------------
-
-
-def write_features_csv(path, features, names=None):
-    """Feature matrix (T, F) as CSV: one row per frame, named columns."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ArgumentError("expected a (frames, features) matrix")
-    if names is None:
-        names = [f"bin_{i}" for i in range(features.shape[1])]
-    if len(names) != features.shape[1]:
-        raise ArgumentError("one name per feature column required")
-    with open(path, "w") as fh:
-        fh.write("frame," + ",".join(names) + "\n")
-        for t, row in enumerate(features):
-            fh.write(str(t) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_features_csv(path):
-    """Inverse of write_features_csv; returns (features, names)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("frame,"):
-            raise FormatError("feature CSV must start with a 'frame,...' header")
-        names = header.split(",")[1:]
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append([float(v) for v in parts[1:]])
-    return np.array(rows, dtype=np.float64), names

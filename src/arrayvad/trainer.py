@@ -69,9 +69,7 @@ class InvariantConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        lam = d.pop("lambda", d.pop("lam", 0.7))
-        return cls(p=int(d.get("p", 2)), lam=float(lam),
+        return cls(p=int(d.get("p", 2)), lam=float(d.get("lambda", 0.7)),
                    min_keep=int(d.get("min_keep", 2)),
                    rng_seed=int(d.get("rng_seed", 0)))
 
@@ -299,8 +297,9 @@ class TrainResult:
     best_f1: float = float("-inf")
 
 
-def _aligned_labels(item, n_frames):
-    labels = np.asarray(item.labels.labels, dtype=np.int64)
+def _aligned_labels(labels, n_frames):
+    """The first ``n_frames`` labels; a shorter label array is an error."""
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.size < n_frames:
         raise ArgumentError(
             f"segment provides {labels.size} labels for {n_frames} feature "
@@ -341,7 +340,7 @@ def _validation_f1(frontend, model, items):
             feats = frontend.features(item.signal)
             logits = tcn_forward(model, feats)
             hyp = decisions(posteriors(logits))
-            refs.append(_aligned_labels(item, hyp.size))
+            refs.append(_aligned_labels(item.labels.labels, hyp.size))
             hyps.append(hyp)
     ref = FrameLabels(np.concatenate(refs))
     hyp = FrameLabels(np.concatenate(hyps))
@@ -410,12 +409,8 @@ def train(frontend, model: ModelParams, train_items, val_items,
                     signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
                     feats = frontend.features(signal)
                     logits = tcn_forward(model, feats)
-                    n_frames = logits.shape[0]
-                    if frame_labels.size < n_frames:
-                        raise ArgumentError(
-                            f"segment provides {frame_labels.size} labels for "
-                            f"{n_frames} feature frames")
-                    ce_terms.append(cross_entropy(logits, frame_labels[:n_frames]))
+                    ce_terms.append(cross_entropy(
+                        logits, _aligned_labels(frame_labels, logits.shape[0])))
                     if use_inv:
                         dups = make_masked_duplicates(
                             signal, icfg,

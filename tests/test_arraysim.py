@@ -13,7 +13,7 @@ from arrayvad.arraysim import (
     SceneSpec,
     SourceSpec,
     ToySegment,
-    fractional_delay,
+    _delay_multichannel,
     synth_scene,
     toy_dataset,
 )
@@ -81,12 +81,12 @@ def test_fractional_delay_integer_shift_oracle():
     spec[1200:] = 0.0
     x = np.fft.irfft(spec, 4000)
     for k in (1, 7, 10):
-        y = fractional_delay(x, k / RATE, RATE)
+        y = _delay_multichannel(x, [k / RATE], RATE)[0]
         assert np.allclose(y[k:], x[:-k], atol=1e-9)
         assert np.allclose(y[:k], 0.0, atol=1e-9)
-    assert np.allclose(fractional_delay(x, 0.0, RATE), x, atol=1e-12)
+    assert np.allclose(_delay_multichannel(x, [0.0], RATE)[0], x, atol=1e-12)
     with pytest.raises(ArgumentError):
-        fractional_delay(x, -1e-4, RATE)
+        _delay_multichannel(x, [-1e-4], RATE)
 
 
 # -- scene rendering ----------------------------------------------------------

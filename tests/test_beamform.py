@@ -11,18 +11,14 @@ import pytest
 
 from arrayvad.beamform import (
     ArrayGeometry,
-    Beampattern,
-    BeampatternGrid,
     MvdrResult,
     aliasing_limit_hz,
-    broadband_beampattern,
     cdr_from_coherence,
     cdr_mask,
     diffuse_coherence,
     mvdr,
     mvdr_filters,
     narrowband_beampattern,
-    normalized_magnitude,
     plane_wave_delays,
     srp_phat,
     steering_weights,
@@ -179,47 +175,15 @@ def test_aliasing_rejection_and_override():
 # -- broadband and time-averaged patterns -------------------------------------
 
 
-def test_broadband_stacks_narrowband_rows():
-    geom = make_geom()
-    w = steering_weights(geom, math.radians(100.0), 800.0)
-    grid = BeampatternGrid.for_geometry(geom, freqs=[400.0, 800.0, 1600.0])
-    bp = broadband_beampattern(w, geom, grid)
-    assert isinstance(bp, Beampattern)
-    assert bp.values.shape == (3, 360)
-    for row, freq in zip(bp.values, grid.freqs):
-        expected = narrowband_beampattern(w, geom, freq, np.asarray(grid.thetas))
-        assert np.allclose(row, expected)
-
-
-def test_broadband_single_frequency_equals_narrowband():
-    geom = make_geom()
-    rng = np.random.default_rng(5)
-    w = rng.normal(size=8) + 1j * rng.normal(size=8)
-    grid = BeampatternGrid.for_geometry(geom, freqs=[700.0])
-    bp = broadband_beampattern(w, geom, grid)
-    direct = narrowband_beampattern(w, geom, 700.0, np.asarray(grid.thetas))
-    assert np.allclose(bp.values[0], direct)
-
-
 def test_broadband_delay_and_sum_ridge():
     geom = make_geom()
     theta0_deg = 250
-    freqs = [500.0, 1000.0, 1500.0, 2000.0]
-    grid = BeampatternGrid.for_geometry(geom, freqs=freqs)
+    thetas = np.deg2rad(np.arange(360.0))
     # steering phases depend on frequency; use per-frequency matched weights
-    for freq in freqs:
+    for freq in (500.0, 1000.0, 1500.0, 2000.0):
         w = steering_weights(geom, math.radians(theta0_deg), freq)
-        bp = broadband_beampattern(w, geom, BeampatternGrid.for_geometry(geom, [freq]))
-        assert int(np.argmax(np.abs(bp.values[0]))) == theta0_deg
-    assert grid.f_sup == pytest.approx(aliasing_limit_hz(geom))
-
-
-def test_grid_rejects_aliased_frequencies():
-    geom = make_geom()
-    with pytest.raises(AliasingError):
-        BeampatternGrid.for_geometry(geom, freqs=[500.0, aliasing_limit_hz(geom)])
-    with pytest.raises(ArgumentError):
-        BeampatternGrid.for_geometry(geom, freqs=[])
+        response = narrowband_beampattern(w, geom, freq, thetas)
+        assert int(np.argmax(np.abs(response))) == theta0_deg
 
 
 def test_time_avg_constant_weights_equal_narrowband():
@@ -239,14 +203,6 @@ def test_time_avg_alternating_weights_cancel():
     stacked = np.stack([w, -w, w, -w], axis=1)
     avg = time_avg_beampattern(stacked, geom, 600.0, np.linspace(0, 2 * np.pi, 19))
     assert np.allclose(avg, 0.0, atol=1e-12)
-
-
-def test_normalized_magnitude_peak_is_one():
-    values = np.array([[1 + 1j, 0.5, -2.0], [0.1j, 0.0, 1.0]])
-    out = normalized_magnitude(values)
-    assert out.max() == pytest.approx(1.0)
-    assert out.min() >= 0.0
-    assert np.allclose(normalized_magnitude(np.zeros(4)), 0.0)
 
 
 # -- CDR masking --------------------------------------------------------------

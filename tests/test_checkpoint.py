@@ -98,6 +98,19 @@ def test_corrupt_files_raise_format_error(tmp_path):
         read_checkpoint(too_big)
 
 
+@pytest.mark.parametrize("value", [float("nan"), 313.0, 56.5])
+def test_config_values_that_are_not_bytes_raise_format_error(tmp_path, value):
+    # 313 would wrap to "9" and 56.5 truncate to "8" under a plain uint8 cast
+    path = tmp_path / "meta.ckpt"
+    write_checkpoint(path, {}, config={"n_mels": 8})
+    raw = path.read_bytes()
+    eight = struct.pack("<d", ord("8"))
+    assert raw.count(eight) == 1
+    path.write_bytes(raw.replace(eight, struct.pack("<d", value)))
+    with pytest.raises(FormatError):
+        read_checkpoint(path)
+
+
 def test_model_bundle_roundtrip(tmp_path):
     frontend = make_frontend({"kind": "sacc", "attn_dim": 8, "seed": 5})
     cfg = TcnConfig(input_dim=frontend.feature_dim, bottleneck=8, hidden=8,
@@ -109,7 +122,7 @@ def test_model_bundle_roundtrip(tmp_path):
     frontend.params["wq"].data += 0.25
 
     path = tmp_path / "bundle.ckpt"
-    save_model(path, frontend, model, extra={"step": 12})
+    save_model(path, frontend, model)
     fe2, model2 = load_model(path)
 
     rng = np.random.default_rng(1)
@@ -120,7 +133,6 @@ def test_model_bundle_roundtrip(tmp_path):
     assert logits.data.tobytes() == logits2.data.tobytes()
 
     _, config = read_checkpoint(path)
-    assert config["extra"] == {"step": 12}
     assert config["model"]["input_dim"] == frontend.feature_dim
 
 

@@ -11,12 +11,23 @@ import sys
 import numpy as np
 import pytest
 
-from arrayvad.checkpoint import save_model
+from arrayvad.autodiff import no_grad
+from arrayvad.checkpoint import (load_model, read_checkpoint, save_model,
+                                 write_checkpoint)
 from arrayvad.cli import main
 from arrayvad.frontends import make_frontend
 from arrayvad.segeval import parse_rttm
 from arrayvad.seqmodel import TcnConfig, tcn_init
-from arrayvad.spectral import read_features_csv
+from arrayvad.signal_io import read_wav
+
+
+def read_features(path):
+    """features.csv as (values without the frame column, column names)."""
+    header = path.read_text().split("\n", 1)[0].split(",")
+    assert header[0] == "frame"
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table[:, 0], np.arange(len(table)))
+    return table[:, 1:], header[1:]
 
 
 @pytest.fixture(scope="module")
@@ -186,10 +197,10 @@ def test_features_variants(scene_out, workdir, variant, extra, dim):
     assert main(["features", "--config", str(cfg_path),
                  "--wav", str(scene_out / "scene.wav"),
                  "--out", str(out)]) == 0
-    feats, names = read_features_csv(out / "features.csv")
+    feats, names = read_features(out / "features.csv")
     assert feats.shape[1] == dim
     assert feats.shape[0] > 100
-    assert len(names) == dim
+    assert names == [f"bin_{i}" for i in range(dim)]
     assert np.isfinite(feats).all()
 
 
@@ -203,7 +214,7 @@ def test_features_mvdr_variant(scene_out, workdir):
     assert main(["features", "--config", str(cfg_path),
                  "--wav", str(scene_out / "scene.wav"),
                  "--out", str(out)]) == 0
-    feats, _ = read_features_csv(out / "features.csv")
+    feats, _ = read_features(out / "features.csv")
     assert feats.shape[1] == 32
     assert np.isfinite(feats).all()
 
@@ -216,8 +227,12 @@ def test_features_from_checkpoint(scene_out, workdir, untrained_ckpt):
                  "--wav", str(scene_out / "scene.wav"),
                  "--checkpoint", str(untrained_ckpt),
                  "--out", str(out)]) == 0
-    feats, _ = read_features_csv(out / "features.csv")
+    feats, _ = read_features(out / "features.csv")
+    frontend, _ = load_model(untrained_ckpt)
+    with no_grad():
+        expected = frontend.features(read_wav(scene_out / "scene.wav")).data
     assert feats.shape[1] == 64
+    assert feats.tobytes() == expected.tobytes()  # %.17g round-trips float64
 
 
 def test_features_checkpoint_variant_mismatch(scene_out, workdir,
@@ -429,6 +444,35 @@ def test_infer_rejects_non_utf8_tensor_name(scene_out, workdir,
                  "--wav", str(scene_out / "scene.wav"),
                  "--out", str(workdir / "x")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+BAD_CHECKPOINT_CONFIGS = {
+    "model-not-a-dict": ("model", lambda c: c.update(model=[8, 8])),
+    "unknown-model-key": ("model", lambda c: c["model"].update(width=8)),
+    "non-integer-model-field": ("model",
+                                lambda c: c["model"].update(hidden="wide")),
+    "non-integer-model-seed": ("model_seed",
+                               lambda c: c.update(model_seed="four")),
+    "non-integer-frontend-field": ("frontend",
+                                   lambda c: c["frontend"].update(n_mels="x")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_CONFIGS))
+def test_infer_rejects_bad_checkpoint_config(scene_out, workdir, untrained_ckpt,
+                                             capsys, case):
+    section, mutate = BAD_CHECKPOINT_CONFIGS[case]
+    tensors, config = read_checkpoint(untrained_ckpt)
+    mutate(config)
+    bad = workdir / f"bad_{case}.ckpt"
+    write_checkpoint(bad, tensors, config)
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(bad),
+                 "--wav", str(scene_out / "scene.wav"),
+                 "--out", str(workdir / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"checkpoint {section} config" in err
 
 
 def test_help_exits_zero(capsys):

@@ -11,7 +11,6 @@ from arrayvad.segeval import (
     SegmentSet,
     VadMetrics,
     labels_from_segments,
-    metrics_to_json,
     osd_metrics,
     parse_rttm,
     segments_from_labels,
@@ -20,8 +19,6 @@ from arrayvad.segeval import (
     write_rttm,
 )
 from arrayvad.signal_io import MultichannelSignal
-
-import json
 
 
 def labels_of(seq, rate=100):
@@ -356,14 +353,3 @@ def test_osd_no_reference_overlap_is_degenerate():
     assert out.precision == 0.0
     assert out.f1 == 0.0
     assert out.degenerate
-
-
-# -- reporting helpers --------------------------------------------------------
-
-
-def test_metrics_json():
-    vad = VadMetrics(1.5, 2.5, 4.0)
-    osd = OsdMetrics(50.0, 25.0, 100.0 / 3.0, degenerate=False)
-    blob = json.loads(metrics_to_json(vad=vad, osd=osd))
-    assert blob["vad"]["error_rate"] == pytest.approx(4.0)
-    assert blob["osd"]["f1"] == pytest.approx(100.0 / 3.0)

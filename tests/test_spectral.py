@@ -1,5 +1,5 @@
-"""STFT framing, mel projection, normalization, analytic filterbank and
-feature CSV tests. Expected values come from direct per-frame numpy
+"""STFT framing, mel projection, normalization and analytic filterbank
+tests. Expected values come from direct per-frame numpy
 computations written independently of the module under test."""
 
 import numpy as np
@@ -19,9 +19,7 @@ from arrayvad.spectral import (
     mel_project,
     mel_to_hz,
     mvn,
-    read_features_csv,
     stft,
-    write_features_csv,
 )
 
 RNG = np.random.default_rng(21)
@@ -272,15 +270,3 @@ def test_analytic_apply_rate_mismatch():
     sig = MultichannelSignal(np.zeros((1, 64)), 8000)
     with pytest.raises(ArgumentError):
         fe.analyse(sig)
-
-
-# -- feature CSV --------------------------------------------------------------
-
-
-def test_features_csv_round_trip(tmp_path):
-    feats = RNG.standard_normal((6, 4))
-    path = tmp_path / "f.csv"
-    write_features_csv(path, feats, names=[f"mel_{i}" for i in range(4)])
-    back, names = read_features_csv(path)
-    assert names == ["mel_0", "mel_1", "mel_2", "mel_3"]
-    assert np.array_equal(back, feats)  # %.17g round-trips float64
