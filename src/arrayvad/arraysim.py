@@ -23,8 +23,9 @@ from scipy.signal import lfilter
 
 from .beamform import ArrayGeometry, plane_wave_delays
 from .errors import ArgumentError
-from .segeval import DEFAULT_LABEL_RATE, FrameLabels, Segment, SegmentSet, labels_from_segments
+from .segeval import FrameLabels, Segment, SegmentSet, labels_from_segments
 from .signal_io import MultichannelSignal
+from .spectral import FRAME_RATE
 
 SOURCE_TAGS = ("bandnoise", "ar2")
 NOISE_KINDS = ("none", "white", "diffuse-approx")
@@ -290,7 +291,7 @@ def _toy_scene(template: SceneSpec, master_seed, index):
     """
     rng = np.random.default_rng((int(master_seed), 3, int(index)))
     total = template.duration_s
-    grid = 1.0 / DEFAULT_LABEL_RATE
+    grid = 1.0 / FRAME_RATE
     jitter = rng.uniform(0.6, 1.4, size=3)
     fracs = np.asarray(CLASS_PRIOR) * jitter
     fracs /= fracs.sum()

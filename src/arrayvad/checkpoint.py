@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError
+from .errors import ArgumentError, FormatError, config_int
 from .frontends import Frontend, make_frontend
 from .seqmodel import ModelParams, TcnConfig, tcn_init
 
@@ -195,7 +195,8 @@ def load_model(path):
     with _config_section("model"):
         model_cfg = TcnConfig.from_dict(config["model"])
     with _config_section("model_seed"):
-        model = tcn_init(model_cfg, seed=int(config.get("model_seed", 0)))
+        model = tcn_init(model_cfg,
+                         seed=config_int(config.get("model_seed", 0), "model_seed"))
     saved = {name[len("model/"):]: arr for name, arr in tensors.items()
              if name.startswith("model/")}
     missing = set(model.tensors) - set(saved)

@@ -101,7 +101,6 @@ _FRONTEND_PROPERTIES = {
     "seed": {"type": "integer"},
     "n_filters": {"type": "integer"},
     "kernel_len": {"type": "integer"},
-    "stride": {"type": "integer"},
     "parts": {"enum": ["mag_phase", "real_imag"]},
     "geometry": _GEOMETRY_SCHEMA,
 }
@@ -249,13 +248,22 @@ def _say(message):
     print(message, file=sys.stderr)
 
 
+def _finite_number(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _load_config(path, schema):
+    """The validated JSON config at ``path``; non-finite numbers are refused."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_finite_number,
+                            parse_float=_finite_number)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, non-finite
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     try:
         jsonschema.validate(cfg, schema)

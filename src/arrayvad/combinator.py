@@ -98,8 +98,6 @@ class CombinedSpectrogram:
 
     values: np.ndarray
     kind: str
-    sample_rate: int
-    hop_s: float
     weights: CombinationWeights = None
 
     def __post_init__(self):
@@ -161,10 +159,10 @@ def combine_mag_phase_graph(w_re, w_im, re_tc, im_tc):
     return re, im
 
 
-def mvn_graph(x, time_axis=0):
-    """Tape version of per-bin mean/variance normalization over time."""
-    n = x.shape[time_axis]
-    mean = x.sum(axis=time_axis, keepdims=True) * (1.0 / n)
+def mvn_graph(x):
+    """Tape version of per-bin mean/variance normalization over axis 0."""
+    n = x.shape[0]
+    mean = x.sum(axis=0, keepdims=True) * (1.0 / n)
     centered = x - mean
-    var = (centered * centered).sum(axis=time_axis, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
     return centered / (var.sqrt() + 1e-6)

@@ -6,6 +6,8 @@ callers can catch one base class. The CLI maps these onto process exit codes
 failures exit 3.
 """
 
+import numbers
+
 
 class ArrayVadError(Exception):
     """Base class for all package errors."""
@@ -47,3 +49,12 @@ class AliasingError(RangeError):
 
 class UndefinedMetricError(ArrayVadError):
     """A metric's denominator is empty (e.g. no reference speech frames)."""
+
+
+def config_int(value, name):
+    """``value`` as an int: an int, or a float with a whole value such as
+    8.0, which jsonschema's ``integer`` admits. 8.9, "8" and True are not."""
+    whole = isinstance(value, float) and value.is_integer()
+    if whole or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")

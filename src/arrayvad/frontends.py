@@ -13,9 +13,10 @@ magnitude, log-magnitude and angle (or real/imaginary parts), or the
 analytic bank outputs with their log-magnitude. ``window_features`` is the
 per-window step: whatever looks across the frames of the window (MVN of the
 attention inputs, attention, MVDR statistics) plus channel combination and
-mel/log. Analysed frames lie along ``frame_axis`` of each part, so frames
-shared by overlapping windows can be analysed once (``FrameCache``) while
-the per-window step, and so the output, stays exactly as without reuse.
+mel/log. Every analysed part is (T, C, K), one row per frame of the
+``spectral.FRAME_RATE`` grid that the STFT and the analytic bank share, so
+frames shared by overlapping windows can be analysed once (``FrameCache``)
+while the per-window step, and so the output, stays exactly as without reuse.
 
 The combination is one method per kind, ``_combine``: attention inputs,
 weights and the weighted channel sum, returning the combined values and the
@@ -55,7 +56,7 @@ from .combinator import (
     mvn_graph,
     weights_graph,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, config_int
 from .signal_io import MultichannelSignal
 from .spectral import (
     LOG_EPS,
@@ -66,7 +67,6 @@ from .spectral import (
     hilbert_basis,
     log_compress,
     mel_filterbank,
-    mel_project,
     mvn,
     stft,
 )
@@ -91,13 +91,12 @@ class Frontend:
     """Base: config plumbing shared by every variant."""
 
     kind = None
-    frame_axis = 1  # analysed parts are (C, T, K)
 
     def __init__(self, sample_rate, n_mels, attn_dim, seed):
-        self.sample_rate = int(sample_rate)
-        self.n_mels = int(n_mels)
-        self.attn_dim = int(attn_dim)
-        self.seed = int(seed)
+        self.sample_rate = config_int(sample_rate, "sample_rate")
+        self.n_mels = config_int(n_mels, "n_mels")
+        self.attn_dim = config_int(attn_dim, "attn_dim")
+        self.seed = config_int(seed, "seed")
         self.stft_cfg = StftConfig()
         self.params = {}
 
@@ -130,8 +129,9 @@ class Frontend:
                 f"{signal.sample_rate} Hz")
 
     def _stft(self, signal):
+        """STFT values of ``signal``, frame-major (T, C, K)."""
         self._check_signal(signal)
-        return stft(signal, self.stft_cfg)
+        return np.transpose(stft(signal, self.stft_cfg).values, (1, 0, 2))
 
     @property
     def frame_len(self):
@@ -140,7 +140,8 @@ class Frontend:
 
     @property
     def frame_hop(self):
-        """Samples between the starts of consecutive analysis frames."""
+        """Samples between the starts of consecutive analysis frames: the
+        STFT hop of 1 / FRAME_RATE s, which every kind uses."""
         return self.stft_cfg.hop_samples(self.sample_rate)
 
     def features(self, signal, cache=None) -> ad.Tensor:
@@ -165,7 +166,6 @@ class Frontend:
         if weights is not None:
             weights = self._combination_weights(weights)
         return CombinedSpectrogram(self._combined_values(values), self.kind,
-                                   self.sample_rate, self.stft_cfg.hop_s,
                                    weights=weights)
 
     def _combined_values(self, values):
@@ -204,23 +204,22 @@ class SaccStftFrontend(Frontend):
 
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0):
         super().__init__(sample_rate, n_mels, attn_dim, seed)
-        self.params = _attn_tensors(self.stft_cfg.n_bins, self.attn_dim, seed)
+        self.params = _attn_tensors(self.stft_cfg.n_bins, self.attn_dim, self.seed)
 
     @property
     def feature_dim(self):
         return self.n_mels
 
     def analyse(self, signal):
-        """(magnitude, log-magnitude), each (C, T, K)."""
-        mag = np.abs(self._stft(signal).values)
+        """(magnitude, log-magnitude), each (T, C, K)."""
+        mag = np.abs(self._stft(signal))
         return mag, log_compress(mag)
 
     def _combine(self, frames):
         """(T, K) combined magnitude and the (T, C, 1) weights."""
         mag, log_mag = frames
-        att_in = np.transpose(mvn(log_mag), (1, 0, 2))
-        w = weights_graph(ad.Tensor(att_in), self.params)
-        return combine_real_graph(w, ad.Tensor(np.transpose(mag, (1, 0, 2)))), w
+        w = weights_graph(ad.Tensor(mvn(log_mag)), self.params)
+        return combine_real_graph(w, ad.Tensor(mag)), w
 
     def window_features(self, frames) -> ad.Tensor:
         combined, _ = self._combine(frames)
@@ -229,25 +228,22 @@ class SaccStftFrontend(Frontend):
 
 class AnalyticSaccFrontend(Frontend):
     """Learned analytic FIR bank replacing the STFT; features are the
-    real/imag parts of the weighted channel combination."""
+    real/imag parts of the weighted channel combination. The bank hops by
+    ``frame_hop``, the STFT hop, so it yields one frame per 10 ms too."""
 
     kind = "analytic"
-    frame_axis = 0  # analysed parts are (T, C, n_filters)
     features = Frontend.features
 
     def __init__(self, sample_rate=16000, n_filters=32, kernel_len=400,
-                 stride=160, attn_dim=256, seed=0):
+                 attn_dim=256, seed=0):
         super().__init__(sample_rate, n_mels=1, attn_dim=attn_dim, seed=seed)
-        if kernel_len % 2 != 0:
-            raise ArgumentError("kernel_len must be even")
-        if kernel_len < 2 or stride < 1 or n_filters < 1:
-            raise ArgumentError("bad analytic bank geometry")
-        self.n_filters = int(n_filters)
-        self.kernel_len = int(kernel_len)
-        self.stride = int(stride)
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(kernel_len)
-        self.params = _attn_tensors(self.n_filters, self.attn_dim, seed)
+        self.n_filters = config_int(n_filters, "n_filters")
+        self.kernel_len = config_int(kernel_len, "kernel_len")
+        if self.kernel_len < 2 or self.kernel_len % 2 or self.n_filters < 1:
+            raise ArgumentError("kernel_len must be even and >= 2, n_filters >= 1")
+        rng = np.random.default_rng(self.seed)
+        bound = 1.0 / np.sqrt(self.kernel_len)
+        self.params = _attn_tensors(self.n_filters, self.attn_dim, self.seed)
         self.params["real_ir"] = ad.parameter(
             rng.uniform(-bound, bound, size=(self.n_filters, self.kernel_len)))
         self._basis_t = hilbert_basis(self.kernel_len).T
@@ -260,14 +256,10 @@ class AnalyticSaccFrontend(Frontend):
     def frame_len(self):
         return self.kernel_len
 
-    @property
-    def frame_hop(self):
-        return self.stride
-
     def _bank_outputs(self, signal):
         """(T, C, n_filters) real and imaginary graph nodes."""
         self._check_signal(signal)
-        frames = frame_signal(signal.samples, self.kernel_len, self.stride)
+        frames = frame_signal(signal.samples, self.kernel_len, self.frame_hop)
         ft = ad.Tensor(np.transpose(frames, (1, 0, 2)))
         real_ir = self.params["real_ir"]
         imag_ir = real_ir @ ad.Tensor(self._basis_t)
@@ -284,8 +276,7 @@ class AnalyticSaccFrontend(Frontend):
         """(T, 2F) combined [real | imaginary] bank outputs and the
         (T, C, 1) weights."""
         re, im, log_mag = frames
-        att_in = mvn_graph(ad.as_tensor(log_mag), time_axis=0)
-        w = weights_graph(att_in, self.params)
+        w = weights_graph(mvn_graph(ad.as_tensor(log_mag)), self.params)
         return combine_real_graph(w, ad.concat([re, im], axis=-1)), w
 
     def window_features(self, frames) -> ad.Tensor:
@@ -303,7 +294,6 @@ class AnalyticSaccFrontend(Frontend):
             "sample_rate": self.sample_rate,
             "n_filters": self.n_filters,
             "kernel_len": self.kernel_len,
-            "stride": self.stride,
             "attn_dim": self.attn_dim,
         }
 
@@ -319,7 +309,7 @@ def _analyse_parts(values, parts):
 
 
 def _attention_inputs(frames, parts):
-    """Numpy attention inputs of the two representation parts, (C, T, K)."""
+    """Numpy attention inputs of the two representation parts, (T, C, K)."""
     first, second = frames[2:] if parts == "mag_phase" else frames
     return mvn(first), mvn(second)
 
@@ -340,7 +330,7 @@ class _ComplexSaccFrontend(Frontend):
         return self.n_mels
 
     def analyse(self, signal):
-        return _analyse_parts(self._stft(signal).values, self.parts)
+        return _analyse_parts(self._stft(signal), self.parts)
 
     def window_features(self, frames) -> ad.Tensor:
         (re, im), _ = self._combine(frames)
@@ -358,7 +348,7 @@ class _ComplexSaccFrontend(Frontend):
             w_re, w_im = a * phase.cos(), a * phase.sin()
         else:
             w_re, w_im = a, b
-        re, im = (ad.Tensor(np.transpose(part, (1, 0, 2))) for part in frames[:2])
+        re, im = (ad.Tensor(part) for part in frames[:2])
         return combine_mag_phase_graph(w_re, w_im, re, im), (w_re, w_im)
 
     def _combination_weights(self, w):
@@ -384,16 +374,14 @@ class EcSaccFrontend(_ComplexSaccFrontend):
         super().__init__(sample_rate, n_mels, attn_dim, seed, parts)
         k = self.stft_cfg.n_bins
         self.params = {}
-        self.params.update(_attn_tensors(k, self.attn_dim, seed, "mag/"))
-        self.params.update(_attn_tensors(k, self.attn_dim, seed + 1, "phase/"))
+        self.params.update(_attn_tensors(k, self.attn_dim, self.seed, "mag/"))
+        self.params.update(_attn_tensors(k, self.attn_dim, self.seed + 1, "phase/"))
 
     def _combine(self, frames):
         """(T, K) re/im of the combination and the (w_re, w_im) weights."""
         first, second = _attention_inputs(frames, self.parts)
-        w1 = weights_graph(ad.Tensor(np.transpose(first, (1, 0, 2))),
-                           _subparams(self.params, "mag/"))
-        w2 = weights_graph(ad.Tensor(np.transpose(second, (1, 0, 2))),
-                           _subparams(self.params, "phase/"))
+        w1 = weights_graph(ad.Tensor(first), _subparams(self.params, "mag/"))
+        w2 = weights_graph(ad.Tensor(second), _subparams(self.params, "phase/"))
         return self._complex_sum(w1, w2, frames)
 
 
@@ -408,15 +396,15 @@ class IcSaccFrontend(_ComplexSaccFrontend):
                  parts="mag_phase"):
         super().__init__(sample_rate, n_mels, attn_dim, seed, parts)
         self.params = _attn_tensors(2 * self.stft_cfg.n_bins, self.attn_dim,
-                                    seed)
+                                    self.seed)
 
     def _combine(self, frames):
         """(T, K) re/im of the combination and the (w_re, w_im) weights
         packed from the two columns of the split value head."""
         first, second = _attention_inputs(frames, self.parts)
         feats = np.concatenate([first, second], axis=-1)
-        w = weights_graph(ad.Tensor(np.transpose(feats, (1, 0, 2))),
-                          self.params, value_split=self.stft_cfg.n_bins)
+        w = weights_graph(ad.Tensor(feats), self.params,
+                          value_split=self.stft_cfg.n_bins)
         return self._complex_sum(w[:, :, :1], w[:, :, 1:], frames)
 
 
@@ -439,19 +427,19 @@ class MvdrFrontend(Frontend):
         return self.n_mels
 
     def analyse(self, signal):
-        """(STFT values,), (C, T, K) complex; MVDR statistics are per window."""
-        return (self._stft(signal).values,)
+        """(STFT values,), (T, C, K) complex; MVDR statistics are per window."""
+        return (self._stft(signal),)
 
     def _combine(self, frames):
         """(T, K) beamformed magnitude; a fixed beamformer has no
         per-channel weights, so the weights are None."""
-        spec = ComplexSpectrogram(frames[0], self.sample_rate, self.stft_cfg.hop_s)
+        spec = ComplexSpectrogram(np.transpose(frames[0], (1, 0, 2)),
+                                  self.sample_rate)
         return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values), None
 
     def window_features(self, frames) -> ad.Tensor:
         mag, _ = self._combine(frames)
-        return ad.Tensor(log_compress(mel_project(mag, self.n_mels,
-                                                  self.sample_rate)))
+        return self._logmel(ad.Tensor(mag))
 
     def config(self):
         return {
@@ -510,21 +498,19 @@ class FrameCache:
     def frames(self, window: MultichannelSignal):
         """The parts of ``frontend.analyse(window)``, as numpy arrays."""
         fe = self.frontend
-        axis = fe.frame_axis
         n_frames = frame_count(window.n_samples, fe.frame_len, fe.frame_hop)
         first = self._first_shared_frame(window.samples)
         if first is None:
             parts = [_values(p) for p in fe.analyse(window)]
         else:
-            shared = (slice(None),) * axis + (slice(first, first + n_frames),)
-            parts = [p[shared] for p in self._frames]
-            n_kept = parts[0].shape[axis]
+            parts = [p[first:first + n_frames] for p in self._frames]
+            n_kept = parts[0].shape[0]
             if n_kept < n_frames:
                 lo = n_kept * fe.frame_hop
                 hi = (n_frames - 1) * fe.frame_hop + fe.frame_len
                 rest = MultichannelSignal(window.samples[:, lo:hi],
                                           window.sample_rate, window.channel_ids)
-                parts = [np.concatenate([kept, _values(new)], axis=axis)
+                parts = [np.concatenate([kept, _values(new)])
                          for kept, new in zip(parts, fe.analyse(rest))]
         self._samples, self._frames = window.samples, parts
         return tuple(parts)
@@ -545,7 +531,7 @@ def make_frontend(config: dict, seed=None) -> Frontend:
         raise ArgumentError(
             f"unknown frontend kind {kind!r}; expected one of {FRONTEND_KINDS}")
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = config_int(seed, "seed")
     try:
         if kind == "sacc":
             return SaccStftFrontend(**cfg)

@@ -1,8 +1,9 @@
 """Segment files, frame labeling, sliding-window inference and metrics.
 
-The label convention is three classes at 100 Hz: 0 silence, 1 one active
-speaker, 2 two or more. A frame is judged at its center instant
-(t + 0.5) / rate against half-open segments [onset, onset + duration).
+The label convention is three classes on the ``spectral.FRAME_RATE`` grid
+(one label per 10 ms analysis frame): 0 silence, 1 one active speaker, 2 two
+or more. A frame is judged at its center instant (t + 0.5) / FRAME_RATE
+against half-open segments [onset, onset + duration).
 
 Metric conventions, stated once because they change absolute values: the
 false-alarm and miss rates are BOTH normalized by the total number of
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import ArgumentError, ParseError, UndefinedMetricError
 from .signal_io import MultichannelSignal, slice_segment
+from .spectral import FRAME_RATE
 
-DEFAULT_LABEL_RATE = 100
 N_CLASSES = 3
 
 
@@ -70,7 +71,6 @@ class FrameLabels:
     """Per-frame classes in {0,1,2}, optionally with the posteriors behind them."""
 
     labels: np.ndarray
-    label_rate: int = DEFAULT_LABEL_RATE
     posteriors: np.ndarray = None
 
     def __post_init__(self):
@@ -79,8 +79,6 @@ class FrameLabels:
             raise ArgumentError("labels must be one-dimensional")
         if labels.size and not np.isin(labels, (0, 1, 2)).all():
             raise ArgumentError("labels must take values in {0, 1, 2}")
-        if self.label_rate <= 0:
-            raise ArgumentError("label_rate must be positive")
         object.__setattr__(self, "labels", labels)
         if self.posteriors is not None:
             post = np.asarray(self.posteriors, dtype=np.float64)
@@ -101,31 +99,35 @@ def parse_rttm(path) -> SegmentSet:
     Lines whose first field is not SPEAKER are ignored. A SPEAKER line has
     ten whitespace-delimited fields; fields 4 and 5 are onset and duration.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"RTTM file is not UTF-8 text: {exc}") from exc
     segments = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if fields[0] != "SPEAKER":
-                continue
-            if len(fields) != 10:
-                raise ParseError(
-                    f"SPEAKER record has {len(fields)} fields, expected 10", line=lineno
-                )
-            try:
-                onset = float(fields[3])
-                duration = float(fields[4])
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field: {exc}", line=lineno) from exc
-            try:
-                segments.append(
-                    Segment(file_id=fields[1], onset=onset, duration=duration,
-                            speaker=fields[7])
-                )
-            except ArgumentError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] != "SPEAKER":
+            continue
+        if len(fields) != 10:
+            raise ParseError(
+                f"SPEAKER record has {len(fields)} fields, expected 10", line=lineno
+            )
+        try:
+            onset = float(fields[3])
+            duration = float(fields[4])
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {exc}", line=lineno) from exc
+        try:
+            segments.append(
+                Segment(file_id=fields[1], onset=onset, duration=duration,
+                        speaker=fields[7])
+            )
+        except ArgumentError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
     return SegmentSet(tuple(segments))
 
 
@@ -142,16 +144,15 @@ def write_rttm(segs: SegmentSet, path):
 # -- labels <-> segments ------------------------------------------------------
 
 
-def labels_from_segments(segs: SegmentSet, duration_s, label_rate=DEFAULT_LABEL_RATE,
-                         posteriors=None) -> FrameLabels:
+def labels_from_segments(segs: SegmentSet, duration_s) -> FrameLabels:
     """Frame classes from a segment set: min(2, active speaker count).
 
     A speaker is active at a frame when the frame center falls inside any of
     that speaker's segments, so adjacent pieces of a split segment behave
     exactly like the original.
     """
-    n_frames = int(round(duration_s * label_rate))
-    centers = (np.arange(n_frames) + 0.5) / label_rate
+    n_frames = int(round(duration_s * FRAME_RATE))
+    centers = (np.arange(n_frames) + 0.5) / FRAME_RATE
     count = np.zeros(n_frames, dtype=np.int64)
     for speaker in segs.speakers():
         active = np.zeros(n_frames, dtype=bool)
@@ -161,7 +162,7 @@ def labels_from_segments(segs: SegmentSet, duration_s, label_rate=DEFAULT_LABEL_
             active |= (centers >= seg.onset) & (centers < seg.end)
         count += active
     labels = np.minimum(count, 2)
-    return FrameLabels(labels=labels, label_rate=label_rate, posteriors=posteriors)
+    return FrameLabels(labels=labels)
 
 
 def segments_from_labels(labels: FrameLabels, file_id) -> SegmentSet:
@@ -171,14 +172,13 @@ def segments_from_labels(labels: FrameLabels, file_id) -> SegmentSet:
     reproduce the input classes.
     """
     segs = []
-    rate = labels.label_rate
     for speaker, active in (("spk1", labels.labels >= 1), ("spk2", labels.labels == 2)):
         padded = np.concatenate([[False], active, [False]])
         starts = np.flatnonzero(padded[1:] & ~padded[:-1])
         ends = np.flatnonzero(~padded[1:] & padded[:-1])
         for s, e in zip(starts, ends):
-            segs.append(Segment(file_id=file_id, onset=s / rate,
-                                duration=(e - s) / rate, speaker=speaker))
+            segs.append(Segment(file_id=file_id, onset=s / FRAME_RATE,
+                                duration=(e - s) / FRAME_RATE, speaker=speaker))
     segs.sort(key=lambda seg: (seg.onset, seg.speaker))
     return SegmentSet(tuple(segs))
 
@@ -186,15 +186,15 @@ def segments_from_labels(labels: FrameLabels, file_id) -> SegmentSet:
 # -- sliding-window inference -------------------------------------------------
 
 
-def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0, hop_s=0.5,
-                  label_rate=DEFAULT_LABEL_RATE) -> FrameLabels:
+def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0,
+                  hop_s=0.5) -> FrameLabels:
     """Run a window-level posterior function over a long signal.
 
     posterior_fn maps a MultichannelSignal window to (frames, 3) posteriors
-    at label_rate. Windows advance by hop_s; a final window aligned to the
-    signal end covers any tail. Overlapping frames average their posteriors
-    (arithmetic mean over the windows that cover them); classes are the
-    argmax, ties resolved toward the lower class.
+    on the FRAME_RATE grid. Windows advance by hop_s; a final window aligned
+    to the signal end covers any tail. Overlapping frames average their
+    posteriors (arithmetic mean over the windows that cover them); classes
+    are the argmax, ties resolved toward the lower class.
     """
     if win_s <= 0 or hop_s <= 0:
         raise ArgumentError("window and hop must be positive")
@@ -206,7 +206,7 @@ def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0, hop_s=0.5
     if starts[-1] < last_start:
         starts.append(last_start)  # tail window aligned to the signal end
     duration = signal.n_samples / rate
-    n_frames = int(round(duration * label_rate))
+    n_frames = int(round(duration * FRAME_RATE))
     acc = np.zeros((n_frames, N_CLASSES))
     cover = np.zeros(n_frames)
     for start_n in starts:
@@ -214,7 +214,7 @@ def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0, hop_s=0.5
         post = np.asarray(posterior_fn(window), dtype=np.float64)
         if post.ndim != 2 or post.shape[1] != N_CLASSES:
             raise ArgumentError("posterior_fn must return (frames, 3)")
-        offset = int(round(start_n / rate * label_rate))
+        offset = int(round(start_n / rate * FRAME_RATE))
         frames = min(post.shape[0], n_frames - offset)
         acc[offset:offset + frames] += post[:frames]
         cover[offset:offset + frames] += 1.0
@@ -222,7 +222,7 @@ def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0, hop_s=0.5
     acc[covered] /= cover[covered, None]
     acc[~covered] = np.array([1.0, 0.0, 0.0])  # uncovered tail counts as silence
     labels = np.argmax(acc, axis=1)  # argmax takes the first (lowest) on ties
-    return FrameLabels(labels=labels, label_rate=label_rate, posteriors=acc)
+    return FrameLabels(labels=labels, posteriors=acc)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -246,8 +246,6 @@ class OsdMetrics:
 def _check_aligned(ref: FrameLabels, hyp: FrameLabels):
     if len(ref) != len(hyp):
         raise ArgumentError(f"length mismatch: ref {len(ref)} vs hyp {len(hyp)}")
-    if ref.label_rate != hyp.label_rate:
-        raise ArgumentError("label_rate mismatch between reference and hypothesis")
 
 
 def vad_metrics(ref: FrameLabels, hyp: FrameLabels) -> VadMetrics:

@@ -34,7 +34,7 @@ from .autodiff import (
     tmean,
     tsqrt,
 )
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, config_int
 
 _NORM_EPS = 1e-5
 
@@ -76,7 +76,7 @@ class TcnConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: int(v) for k, v in d.items()})
+        return cls(**{k: config_int(v, k) for k, v in d.items()})
 
 
 def receptive_field(cfg: TcnConfig) -> int:

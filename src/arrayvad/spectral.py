@@ -5,6 +5,10 @@ log compression, per-bin mean/variance normalization), the Hilbert basis
 that gives the learnable analytic filterbank of
 ``frontends.AnalyticSaccFrontend`` its imaginary impulse responses.
 
+``FRAME_RATE`` is the one frame grid of the package: the STFT hop, the
+analytic bank's hop, the 3-class label grid (``segeval``), the sliding
+inference offsets and the training crops all derive from it.
+
 Framing is left aligned with no center padding: frame t covers samples
 [t*hop, t*hop + win), and the frame count is floor((N - win) / hop) + 1.
 """
@@ -20,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ArgumentError, NumericError, RangeError
 from .signal_io import MultichannelSignal
 
+FRAME_RATE = 100  # analysis frames and labels per second
 LOG_EPS = 1e-8
 MVN_EPS = 1e-6
 
@@ -28,9 +33,8 @@ class StftConfig:
     """Analysis parameters. Sample counts derive from the signal rate."""
 
     win_s: float = 0.025
-    hop_s: float = 0.010
+    hop_s: float = 1.0 / FRAME_RATE
     fft_size: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         if self.win_s <= 0 or self.hop_s <= 0:
@@ -39,8 +43,6 @@ class StftConfig:
             raise ArgumentError("hop_s must not exceed win_s")
         if self.fft_size < 1:
             raise ArgumentError("fft_size must be positive")
-        if self.window not in ("hann", "rect"):
-            raise ArgumentError(f"unknown window {self.window!r}")
 
     def win_samples(self, rate):
         return int(round(self.win_s * rate))
@@ -59,7 +61,6 @@ class ComplexSpectrogram:
 
     values: np.ndarray
     sample_rate: int
-    hop_s: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -88,14 +89,6 @@ def frame_count(n_samples, win, hop):
     return (n_samples - win) // hop + 1
 
 
-def _window_values(kind, win):
-    if kind == "hann":
-        # periodic form, matches an FFT analysis window of length `win`
-        n = np.arange(win)
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / win)
-    return np.ones(win)
-
-
 def frame_signal(samples, win, hop):
     """Strided view (C, T, win) over (C, N) samples; no copies."""
     if samples.ndim != 2:
@@ -106,15 +99,15 @@ def frame_signal(samples, win, hop):
 
 
 def stft(signal: MultichannelSignal, cfg: StftConfig) -> ComplexSpectrogram:
-    """One-sided STFT of every channel, (C, T, K) with K = fft_size/2 + 1."""
+    """One-sided Hann STFT of each channel, (C, T, K), K = fft_size/2 + 1."""
     rate = signal.sample_rate
     win = cfg.win_samples(rate)
     hop = cfg.hop_samples(rate)
     if cfg.fft_size < win:
         raise ArgumentError(f"fft_size {cfg.fft_size} is smaller than the window ({win})")
-    frames = frame_signal(signal.samples, win, hop) * _window_values(cfg.window, win)
-    values = np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
-    return ComplexSpectrogram(values, rate, cfg.hop_s)
+    frames = frame_signal(signal.samples, win, hop)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic
+    return ComplexSpectrogram(np.fft.rfft(frames * hann, n=cfg.fft_size), rate)
 
 
 # -- mel projection -----------------------------------------------------------
@@ -165,18 +158,15 @@ def log_compress(x):
     return np.log(x + LOG_EPS)
 
 
-def mvn(x, time_axis=None):
-    """Mean/variance normalize each bin across time.
+def mvn(x):
+    """Mean/variance normalize each bin across time, axis 0 of (T, ...).
 
     Population statistics; the denominator is std + 1e-6 so constant bins
-    map to zeros. For (C, T, K) input the time axis defaults to 1, for
-    (T, K) input to 0.
+    map to zeros.
     """
     x = np.asarray(x, dtype=np.float64)
-    if time_axis is None:
-        time_axis = 1 if x.ndim == 3 else 0
-    mean = x.mean(axis=time_axis, keepdims=True)
-    std = x.std(axis=time_axis, keepdims=True)
+    mean = x.mean(axis=0, keepdims=True)
+    std = x.std(axis=0, keepdims=True)
     return (x - mean) / (std + MVN_EPS)
 
 

@@ -35,8 +35,8 @@ from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .errors import ArgumentError, NumericError
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
-from .signal_io import slice_segment
-from .signal_io import MultichannelSignal, mask_channels
+from .signal_io import MultichannelSignal, mask_channels, slice_segment
+from .spectral import FRAME_RATE
 
 _MASK64 = (1 << 64) - 1
 _XS_MULT = 2685821657736338717
@@ -311,24 +311,23 @@ def _crop_item(item, segment_s, rng):
     """Random fixed-length training window of an item.
 
     Items at or below segment_s pass through whole (and consume no random
-    draw); longer ones are cropped to segment_s starting on a label-frame
-    boundary so the label slice stays exact.
+    draw); longer ones are cropped to segment_s starting on a frame of the
+    ``FRAME_RATE`` grid, so the label slice stays exact.
     """
     labels = np.asarray(item.labels.labels, dtype=np.int64)
-    rate = item.labels.label_rate
-    seg_frames = int(round(segment_s * rate))
+    seg_frames = int(round(segment_s * FRAME_RATE))
     if item.signal.duration_s <= segment_s or labels.size <= seg_frames:
         return item.signal, labels
     sr = item.signal.sample_rate
     count = int(round(segment_s * sr))
     hi = min(labels.size - seg_frames,
-             int((item.signal.n_samples - count) * rate / sr))
+             int((item.signal.n_samples - count) * FRAME_RATE / sr))
     if hi < 1:
         return item.signal, labels
     start_frame = int(rng.integers(0, hi + 1))
-    while int(round(start_frame / rate * sr)) + count > item.signal.n_samples:
+    while int(round(start_frame / FRAME_RATE * sr)) + count > item.signal.n_samples:
         start_frame -= 1  # guards rounding when sr is not a rate multiple
-    window = slice_segment(item.signal, start_frame / rate, segment_s)
+    window = slice_segment(item.signal, start_frame / FRAME_RATE, segment_s)
     return window, labels[start_frame:start_frame + seg_frames]
 
 

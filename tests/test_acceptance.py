@@ -105,8 +105,8 @@ def test_criterion_01_gradient_oracle():
     # SACC+STFT: simplex weights over magnitudes, log-mel output.
     z = _rand_spec(rng)
     mag = np.abs(z)
-    att_in = np.transpose(mvn(log_compress(mag)), (1, 0, 2))
     mag_t = np.transpose(mag, (1, 0, 2))
+    att_in = mvn(log_compress(mag_t))
     probe = rng.normal(size=(_T, 8))
     p_sacc = _attn_params(_K, seed=1)
 
@@ -133,8 +133,7 @@ def test_criterion_01_gradient_oracle():
         imag_ir = real_ir @ ad.Tensor(basis_t)
         re = ft @ ad.transpose(real_ir, (1, 0))
         im = ft @ ad.transpose(imag_ir, (1, 0))
-        att = mvn_graph(ad.tlog(ad.complex_abs(re, im) + LOG_EPS),
-                        time_axis=0)
+        att = mvn_graph(ad.tlog(ad.complex_abs(re, im) + LOG_EPS))
         w = weights_graph(att, _sub(p_ana, ""))
         row = combine_real_graph(w, ad.concat([re, im], axis=-1))
         return ad.tsum(row * ad.Tensor(probe_a))
@@ -143,9 +142,9 @@ def test_criterion_01_gradient_oracle():
 
     # EcSACC: separate magnitude and phase attention banks.
     z2 = _rand_spec(rng)
-    first = np.transpose(mvn(log_compress(np.abs(z2))), (1, 0, 2))
-    second = np.transpose(mvn(np.angle(z2)), (1, 0, 2))
     z2_t = np.transpose(z2, (1, 0, 2))
+    first = mvn(log_compress(np.abs(z2_t)))
+    second = mvn(np.angle(z2_t))
     probe2 = rng.normal(size=(_T, 8))
     p_ec = {}
     p_ec.update(_attn_params(_K, seed=3, prefix="mag/"))
@@ -162,10 +161,9 @@ def test_criterion_01_gradient_oracle():
 
     # IcSACC: one double-width bank with a split value head.
     z3 = _rand_spec(rng)
-    cat = np.concatenate([mvn(log_compress(np.abs(z3))),
-                          mvn(np.angle(z3))], axis=-1)
-    cat_t = np.transpose(cat, (1, 0, 2))
     z3_t = np.transpose(z3, (1, 0, 2))
+    cat_t = np.concatenate([mvn(log_compress(np.abs(z3_t))),
+                            mvn(np.angle(z3_t))], axis=-1)
     probe3 = rng.normal(size=(_T, 8))
     p_ic = _attn_params(2 * _K, seed=5)
 
@@ -208,7 +206,7 @@ def test_criterion_02_simplex_and_permutation():
         {"kind": "ecsacc", "attn_dim": 8},
         {"kind": "icsacc", "attn_dim": 8},
         {"kind": "analytic", "attn_dim": 8, "n_filters": 8,
-         "kernel_len": 64, "stride": 160},
+         "kernel_len": 64},
     ]
     worst_sum, worst_perm, n_inputs = 0.0, 0.0, 0
     for kind_index, cfg in enumerate(kinds):
@@ -315,7 +313,7 @@ def test_criterion_05_mvdr_distortionless_snr():
                  + 1j * rng.normal(size=sig.shape))
         noise *= np.sqrt((np.abs(sig) ** 2).mean()
                          / (np.abs(noise) ** 2).mean())
-        spec = ComplexSpectrogram(sig + noise, RATE, 0.010)
+        spec = ComplexSpectrogram(sig + noise, RATE)
         result = mvdr(spec, cdr_mask(spec, geom))
         constraint = np.einsum("kc,kc->k", np.conj(result.filters),
                                result.steering)

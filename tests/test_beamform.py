@@ -50,7 +50,7 @@ def plane_wave_spec(geom, azimuth, rng, n_frames=40, n_bins=129, rate=RATE,
 
 
 def as_spec(values, rate=RATE):
-    return ComplexSpectrogram(values=values, sample_rate=rate, hop_s=0.010)
+    return ComplexSpectrogram(values=values, sample_rate=rate)
 
 
 # -- geometry -----------------------------------------------------------------

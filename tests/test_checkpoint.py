@@ -136,6 +136,39 @@ def test_model_bundle_roundtrip(tmp_path):
     assert config["model"]["input_dim"] == frontend.feature_dim
 
 
+def _analytic_bundle(path):
+    frontend = make_frontend({"kind": "analytic", "n_filters": 4,
+                              "kernel_len": 32, "attn_dim": 4, "seed": 1})
+    model = tcn_init(TcnConfig(input_dim=frontend.feature_dim, bottleneck=4,
+                               hidden=4, layers_per_block=1, blocks=1), seed=2)
+    save_model(path, frontend, model)
+    return read_checkpoint(path)
+
+
+def test_analytic_checkpoint_naming_stride_is_rejected(tmp_path):
+    path = tmp_path / "analytic.ckpt"
+    tensors, config = _analytic_bundle(path)
+    assert "stride" not in config["frontend"]
+    config["frontend"]["stride"] = 160
+    write_checkpoint(path, tensors, config)
+    with pytest.raises(FormatError, match="frontend config"):
+        load_model(path)
+
+
+def test_whole_float_config_values_load_as_ints(tmp_path):
+    # JSON writers may emit 8.0 for 8; jsonschema's integer admits it too.
+    path = tmp_path / "analytic.ckpt"
+    tensors, config = _analytic_bundle(path)
+    config["frontend"]["kernel_len"] = 32.0
+    config["model"]["hidden"] = 4.0
+    config["model_seed"] = 2.0
+    write_checkpoint(path, tensors, config)
+    frontend, model = load_model(path)
+    assert frontend.kernel_len == 32 and type(frontend.kernel_len) is int
+    assert model.config.hidden == 4 and type(model.config.hidden) is int
+    assert model.seed == 2 and type(model.seed) is int
+
+
 def test_load_model_rejects_plain_checkpoint(tmp_path):
     path = tmp_path / "plain.ckpt"
     write_checkpoint(path, {"w": np.ones(2)}, config={"v": 1})

@@ -5,12 +5,15 @@ can be asserted cheaply; one subprocess test covers the module entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arrayvad import cli
 from arrayvad.autodiff import no_grad
 from arrayvad.checkpoint import (load_model, read_checkpoint, save_model,
                                  write_checkpoint)
@@ -187,8 +190,7 @@ def test_simulate_seed_override_changes_audio(scene_config, scene_out, workdir):
 @pytest.mark.parametrize("variant,extra,dim", [
     ("stft", {"n_mels": 32}, 32),
     ("sacc", {"attn_dim": 4}, 64),
-    ("analytic", {"attn_dim": 4, "n_filters": 8, "kernel_len": 64,
-                  "stride": 160}, 16),
+    ("analytic", {"attn_dim": 4, "n_filters": 8, "kernel_len": 64}, 16),
 ])
 def test_features_variants(scene_out, workdir, variant, extra, dim):
     cfg_path = workdir / f"feat_{variant}.json"
@@ -455,6 +457,13 @@ BAD_CHECKPOINT_CONFIGS = {
                                lambda c: c.update(model_seed="four")),
     "non-integer-frontend-field": ("frontend",
                                    lambda c: c["frontend"].update(n_mels="x")),
+    "fractional-model-field": ("model",
+                               lambda c: c["model"].update(hidden=8.9)),
+    "fractional-frontend-field": ("frontend",
+                                  lambda c: c["frontend"].update(attn_dim=4.2)),
+    "fractional-model-seed": ("model_seed", lambda c: c.update(model_seed=2.7)),
+    "frontend-stride": ("frontend",
+                        lambda c: c["frontend"].update(stride=160)),
 }
 
 
@@ -473,6 +482,79 @@ def test_infer_rejects_bad_checkpoint_config(scene_out, workdir, untrained_ckpt,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"checkpoint {section} config" in err
+
+
+_SCENE_PREFIX = b'{"geometry": {"n_mics": 4, "radius": 0.05}, '
+
+# One row per kind of malformed text: the command that reads the file, its
+# bytes, and the documented exit code (1 for a config, 2 for input data).
+MALFORMED_TEXT = {
+    "rttm-non-utf8-speaker": (
+        "score", b"SPEAKER f 1 0.000 1.000 <NA> <NA> Ren\xe9 <NA> <NA>\n", 2),
+    "config-non-utf8": (
+        "simulate", _SCENE_PREFIX + b'"duration_s": 1.0, "noise": "caf\xe9"}', 1),
+    "config-nan": ("simulate", _SCENE_PREFIX + b'"duration_s": NaN}', 1),
+    "config-infinity": ("simulate", _SCENE_PREFIX + b'"duration_s": Infinity}', 1),
+    "config-minus-infinity": (
+        "simulate", _SCENE_PREFIX + b'"duration_s": 1.0, "snr_db": -Infinity}', 1),
+    "config-overflowing-number": ("simulate", _SCENE_PREFIX + b'"duration_s": 1e999}', 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+def test_malformed_text_exits_without_traceback(workdir, capsys, case):
+    command, data, code = MALFORMED_TEXT[case]
+    path = workdir / f"malformed_{case}"
+    path.write_bytes(data)
+    if command == "score":
+        argv = ["score", "--ref", str(path), "--hyp", str(path)]
+    else:
+        argv = [command, "--config", str(path), "--out", str(workdir / "x")]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_train_config_naming_stride_is_usage_error(train_config, workdir,
+                                                   capsys):
+    cfg = json.loads(train_config.read_text())
+    cfg["frontend"] = {"kind": "analytic", "attn_dim": 4, "stride": 160}
+    path = workdir / "train_stride.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path),
+                 "--out", str(workdir / "x")]) == 1
+    assert "stride" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The schema each command validates its --config against.
+CONFIG_SCHEMAS = {
+    "simulate": cli._SCENE_SCHEMA,
+    "features": cli._FEATURES_SCHEMA,
+    "beampattern": cli._BEAMPATTERN_SCHEMA,
+    "srp": cli._SRP_SCHEMA,
+    "train": cli._TRAIN_SCHEMA,
+    "infer": cli._INFER_SCHEMA,
+    "maskeval": cli._MASKEVAL_SCHEMA,
+}
+
+
+def test_readme_configs_match_their_schemas(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    configs = dict(re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n",
+                              text, flags=re.S))
+    configs.update((name, body) for body, name in
+                   re.findall(r"^echo '(.*)' > (\S+\.json)$", text, flags=re.M))
+    readers = dict((name, command) for command, name in
+                   re.findall(r"arrayvad (\w+) [^\n]*--config (\S+\.json)", text))
+    assert len(configs) >= 8
+    assert set(configs) == set(readers)
+    for name, body in configs.items():
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        cli._load_config(path, CONFIG_SCHEMAS[readers[name]])
 
 
 def test_help_exits_zero(capsys):

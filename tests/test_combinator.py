@@ -262,8 +262,8 @@ def test_frontend_features_complex_path_takes_magnitude():
 
 def test_frontend_features_analytic_path_concatenates_parts():
     fe = make_frontend({"kind": "analytic", "n_filters": 5, "kernel_len": 16,
-                        "stride": 8, "attn_dim": 4}, seed=7)
-    sig = random_signal(c=2, n=200, seed=112)
+                        "attn_dim": 4}, seed=7)
+    sig = random_signal(c=2, n=800, seed=112)
     feats = fe.features(sig).data
     vals = fe.combined(sig).values
     assert feats.shape == (vals.shape[0], 10)

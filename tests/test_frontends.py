@@ -87,12 +87,12 @@ def test_graph_features_match_numpy_path(kind, parts):
 
 
 def test_analytic_graph_matches_numpy_path():
-    fe = small_frontend("analytic", n_filters=6, kernel_len=64, stride=32)
+    fe = small_frontend("analytic", n_filters=6, kernel_len=64)
     sig = make_signal(seconds=0.25)
     graph = fe.features(sig)
     comb = fe.combined(sig)
     real_ir = fe.params["real_ir"].data
-    frames = frame_signal(sig.samples, 64, 32)
+    frames = frame_signal(sig.samples, 64, 160)  # 10 ms hop at 16 kHz
     bank_out = (frames @ real_ir.T
                 + 1j * (frames @ (real_ir @ hilbert_basis(64).T).T))
     w = naive_weights(naive_mvn(np.log(np.abs(bank_out) + 1e-8)), bank(fe))
@@ -108,8 +108,7 @@ def test_analytic_graph_matches_numpy_path():
 
 @pytest.mark.parametrize("kind", TRAINABLE + ["analytic"])
 def test_gradient_reaches_every_parameter(kind):
-    kw = {"n_filters": 4, "kernel_len": 32, "stride": 32} \
-        if kind == "analytic" else {}
+    kw = {"n_filters": 4, "kernel_len": 32} if kind == "analytic" else {}
     fe = small_frontend(kind, **kw)
     sig = make_signal(seconds=0.2, correlated=False)
     feats = fe.features(sig)
@@ -132,11 +131,10 @@ def test_channel_permutation_leaves_features_unchanged():
 
 
 def test_analytic_real_ir_gradient_matches_fd():
-    fe = small_frontend("analytic", n_filters=2, kernel_len=8, stride=8,
-                        attn_dim=4)
-    sig = make_signal(channels=2, seconds=0.005, correlated=False)
+    fe = small_frontend("analytic", n_filters=2, kernel_len=8, attn_dim=4)
+    sig = make_signal(channels=2, seconds=0.05, correlated=False)
     rng = np.random.default_rng(2)
-    probe = rng.normal(size=(sig.n_samples // 8, 4))
+    probe = rng.normal(size=((sig.n_samples - 8) // 160 + 1, 4))
 
     def loss_value():
         return float(tsum(fe.features(sig) * probe).data)
@@ -173,8 +171,7 @@ def test_config_roundtrip_rebuilds_identical_frontend():
     for fe in (small_frontend("sacc"),
                small_frontend("ecsacc"),
                small_frontend("icsacc"),
-               small_frontend("analytic", n_filters=4, kernel_len=32,
-                              stride=16),
+               small_frontend("analytic", n_filters=4, kernel_len=32),
                MvdrFrontend(ArrayGeometry.uniform_circular(4, 0.1))):
         clone = make_frontend(fe.config(), seed=3)
         clone.load_state(fe.state_arrays())
@@ -207,13 +204,32 @@ def test_make_frontend_rejects_nonsense():
     with pytest.raises(ArgumentError):
         make_frontend({"kind": "ecsacc", "parts": "polar"})
     with pytest.raises(ArgumentError):
+        make_frontend({"kind": "analytic", "kernel_len": 33})
+    with pytest.raises(ArgumentError):
         make_frontend("sacc")
+
+
+def test_analytic_stride_is_rejected():
+    # The bank hops by the STFT hop; no config may set a hop of its own.
+    with pytest.raises(ArgumentError, match="stride"):
+        make_frontend({"kind": "analytic", "stride": 160})
+
+
+@pytest.mark.parametrize("kind", TRAINABLE + ["analytic"])
+def test_whole_float_config_values_build_the_int_frontend(kind):
+    # jsonschema's integer admits 3.0; it must build what 3 builds.
+    fe = make_frontend({"kind": kind, "attn_dim": 4, "seed": 3})
+    clone = make_frontend({"kind": kind, "attn_dim": 4.0, "seed": 3.0})
+    assert clone.config() == fe.config()
+    for name, arr in fe.state_arrays().items():
+        assert np.array_equal(clone.params[name].data, arr), name
+    with pytest.raises(ArgumentError):
+        make_frontend({"kind": kind, "attn_dim": 4.5})
 
 
 def test_sample_rate_mismatch_rejected():
     for fe in (small_frontend("sacc"),
-               small_frontend("analytic", n_filters=2, kernel_len=16,
-                              stride=8)):
+               small_frontend("analytic", n_filters=2, kernel_len=16)):
         with pytest.raises(ArgumentError):
             fe.features(MultichannelSignal(np.zeros((2, 8000)), 8000))
 

@@ -21,8 +21,8 @@ from arrayvad.segeval import (
 from arrayvad.signal_io import MultichannelSignal
 
 
-def labels_of(seq, rate=100):
-    return FrameLabels(labels=np.asarray(seq, dtype=np.int64), label_rate=rate)
+def labels_of(seq):
+    return FrameLabels(labels=np.asarray(seq, dtype=np.int64))
 
 
 # -- RTTM ---------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_write_parse_roundtrip(tmp_path):
 
 def test_one_speaker_first_second():
     segs = SegmentSet((Segment("f", 0.0, 1.0, "a"),))
-    out = labels_from_segments(segs, duration_s=2.0, label_rate=100)
+    out = labels_from_segments(segs, duration_s=2.0)
     assert len(out) == 200
     assert (out.labels[:100] == 1).all()
     assert (out.labels[100:] == 0).all()
@@ -108,7 +108,7 @@ def test_two_speakers_overlap_block():
         Segment("f", 0.0, 1.0, "a"),
         Segment("f", 0.5, 0.5, "b"),
     ))
-    out = labels_from_segments(segs, 2.0, 100)
+    out = labels_from_segments(segs, 2.0)
     assert (out.labels[:50] == 1).all()
     assert (out.labels[50:100] == 2).all()
     assert (out.labels[100:] == 0).all()
@@ -116,7 +116,7 @@ def test_two_speakers_overlap_block():
 
 def test_three_speakers_cap_at_two():
     segs = SegmentSet(tuple(Segment("f", 0.0, 1.0, s) for s in "abc"))
-    out = labels_from_segments(segs, 1.0, 100)
+    out = labels_from_segments(segs, 1.0)
     assert (out.labels == 2).all()
 
 
@@ -130,8 +130,8 @@ def test_labels_invariant_to_order_and_splitting():
         Segment("f", 0.7, 0.6, "a"),
         Segment("f", 0.2, 0.5, "a"),
     ))
-    lab_base = labels_from_segments(base, 2.0, 100)
-    lab_split = labels_from_segments(split, 2.0, 100)
+    lab_base = labels_from_segments(base, 2.0)
+    lab_split = labels_from_segments(split, 2.0)
     assert (lab_base.labels == lab_split.labels).all()
 
 
@@ -140,13 +140,13 @@ def test_same_speaker_overlap_counts_once():
         Segment("f", 0.0, 1.0, "a"),
         Segment("f", 0.5, 1.0, "a"),
     ))
-    out = labels_from_segments(segs, 2.0, 100)
+    out = labels_from_segments(segs, 2.0)
     assert out.labels.max() == 1
 
 
 def test_segments_past_duration_are_clipped():
     segs = SegmentSet((Segment("f", 1.5, 5.0, "a"),))
-    out = labels_from_segments(segs, 2.0, 100)
+    out = labels_from_segments(segs, 2.0)
     assert (out.labels[:150] == 0).all()
     assert (out.labels[150:] == 1).all()
 
@@ -158,7 +158,7 @@ def test_hypothesis_segments_roundtrip():
     rng = np.random.default_rng(5)
     labels = labels_of(rng.integers(0, 3, size=400))
     segs = segments_from_labels(labels, "hyp")
-    back = labels_from_segments(segs, 4.0, 100)
+    back = labels_from_segments(segs, 4.0)
     assert (back.labels == labels.labels).all()
     assert set(s.speaker for s in segs) <= {"spk1", "spk2"}
 
@@ -315,8 +315,6 @@ def test_vad_errors():
         vad_metrics(silence, silence)
     with pytest.raises(ArgumentError):
         vad_metrics(labels_of([1, 1]), labels_of([1, 1, 1]))
-    with pytest.raises(ArgumentError):
-        vad_metrics(labels_of([1, 1]), labels_of([1, 1], rate=50))
 
 
 # -- OSD metrics --------------------------------------------------------------
