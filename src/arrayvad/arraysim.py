@@ -330,21 +330,17 @@ def _toy_scene(template: SceneSpec, master_seed, index):
     )
 
 
-def toy_dataset(template: SceneSpec, n_segments, seed, render_audio=True):
-    """Yield ToySegment items, i.i.d. given (template, seed).
+def toy_dataset(template: SceneSpec, n_segments, seed):
+    """Yield rendered ToySegment items, i.i.d. given (template, seed).
 
     Per-item seeds are hashed from (seed, index), so any slice of the stream
-    is reproducible on its own. With render_audio=False the signal field is
-    None; schedule statistics remain identical, which keeps label histogram
-    checks cheap.
+    is reproducible on its own. Each item's schedule comes from
+    ``_toy_scene`` and its ground truth from ``_scene_segments``.
     """
     if n_segments < 1:
         raise ArgumentError("n_segments must be >= 1")
     for index in range(n_segments):
         scene = _toy_scene(template, seed, index)
-        if render_audio:
-            signal, segments = synth_scene(scene)
-        else:
-            signal, segments = None, _scene_segments(scene)
+        signal, segments = synth_scene(scene)
         labels = labels_from_segments(segments, scene.duration_s)
         yield ToySegment(signal=signal, segments=segments, labels=labels, scene=scene)

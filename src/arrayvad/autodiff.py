@@ -135,10 +135,8 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, name=None):
-    """A leaf tensor that accumulates gradients. ``name`` is unused here but
-    keeps call sites self-describing."""
-    del name
+def parameter(data):
+    """A leaf tensor that accumulates gradients."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 

@@ -1,17 +1,16 @@
 """Array geometry, beampatterns and fixed/adaptive beamforming baselines.
 
-Conventions: a uniform circular array lies in the z=0 plane, microphone c at
-angle psi_c from the x axis. Far-field sources are described by azimuth
-theta. A plane wave from theta reaches microphone c advanced by
-(r/v) * cos(theta - psi_c) relative to the array center, so the narrowband
-response of weights w at frequency f is
+Conventions: a uniform circular array of C microphones lies in the z=0
+plane, microphone c at angle psi_c = 2*pi*c / C from the x axis. Far-field
+sources are described by azimuth theta. A plane wave from theta reaches
+microphone c advanced by (r/v) * cos(theta - psi_c) relative to the array
+center, so the narrowband response of weights w at frequency f is
 
     B(theta) = sum_c w_c * exp(j * w_bar * cos(theta - psi_c)),
     w_bar = 2 * pi * r * f / v.
 
 Spatial aliasing for the circular layout sets in around
-f_sup = C * v / (4 * pi * r); requests at or above that limit are refused
-unless explicitly overridden for plotting.
+f_sup = C * v / (4 * pi * r); requests at or above that limit are refused.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ArgumentError, NumericError
+from .errors import AliasingError, ArgumentError, NumericError, config_int
 from .spectral import ComplexSpectrogram
 
 DIAGONAL_LOADING = 1e-6
@@ -31,7 +30,7 @@ DIAGONAL_LOADING = 1e-6
 # near 0.1 so diffuse regions of the mask stay close to zero. Faster
 # constants (0.6-0.7) push the white-noise mask mean above 0.4, which
 # defeats the noise-covariance weighting.
-DEFAULT_FORGETTING = 0.98
+FORGETTING = 0.98
 
 _COHERENCE_FLOOR = 1e-12
 _CDR_DENOM_FLOOR = 1e-10
@@ -39,37 +38,32 @@ _CDR_DENOM_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform circular microphone array.
-
-    radius in meters, mic_angles in radians, speed_of_sound in m/s.
+    """Uniform circular microphone array: ``n_mics`` microphones evenly
+    spaced on a circle of ``radius`` meters, microphone c at angle
+    2*pi*c / n_mics radians; speed_of_sound in m/s.
     """
 
+    n_mics: int
     radius: float
-    mic_angles: tuple
     speed_of_sound: float = 343.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_mics", config_int(self.n_mics, "n_mics"))
+        if self.n_mics < 1:
+            raise ArgumentError("n_mics must be >= 1")
         if self.radius <= 0:
             raise ArgumentError("radius must be positive")
         if self.speed_of_sound <= 0:
             raise ArgumentError("speed_of_sound must be positive")
-        angles = tuple(float(a) for a in self.mic_angles)
-        if len(angles) < 1:
-            raise ArgumentError("at least one microphone required")
-        if len(set(angles)) != len(angles):
-            raise ArgumentError("microphone angles must be distinct")
-        object.__setattr__(self, "mic_angles", angles)
 
     @classmethod
     def uniform_circular(cls, n_mics, radius, speed_of_sound=343.0):
-        if n_mics < 1:
-            raise ArgumentError("n_mics must be >= 1")
-        angles = tuple(2.0 * np.pi * c / n_mics for c in range(n_mics))
-        return cls(radius, angles, speed_of_sound)
+        return cls(n_mics, radius, speed_of_sound)
 
     @property
-    def n_mics(self):
-        return len(self.mic_angles)
+    def mic_angles(self):
+        """Microphone angles in radians, counterclockwise from the x axis."""
+        return tuple(2.0 * np.pi * c / self.n_mics for c in range(self.n_mics))
 
     @property
     def positions(self):
@@ -88,9 +82,8 @@ class ArrayGeometry:
 
     @classmethod
     def from_dict(cls, d):
-        return cls.uniform_circular(
-            int(d["n_mics"]), float(d["radius"]), float(d.get("speed_of_sound", 343.0))
-        )
+        return cls(d["n_mics"], float(d["radius"]),
+                   float(d.get("speed_of_sound", 343.0)))
 
 
 def aliasing_limit_hz(geom: ArrayGeometry) -> float:
@@ -113,11 +106,11 @@ def steering_weights(geom: ArrayGeometry, azimuth, freq) -> np.ndarray:
     return np.exp(-1j * w_bar * np.cos(azimuth - angles)) / geom.n_mics
 
 
-def _check_freq(geom, freq, allow_aliasing):
+def _check_freq(geom, freq):
     if freq <= 0:
         raise ArgumentError(f"frequency must be positive, got {freq}")
     limit = aliasing_limit_hz(geom)
-    if freq >= limit and not allow_aliasing:
+    if freq >= limit:
         raise AliasingError(
             f"frequency {freq:.1f} Hz is at or above the aliasing limit ({limit:.1f} Hz)"
         )
@@ -130,10 +123,10 @@ def _steering_phases(geom, freq, thetas):
     return np.exp(1j * w_bar * np.cos(thetas[:, None] - angles[None, :]))
 
 
-def narrowband_beampattern(weights, geom: ArrayGeometry, freq, thetas,
-                           allow_aliasing=False) -> np.ndarray:
+def narrowband_beampattern(weights, geom: ArrayGeometry, freq,
+                           thetas) -> np.ndarray:
     """Complex response of one weight vector, shape (len(thetas),)."""
-    _check_freq(geom, freq, allow_aliasing)
+    _check_freq(geom, freq)
     w = np.asarray(weights, dtype=np.complex128)
     if w.shape != (geom.n_mics,):
         raise ArgumentError(
@@ -143,10 +136,10 @@ def narrowband_beampattern(weights, geom: ArrayGeometry, freq, thetas,
     return _steering_phases(geom, freq, thetas) @ w
 
 
-def time_avg_beampattern(weights, geom: ArrayGeometry, freq, thetas,
-                         allow_aliasing=False) -> np.ndarray:
+def time_avg_beampattern(weights, geom: ArrayGeometry, freq,
+                         thetas) -> np.ndarray:
     """Complex responses of per-frame weights (C, T), averaged over frames."""
-    _check_freq(geom, freq, allow_aliasing)
+    _check_freq(geom, freq)
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != geom.n_mics:
         raise ArgumentError(f"weights must be (C, T) with C={geom.n_mics}")
@@ -172,15 +165,13 @@ def diffuse_coherence(freqs, distance, speed_of_sound=343.0) -> np.ndarray:
     return np.sinc(2.0 * np.asarray(freqs) * distance / speed_of_sound)
 
 
-def pairwise_coherence(spec: ComplexSpectrogram, forgetting=DEFAULT_FORGETTING):
+def pairwise_coherence(spec: ComplexSpectrogram):
     """Recursively smoothed complex coherence for every microphone pair.
 
-    Auto and cross spectra follow P(t) = a*P(t-1) + (1-a)*x(t), seeded with
-    the first frame. Returns (pairs, coherence) with coherence of shape
-    (n_pairs, T, K).
+    Auto and cross spectra follow P(t) = a*P(t-1) + (1-a)*x(t) with
+    a = FORGETTING, seeded with the first frame. Returns (pairs, coherence)
+    with coherence of shape (n_pairs, T, K).
     """
-    if not (0.0 < forgetting < 1.0):
-        raise ArgumentError("forgetting factor must lie in (0, 1)")
     y = spec.values
     n_ch, n_frames, n_bins = y.shape
     pairs = _mic_pairs(n_ch)
@@ -189,7 +180,7 @@ def pairwise_coherence(spec: ComplexSpectrogram, forgetting=DEFAULT_FORGETTING):
     auto = np.abs(y[:, 0, :]) ** 2
     cross = y[ii, 0] * np.conj(y[jj, 0])
     coh = np.empty((len(pairs), n_frames, n_bins), dtype=np.complex128)
-    a = forgetting
+    a = FORGETTING
     for t in range(n_frames):
         if t > 0:
             auto = a * auto + (1 - a) * np.abs(y[:, t, :]) ** 2
@@ -214,8 +205,7 @@ def cdr_from_coherence(coh_x, coh_n) -> np.ndarray:
     return np.maximum(num / den, 0.0)
 
 
-def cdr_mask(spec: ComplexSpectrogram, geom: ArrayGeometry,
-             forgetting=DEFAULT_FORGETTING) -> np.ndarray:
+def cdr_mask(spec: ComplexSpectrogram, geom: ArrayGeometry) -> np.ndarray:
     """Speech-presence mask m = CDR / (CDR + 1) in [0, 1], shape (T, K).
 
     CDR is estimated per microphone pair from recursively smoothed
@@ -226,7 +216,7 @@ def cdr_mask(spec: ComplexSpectrogram, geom: ArrayGeometry,
         raise ArgumentError("geometry and spectrogram disagree on channel count")
     if geom.n_mics < 2:
         raise ArgumentError("CDR masking needs at least two microphones")
-    pairs, coh = pairwise_coherence(spec, forgetting)
+    pairs, coh = pairwise_coherence(spec)
     freqs = _bin_freqs(spec)
     positions = geom.positions
     cdr_sum = np.zeros((spec.n_frames, spec.n_bins))

@@ -29,14 +29,14 @@ from .arraysim import SceneSpec, synth_scene, toy_dataset
 from .autodiff import no_grad
 from .beamform import ArrayGeometry, srp_phat, time_avg_beampattern
 from .checkpoint import load_model, save_model
-from .errors import ArgumentError, ArrayVadError, NumericError
+from .errors import ArgumentError, ArrayVadError, NumericError, config_int
 from .frontends import FRONTEND_KINDS, FrameCache, make_frontend
 from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
                       write_rttm)
 from .seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
 from .signal_io import mask_channels, read_wav, write_wav
-from .spectral import StftConfig, log_compress, mel_project, stft
+from .spectral import log_compress, mel_project, stft
 from .trainer import InvariantConfig, TrainConfig, train
 
 EXIT_OK = 0
@@ -128,7 +128,6 @@ _MODEL_SCHEMA = {
         "layers_per_block": {"type": "integer"},
         "blocks": {"type": "integer"},
         "kernel": {"type": "integer"},
-        "n_classes": {"type": "integer"},
         "seed": {"type": "integer"},
     },
     "additionalProperties": False,
@@ -255,12 +254,18 @@ def _finite_number(text):
     return value
 
 
+def _finite_int(text):
+    _finite_number(text)
+    return int(text)
+
+
 def _load_config(path, schema):
-    """The validated JSON config at ``path``; non-finite numbers are refused."""
+    """The validated JSON config at ``path``; numbers whose float value is
+    not finite are refused, integer literals included."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_finite_number,
-                            parse_float=_finite_number)
+                            parse_float=_finite_number, parse_int=_finite_int)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, non-finite
@@ -297,17 +302,19 @@ def _write_csv(path, header, rows):
             ) + "\n")
 
 
-def _infer_labels(frontend, model, signal, win_s, hop_s):
+def _infer_labels(frontend, model, signal, cfg):
     """Sliding-window labels; no tape, and each window analyses only the
-    frames the previous one did not (per-window MVN and TCN are kept)."""
+    frames the previous one did not (per-window MVN and TCN are kept).
+    The window and hop are ``sliding_infer``'s unless ``cfg`` names them."""
     cache = FrameCache(frontend)
 
     def posterior_fn(window):
         feats = frontend.features(window, cache=cache)
         return posteriors(tcn_forward(model, feats.data))
 
+    window = {k: cfg[k] for k in ("win_s", "hop_s") if k in cfg}
     with no_grad():
-        return sliding_infer(posterior_fn, signal, win_s=win_s, hop_s=hop_s)
+        return sliding_infer(posterior_fn, signal, **window)
 
 
 def _score_pair(ref_labels, hyp_labels):
@@ -361,7 +368,7 @@ def _cmd_features(args):
                 f"config sample_rate {cfg['sample_rate']} != wav rate "
                 f"{signal.sample_rate}")
         # Reference path: log-mel of the first channel, no combination.
-        mag = np.abs(stft(signal, StftConfig()).values[0])
+        mag = np.abs(stft(signal).values[0])
         feats = log_compress(mel_project(mag, cfg.get("n_mels", 64),
                                          signal.sample_rate))
     elif args.checkpoint is not None:
@@ -416,7 +423,7 @@ def _cmd_srp(args):
     cfg = _load_config(args.config, _SRP_SCHEMA)
     geom = ArrayGeometry.from_dict(cfg["geometry"])
     signal = read_wav(args.wav)
-    spec = stft(signal, StftConfig())
+    spec = stft(signal)
     band = tuple(cfg["band"]) if "band" in cfg else None
     srp = srp_phat(spec, geom, candidate_radius=cfg.get("radius", 2.0),
                    n_angles=cfg.get("n_angles", 360), band=band)
@@ -452,12 +459,9 @@ def _cmd_train(args):
         raise ArgumentError(
             f"frontend sample_rate {frontend.sample_rate} != scene rate "
             f"{template.sample_rate}")
-    model_seed = model_cfg.pop("seed", 0)
+    model_seed = config_int(model_cfg.pop("seed", 0), "model seed")
     model_cfg.setdefault("input_dim", frontend.feature_dim)
-    try:
-        model = tcn_init(TcnConfig(**model_cfg), seed=model_seed)
-    except TypeError as exc:
-        raise ArgumentError(f"bad model config: {exc}") from exc
+    model = tcn_init(TcnConfig.from_dict(model_cfg), seed=model_seed)
     tcfg = TrainConfig.from_dict(train_cfg)
     icfg = (InvariantConfig.from_dict(cfg["invariant"])
             if "invariant" in cfg else None)
@@ -492,8 +496,7 @@ def _cmd_infer(args):
         raise ArgumentError(
             f"wav rate {signal.sample_rate} != frontend rate "
             f"{frontend.sample_rate}")
-    labels = _infer_labels(frontend, model, signal,
-                           cfg.get("win_s", 2.0), cfg.get("hop_s", 0.5))
+    labels = _infer_labels(frontend, model, signal, cfg)
     segs = segments_from_labels(labels, cfg.get("file_id", "infer"))
     out = _out_dir(args)
     write_rttm(segs, out / "hyp.rttm")
@@ -542,13 +545,11 @@ def _cmd_maskeval(args):
         keep_sets = [sorted(set(ids)) for ids in cfg["keep_sets"]]
     else:
         keep_sets = [list(range(signal.n_channels))]
-    win_s = cfg.get("win_s", 2.0)
-    hop_s = cfg.get("hop_s", 0.5)
 
     rows = []
     for keep in keep_sets:
         masked = mask_channels(signal, keep)
-        labels = _infer_labels(frontend, model, masked, win_s, hop_s)
+        labels = _infer_labels(frontend, model, masked, cfg)
         scored = _score_pair(ref_labels, labels)
         rows.append({"n_channels": len(keep), "keep": keep, **scored})
 

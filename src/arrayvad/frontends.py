@@ -131,7 +131,7 @@ class Frontend:
     def _stft(self, signal):
         """STFT values of ``signal``, frame-major (T, C, K)."""
         self._check_signal(signal)
-        return np.transpose(stft(signal, self.stft_cfg).values, (1, 0, 2))
+        return np.transpose(stft(signal).values, (1, 0, 2))
 
     @property
     def frame_len(self):

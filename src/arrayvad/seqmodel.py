@@ -35,6 +35,7 @@ from .autodiff import (
     tsqrt,
 )
 from .errors import ArgumentError, NumericError, config_int
+from .segeval import N_CLASSES
 
 _NORM_EPS = 1e-5
 
@@ -44,7 +45,8 @@ class TcnConfig:
     """Shape of the classifier.
 
     ``input_dim`` is the per-frame feature width the net expects. Dilation
-    of layer ``l`` inside a block is ``2**l``.
+    of layer ``l`` inside a block is ``2**l``. The output width is always
+    ``segeval.N_CLASSES``.
     """
 
     input_dim: int
@@ -53,15 +55,12 @@ class TcnConfig:
     layers_per_block: int = 5
     blocks: int = 3
     kernel: int = 3
-    n_classes: int = 3
 
     def __post_init__(self):
         for name in ("input_dim", "bottleneck", "hidden", "layers_per_block",
                      "blocks", "kernel"):
             if int(getattr(self, name)) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
-        if self.n_classes < 2:
-            raise ArgumentError("n_classes must be >= 2")
 
     def to_dict(self):
         return {
@@ -71,11 +70,15 @@ class TcnConfig:
             "layers_per_block": self.layers_per_block,
             "blocks": self.blocks,
             "kernel": self.kernel,
-            "n_classes": self.n_classes,
         }
 
     @classmethod
     def from_dict(cls, d):
+        d = dict(d)
+        # Checkpoints written while the class count was a field carry it.
+        legacy = d.pop("n_classes", N_CLASSES)
+        if legacy != N_CLASSES:
+            raise ArgumentError(f"n_classes must be {N_CLASSES}, got {legacy!r}")
         return cls(**{k: config_int(v, k) for k, v in d.items()})
 
 
@@ -131,18 +134,18 @@ def tcn_init(cfg: TcnConfig, seed: int) -> ModelParams:
     if cfg.bottleneck != cfg.hidden:
         tensors["block0/res/w"] = uniform(cfg.bottleneck,
                                           (cfg.bottleneck, cfg.hidden))
-    tensors["out/w"] = uniform(cfg.hidden, (cfg.hidden, cfg.n_classes))
-    tensors["out/b"] = uniform(cfg.hidden, (cfg.n_classes,))
+    tensors["out/w"] = uniform(cfg.hidden, (cfg.hidden, N_CLASSES))
+    tensors["out/b"] = uniform(cfg.hidden, (N_CLASSES,))
     return ModelParams(tensors=tensors, config=cfg, seed=int(seed))
 
 
-def layer_norm(x, gain, bias, eps=_NORM_EPS):
+def layer_norm(x, gain, bias):
     """Per-frame normalization over the feature axis, differentiable."""
     x = as_tensor(x)
     mu = tmean(x, axis=1, keepdims=True)
     centered = x - mu
     var = tmean(centered * centered, axis=1, keepdims=True)
-    return centered / tsqrt(var + eps) * gain + bias
+    return centered / tsqrt(var + _NORM_EPS) * gain + bias
 
 
 def causal_conv1d(x, w, b, dilation):
@@ -166,7 +169,7 @@ def causal_conv1d(x, w, b, dilation):
 
 
 def tcn_forward(params: ModelParams, x) -> Tensor:
-    """Logits (T, n_classes) for a feature sequence (T, input_dim)."""
+    """Logits (T, N_CLASSES) for a feature sequence (T, input_dim)."""
     cfg = params.config
     x = as_tensor(x)
     if x.ndim != 2:
@@ -193,7 +196,7 @@ def tcn_forward(params: ModelParams, x) -> Tensor:
 
 
 def posteriors(logits) -> np.ndarray:
-    """Rowwise stable softmax of logits, as a plain (T, n_classes) array.
+    """Rowwise stable softmax of logits, as a plain (T, N_CLASSES) array.
 
     Inference-side helper; the training losses work on logits directly.
     """

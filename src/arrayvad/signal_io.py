@@ -95,25 +95,18 @@ def read_wav(path) -> MultichannelSignal:
     return MultichannelSignal(samples, int(rate))
 
 
-def write_wav(signal: MultichannelSignal, path, encoding="pcm16"):
-    """Write a WAV file. encoding is "pcm16" or "float32".
+def write_wav(signal: MultichannelSignal, path):
+    """Write a 16-bit PCM WAV file.
 
-    PCM16 clips to [-1, 1] and rounds to the nearest step of 1/32768;
-    float32 stores the samples bit-faithfully at single precision.
+    Samples clip to [-1, 1] and round to the nearest step of 1/32768.
     """
     if not np.isfinite(signal.samples).all():
         raise ArgumentError("refusing to write non-finite samples")
     data = signal.samples.T
     if data.shape[1] == 1:
         data = data[:, 0]
-    if encoding == "pcm16":
-        clipped = np.clip(data, -1.0, 1.0)
-        ints = np.round(clipped * _PCM16_SCALE)
-        out = np.clip(ints, -32768, 32767).astype(np.int16)
-    elif encoding == "float32":
-        out = data.astype(np.float32)
-    else:
-        raise ArgumentError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+    ints = np.round(np.clip(data, -1.0, 1.0) * _PCM16_SCALE)
+    out = np.clip(ints, -32768, 32767).astype(np.int16)
     wavfile.write(path, signal.sample_rate, out)
 
 

@@ -7,7 +7,9 @@ that gives the learnable analytic filterbank of
 
 ``FRAME_RATE`` is the one frame grid of the package: the STFT hop, the
 analytic bank's hop, the 3-class label grid (``segeval``), the sliding
-inference offsets and the training crops all derive from it.
+inference offsets and the training crops all derive from it. The STFT
+geometry is fixed too: a 25 ms periodic Hann window (``WIN_S``) and a
+512-point FFT (``FFT_SIZE``), so every spectrogram has 257 bins.
 
 Framing is left aligned with no center padding: frame t covers samples
 [t*hop, t*hop + win), and the frame count is floor((N - win) / hop) + 1.
@@ -25,34 +27,24 @@ from .errors import ArgumentError, NumericError, RangeError
 from .signal_io import MultichannelSignal
 
 FRAME_RATE = 100  # analysis frames and labels per second
+WIN_S = 0.025  # STFT window (periodic Hann), seconds
+FFT_SIZE = 512  # STFT points, so 257 one-sided bins
 LOG_EPS = 1e-8
 MVN_EPS = 1e-6
 
-@dataclass(frozen=True)
+
 class StftConfig:
-    """Analysis parameters. Sample counts derive from the signal rate."""
-
-    win_s: float = 0.025
-    hop_s: float = 1.0 / FRAME_RATE
-    fft_size: int = 512
-
-    def __post_init__(self):
-        if self.win_s <= 0 or self.hop_s <= 0:
-            raise ArgumentError("win_s and hop_s must be positive")
-        if self.hop_s > self.win_s:
-            raise ArgumentError("hop_s must not exceed win_s")
-        if self.fft_size < 1:
-            raise ArgumentError("fft_size must be positive")
+    """The STFT geometry in samples at a given signal rate."""
 
     def win_samples(self, rate):
-        return int(round(self.win_s * rate))
+        return int(round(WIN_S * rate))
 
     def hop_samples(self, rate):
-        return int(round(self.hop_s * rate))
+        return int(round(1.0 / FRAME_RATE * rate))
 
     @property
     def n_bins(self):
-        return self.fft_size // 2 + 1
+        return FFT_SIZE // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -98,16 +90,16 @@ def frame_signal(samples, win, hop):
     return view[:, ::hop, :]
 
 
-def stft(signal: MultichannelSignal, cfg: StftConfig) -> ComplexSpectrogram:
-    """One-sided Hann STFT of each channel, (C, T, K), K = fft_size/2 + 1."""
+def stft(signal: MultichannelSignal) -> ComplexSpectrogram:
+    """One-sided Hann STFT of each channel, (C, T, K), K = FFT_SIZE/2 + 1."""
+    cfg = StftConfig()
     rate = signal.sample_rate
     win = cfg.win_samples(rate)
-    hop = cfg.hop_samples(rate)
-    if cfg.fft_size < win:
-        raise ArgumentError(f"fft_size {cfg.fft_size} is smaller than the window ({win})")
-    frames = frame_signal(signal.samples, win, hop)
+    if FFT_SIZE < win:
+        raise ArgumentError(f"a {win}-sample window ({rate} Hz) exceeds the FFT size")
+    frames = frame_signal(signal.samples, win, cfg.hop_samples(rate))
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic
-    return ComplexSpectrogram(np.fft.rfft(frames * hann, n=cfg.fft_size), rate)
+    return ComplexSpectrogram(np.fft.rfft(frames * hann, n=FFT_SIZE), rate)
 
 
 # -- mel projection -----------------------------------------------------------

@@ -130,11 +130,11 @@ def cross_entropy(logits, labels) -> Tensor:
         raise ArgumentError("logits must be (frames, classes)")
     y = labels.labels if isinstance(labels, FrameLabels) else \
         np.asarray(labels, dtype=np.int64)
-    n_frames, n_classes = logits.shape
+    n_frames, width = logits.shape
     if y.ndim != 1 or y.size != n_frames:
         raise ArgumentError(
             f"labels length {y.size} does not match {n_frames} frames")
-    if y.min() < 0 or y.max() >= n_classes:
+    if y.min() < 0 or y.max() >= width:
         raise ArgumentError("labels out of class range")
     shift = logits.data.max(axis=1, keepdims=True)
     lse = ad.tlog(ad.texp(logits - shift).sum(axis=1)) + shift[:, 0]

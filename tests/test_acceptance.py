@@ -26,9 +26,8 @@ from arrayvad.segeval import (FrameLabels, Segment, SegmentSet,
 from arrayvad.seqmodel import (TcnConfig, decisions, posteriors, tcn_forward,
                                tcn_init)
 from arrayvad.signal_io import MultichannelSignal, mask_channels
-from arrayvad.spectral import (LOG_EPS, ComplexSpectrogram, StftConfig,
-                               hilbert_basis, log_compress, mel_filterbank,
-                               mvn, stft)
+from arrayvad.spectral import (LOG_EPS, ComplexSpectrogram, hilbert_basis,
+                               log_compress, mel_filterbank, mvn, stft)
 from arrayvad.trainer import InvariantConfig, TrainConfig, invariant_loss, train
 
 RATE = 16000
@@ -280,7 +279,7 @@ def test_criterion_04_srp_localization():
             seed=4400 + i,
         )
         signal, _ = synth_scene(scene)
-        srp = srp_phat(stft(signal, StftConfig()), geom)
+        srp = srp_phat(stft(signal), geom)
         est = float(np.rad2deg(srp.azimuths[srp.peak_index]))
         miss = abs(est - az_deg)
         hits += int(min(miss, 360.0 - miss) <= 1.0 + 1e-9)

@@ -73,9 +73,9 @@ def test_geometry_dict_roundtrip():
 
 def test_geometry_validation():
     with pytest.raises(ArgumentError):
-        ArrayGeometry(radius=0.0, mic_angles=(0.0,))
+        ArrayGeometry(n_mics=1, radius=0.0)
     with pytest.raises(ArgumentError):
-        ArrayGeometry(radius=0.1, mic_angles=(0.3, 0.3))
+        ArrayGeometry(n_mics=2.5, radius=0.1)
     with pytest.raises(ArgumentError):
         ArrayGeometry.uniform_circular(0, 0.1)
 
@@ -155,7 +155,7 @@ def test_rotational_symmetry_by_mic_increment():
     assert np.allclose(np.abs(rolled), np.abs(base), atol=1e-9)
 
 
-def test_aliasing_rejection_and_override():
+def test_aliasing_rejection():
     geom = make_geom()
     limit = aliasing_limit_hz(geom)
     grid = np.array([0.0, 1.0])
@@ -164,8 +164,6 @@ def test_aliasing_rejection_and_override():
         narrowband_beampattern(w, geom, limit, grid)
     with pytest.raises(AliasingError):
         narrowband_beampattern(w, geom, limit + 500.0, grid)
-    out = narrowband_beampattern(w, geom, limit + 500.0, grid, allow_aliasing=True)
-    assert np.isfinite(out).all()
     with pytest.raises(ArgumentError):
         narrowband_beampattern(w, geom, 0.0, grid)
     with pytest.raises(ArgumentError):
@@ -277,8 +275,6 @@ def test_cdr_mask_argument_errors():
     single = as_spec(values[:1])
     with pytest.raises(ArgumentError):
         cdr_mask(single, ArrayGeometry.uniform_circular(1, 0.1))
-    with pytest.raises(ArgumentError):
-        cdr_mask(spec, geom, forgetting=1.0)
 
 
 # -- MVDR ---------------------------------------------------------------------

@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from arrayvad.beamform import ArrayGeometry
 from arrayvad.checkpoint import (
     load_model,
     read_checkpoint,
@@ -167,6 +170,26 @@ def test_whole_float_config_values_load_as_ints(tmp_path):
     assert frontend.kernel_len == 32 and type(frontend.kernel_len) is int
     assert model.config.hidden == 4 and type(model.config.hidden) is int
     assert model.seed == 2 and type(model.seed) is int
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_mics=st.integers(1, 64),
+       radius=st.floats(1e-3, 10.0, allow_nan=False),
+       speed=st.floats(1.0, 1e4, allow_nan=False))
+def test_geometry_survives_dict_and_checkpoint_round_trips(tmp_path, n_mics,
+                                                           radius, speed):
+    geom = ArrayGeometry(n_mics, radius, speed)
+    assert ArrayGeometry.from_dict(geom.to_dict()) == geom
+    frontend = make_frontend({"kind": "mvdr", "n_mels": 8,
+                              "geometry": geom.to_dict()})
+    model = tcn_init(TcnConfig(input_dim=8, bottleneck=2, hidden=2,
+                               layers_per_block=1, blocks=1), seed=0)
+    path = tmp_path / "mvdr.ckpt"
+    save_model(path, frontend, model)
+    loaded, _ = load_model(path)
+    assert loaded.geometry == geom
+    assert loaded.geometry.mic_angles == geom.mic_angles
 
 
 def test_load_model_rejects_plain_checkpoint(tmp_path):

@@ -464,6 +464,7 @@ BAD_CHECKPOINT_CONFIGS = {
     "fractional-model-seed": ("model_seed", lambda c: c.update(model_seed=2.7)),
     "frontend-stride": ("frontend",
                         lambda c: c["frontend"].update(stride=160)),
+    "model-four-classes": ("model", lambda c: c["model"].update(n_classes=4)),
 }
 
 
@@ -498,6 +499,8 @@ MALFORMED_TEXT = {
     "config-minus-infinity": (
         "simulate", _SCENE_PREFIX + b'"duration_s": 1.0, "snr_db": -Infinity}', 1),
     "config-overflowing-number": ("simulate", _SCENE_PREFIX + b'"duration_s": 1e999}', 1),
+    "config-overflowing-integer": (
+        "simulate", _SCENE_PREFIX + b'"duration_s": 1' + b"0" * 400 + b"}", 1),
 }
 
 
@@ -515,6 +518,22 @@ def test_malformed_text_exits_without_traceback(workdir, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_checkpoint_naming_three_classes_still_loads(scene_out, workdir,
+                                                     untrained_ckpt):
+    # Checkpoints written while the class count was a model field carry it.
+    tensors, config = read_checkpoint(untrained_ckpt)
+    assert "n_classes" not in config["model"]
+    config["model"]["n_classes"] = 3
+    legacy = workdir / "legacy.ckpt"
+    write_checkpoint(legacy, tensors, config)
+    for name, ckpt in (("current", untrained_ckpt), ("legacy", legacy)):
+        assert main(["infer", "--checkpoint", str(ckpt),
+                     "--wav", str(scene_out / "scene.wav"),
+                     "--out", str(workdir / f"classes_{name}")]) == 0
+    assert (workdir / "classes_legacy" / "hyp.rttm").read_bytes() == \
+        (workdir / "classes_current" / "hyp.rttm").read_bytes()
+
+
 def test_train_config_naming_stride_is_usage_error(train_config, workdir,
                                                    capsys):
     cfg = json.loads(train_config.read_text())
@@ -525,6 +544,32 @@ def test_train_config_naming_stride_is_usage_error(train_config, workdir,
     assert main(["train", "--config", str(path),
                  "--out", str(workdir / "x")]) == 1
     assert "stride" in capsys.readouterr().err
+
+
+def test_train_config_naming_n_classes_is_usage_error(train_config, workdir,
+                                                      capsys):
+    cfg = json.loads(train_config.read_text())
+    cfg["model"]["n_classes"] = 3
+    path = workdir / "train_n_classes.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path),
+                 "--out", str(workdir / "x")]) == 1
+    assert "n_classes" in capsys.readouterr().err
+
+
+def test_train_config_with_whole_float_model_field_trains(
+        train_config, trained_out, workdir):
+    # jsonschema's integer admits 8.0; the model is built as from 8.
+    cfg = json.loads(train_config.read_text())
+    cfg["model"]["hidden"] = 8.0
+    cfg["model"]["seed"] = 4.0
+    path = workdir / "train_float_hidden.json"
+    path.write_text(json.dumps(cfg))
+    out = workdir / "trained_float_hidden"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "model.ckpt").read_bytes() == \
+        (trained_out / "model.ckpt").read_bytes()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -15,7 +15,7 @@ from arrayvad.combinator import (
 from arrayvad.errors import ArgumentError
 from arrayvad.frontends import make_frontend
 from arrayvad.signal_io import MultichannelSignal
-from arrayvad.spectral import StftConfig, mel_project, stft
+from arrayvad.spectral import mel_project, stft
 
 from helpers import (
     naive_ecsacc,
@@ -161,7 +161,7 @@ def test_ecsacc_single_channel_reproduces_input():
     fe = make_frontend({"kind": "ecsacc", "attn_dim": 4}, seed=51)
     sig = random_signal(c=1, seed=50)
     out = fe.combined(sig)
-    spec = stft(sig, StftConfig()).values
+    spec = stft(sig).values
     assert np.max(np.abs(out.values - spec[0])) < 1e-12
 
 
@@ -177,7 +177,7 @@ def test_ecsacc_real_imag_parts_variant():
                         "parts": "real_imag"}, seed=71)
     sig = random_signal(c=3, seed=70)
     out = fe.combined(sig)
-    assert out.values.shape == (stft(sig, StftConfig()).n_frames, 257)
+    assert out.values.shape == (stft(sig).n_frames, 257)
     assert np.allclose(out.weights.values.real.sum(axis=0), 1.0, atol=1e-12)
     with pytest.raises(ArgumentError):
         make_frontend({"kind": "ecsacc", "parts": "nope"}, seed=71)
@@ -202,7 +202,7 @@ def test_icsacc_single_channel_reproduces_input():
     fe = make_frontend({"kind": "icsacc", "attn_dim": 4}, seed=91)
     sig = random_signal(c=1, seed=90)
     out = fe.combined(sig)
-    spec = stft(sig, StftConfig()).values
+    spec = stft(sig).values
     assert np.max(np.abs(out.values - spec[0])) < 1e-12
 
 
@@ -230,7 +230,7 @@ def test_sacc_weights_give_convex_magnitude_combination():
     fe = make_frontend({"kind": "sacc", "attn_dim": 4}, seed=101)
     sig = random_signal(c=5, seed=100)
     out = fe.combined(sig)
-    mag = np.abs(stft(sig, StftConfig()).values)
+    mag = np.abs(stft(sig).values)
     assert out.kind == "sacc"
     assert np.all(out.values <= mag.max(axis=0) + 1e-12)
     assert np.all(out.values >= mag.min(axis=0) - 1e-12)

@@ -53,7 +53,7 @@ def bank(fe, prefix=""):
 def naive_stft_reference(fe, sig):
     """Combined values, (C, T) weights and log-mel features of an STFT
     frontend, from the naive per-frame loops."""
-    values = stft(sig, fe.stft_cfg).values
+    values = stft(sig).values
     if fe.kind == "sacc":
         out, w = naive_sacc(values, bank(fe))
     elif fe.kind == "ecsacc":

@@ -78,7 +78,8 @@ def test_infer_labels_bitwise_equal_to_plain_window_loop(
     frontend = _frontend(cfg, n_channels)
     model = _model(frontend)
     want = _reference(frontend, model, signal, win_s, hop_s)
-    got = cli._infer_labels(frontend, model, signal, win_s, hop_s)
+    got = cli._infer_labels(frontend, model, signal,
+                            {"win_s": win_s, "hop_s": hop_s})
     assert np.array_equal(got.posteriors, want.posteriors)
     assert np.array_equal(got.labels, want.labels)
 
@@ -133,6 +134,7 @@ def test_infer_labels_records_no_tape(monkeypatch):
     monkeypatch.setattr(cli, "posteriors", spy)
     frontend = _frontend(FRONTEND_CONFIGS[0], 2)
     signal = _signal(2, 6000, seed=2)
-    cli._infer_labels(frontend, _model(frontend), signal, 0.25, 0.1)
+    cli._infer_labels(frontend, _model(frontend), signal,
+                      {"win_s": 0.25, "hop_s": 0.1})
     assert len(seen) == 3 and not any(seen)
     assert frontend.features(signal).requires_grad

@@ -26,10 +26,12 @@ def test_config_validation():
         TcnConfig(input_dim=0)
     with pytest.raises(ArgumentError):
         TcnConfig(input_dim=64, kernel=0)
-    with pytest.raises(ArgumentError):
-        TcnConfig(input_dim=64, n_classes=1)
     cfg = TcnConfig(input_dim=64)
     assert TcnConfig.from_dict(cfg.to_dict()) == cfg
+    # Older checkpoints name the class count; only the fixed 3 is read.
+    assert TcnConfig.from_dict({**cfg.to_dict(), "n_classes": 3}) == cfg
+    with pytest.raises(ArgumentError):
+        TcnConfig.from_dict({**cfg.to_dict(), "n_classes": 4})
 
 
 def test_init_is_deterministic():

@@ -33,7 +33,7 @@ def make_signal(c=2, seconds=2.0, rate=16000):
 
 def test_frame_count_two_seconds_at_16k():
     sig = make_signal(c=3)
-    spec = stft(sig, CFG)
+    spec = stft(sig)
     assert spec.values.shape == (3, 198, 257)
     assert frame_count(32000, 400, 160) == 198
 
@@ -48,7 +48,7 @@ def test_frame_count_exact_fit_and_short_signal():
 
 def test_stft_matches_naive_per_frame_dft():
     sig = make_signal(c=1, seconds=0.1)
-    spec = stft(sig, CFG)
+    spec = stft(sig)
     x = sig.samples[0]
     win = 400
     hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
@@ -61,8 +61,8 @@ def test_stft_matches_naive_per_frame_dft():
 def test_stft_integer_hop_delay_shifts_frames():
     sig = make_signal(c=1)
     delayed = np.concatenate([np.zeros((1, 160)), sig.samples], axis=1)
-    spec = stft(sig, CFG)
-    spec_d = stft(MultichannelSignal(delayed, 16000), CFG)
+    spec = stft(sig)
+    spec_d = stft(MultichannelSignal(delayed, 16000))
     assert np.allclose(spec_d.values[0, 1:, :], spec.values[0, : spec_d.n_frames - 1, :])
 
 
@@ -71,32 +71,30 @@ def test_pure_tone_peaks_at_nearest_bin():
     freq = 1000.0  # bin 32 exactly (1000 / 31.25)
     n = np.arange(rate)
     sig = MultichannelSignal(np.sin(2 * np.pi * freq * n / rate)[None, :], rate)
-    spec = stft(sig, CFG)
+    spec = stft(sig)
     mag = np.abs(spec.values[0]).mean(axis=0)
     assert np.argmax(mag) == 32
 
 
 def test_parseval_with_hann_window():
-    # One full-length frame: the one-sided spectrum carries the energy of
-    # the periodic-Hann-windowed samples.
-    cfg = StftConfig(win_s=512 / 16000, hop_s=512 / 16000, fft_size=512)
-    x = RNG.standard_normal(512)
-    x /= np.sqrt(np.sum(x * x))  # unit energy
-    spec = stft(MultichannelSignal(x[None, :], 16000), cfg)
-    y = spec.values[0, 0]
-    total = (np.abs(y[0]) ** 2 + np.abs(y[-1]) ** 2 + 2 * np.sum(np.abs(y[1:-1]) ** 2)) / 512
-    hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(512) / 512)
-    assert abs(total - np.sum((x * hann) ** 2)) < 1e-9
+    # Every frame: the one-sided 512-point spectrum carries the energy of
+    # the 400 periodic-Hann-windowed samples (zero padding adds none).
+    sig = make_signal(c=1, seconds=0.1)
+    spec = stft(sig)
+    x = sig.samples[0]
+    hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(400) / 400)
+    for t in range(spec.n_frames):
+        y = spec.values[0, t]
+        total = (np.abs(y[0]) ** 2 + np.abs(y[-1]) ** 2
+                 + 2 * np.sum(np.abs(y[1:-1]) ** 2)) / 512
+        want = np.sum((x[t * 160 : t * 160 + 400] * hann) ** 2)
+        assert abs(total - want) < 1e-12 * max(want, 1.0)
 
 
 def test_stft_rejects_undersized_fft():
+    # At 48 kHz the 25 ms window is 1,200 samples, more than the FFT size.
     with pytest.raises(ArgumentError):
-        stft(make_signal(), StftConfig(fft_size=256))
-
-
-def test_config_validation():
-    with pytest.raises(ArgumentError):
-        StftConfig(win_s=0.01, hop_s=0.02)
+        stft(make_signal(seconds=0.1, rate=48000))
 
 
 def test_spectrogram_rejects_nonfinite():
@@ -252,7 +250,7 @@ def test_analytic_frame_grid_matches_stft(rate):
                               kernel_len=CFG.win_samples(rate), seed=1)
     sig = make_signal(c=2, rate=rate)
     out = fe.analyse(sig)[0]
-    spec = stft(sig, CFG)
+    spec = stft(sig)
     assert out.shape[0] == spec.n_frames == 198
 
 
