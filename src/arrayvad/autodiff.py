@@ -12,6 +12,13 @@ Design points that matter for the rest of the package:
   returns a leaf constant, so graphs only contain the differentiable spine.
 * Broadcasting follows numpy rules; backward sums gradients over broadcast
   axes (`_unbroadcast`).
+* Stacked rows times one matrix, (..., K) @ (K, M), runs as a single
+  (N, K) @ (K, M) GEMM rather than numpy's one small GEMM per leading
+  index; its backward for the matrix is one rows^T @ g GEMM instead of a
+  stacked product summed by ``_unbroadcast``. A row's rounding then depends
+  on how many rows the GEMM holds; where values must not depend on that
+  (per-frame analysis that ``FrameCache`` reuses), pass the matrix as a
+  (1, K, M) stack, which keeps one GEMM per leading index.
 * Two primitives make subgradient choices at non-differentiable points:
   ``sqrt`` and ``complex_abs`` return gradient 0 at 0. These keep training
   finite on silent frames.
@@ -279,12 +286,25 @@ def transpose(a, axes):
     return _make(a.data.transpose(axes), (a,), backward)
 
 
+def _is_basic_index(key):
+    """True when ``key`` holds only slices, ints and Ellipsis, so no element
+    can be selected twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        isinstance(k, slice) or k is Ellipsis
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts)
+
+
 def getitem(a, key):
     a = as_tensor(a)
 
     def backward(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if _is_basic_index(key):
+            buf[key] = g
+        else:
+            np.add.at(buf, key, g)  # fancy keys may repeat an index
         _accum(a, buf)
 
     return _make(a.data[key], (a,), backward)
@@ -333,6 +353,8 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ArgumentError("matmul expects tensors with at least 2 dimensions")
+    if a.ndim > 2 and b.ndim == 2:
+        return _rows_matmul(a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -343,6 +365,26 @@ def matmul(a, b):
             _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
+
+
+def _rows_matmul(a, b):
+    """(..., K) @ (K, M) as one (N, K) @ (K, M) GEMM over the stacked rows.
+
+    The backward closure keeps ``a`` itself, not its (N, K) reshape, which
+    is a copy when ``a`` is a strided view; ``backward`` reshapes again.
+    """
+    rows = (int(np.prod(a.shape[:-1])), a.shape[-1])
+    out_shape = a.shape[:-1] + (b.shape[1],)
+
+    def backward(g):
+        g_rows = g.reshape(rows[0], out_shape[-1])
+        if a.requires_grad:
+            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _accum(b, a.data.reshape(rows).T @ g_rows)
+
+    return _make((a.data.reshape(rows) @ b.data).reshape(out_shape),
+                 (a, b), backward)
 
 
 # -- nonlinearities -----------------------------------------------------------

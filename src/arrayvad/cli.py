@@ -86,7 +86,7 @@ _SCENE_SCHEMA = {
         "noise": {"type": "string"},
         "snr_db": {"type": "number"},
         "sample_rate": {"type": "integer"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "required": ["geometry", "duration_s"],
     "additionalProperties": False,
@@ -98,7 +98,7 @@ _FRONTEND_PROPERTIES = {
     "sample_rate": {"type": "integer"},
     "n_mels": {"type": "integer"},
     "attn_dim": {"type": "integer"},
-    "seed": {"type": "integer"},
+    "seed": {"type": "integer", "minimum": 0},
     "n_filters": {"type": "integer"},
     "kernel_len": {"type": "integer"},
     "parts": {"enum": ["mag_phase", "real_imag"]},
@@ -128,7 +128,7 @@ _MODEL_SCHEMA = {
         "layers_per_block": {"type": "integer"},
         "blocks": {"type": "integer"},
         "kernel": {"type": "integer"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
 }
@@ -142,7 +142,7 @@ _TRAIN_SECTION_SCHEMA = {
         "lr": {"type": "number"},
         "patience": {"type": "integer"},
         "max_epochs": {"type": "integer"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
 }
@@ -164,7 +164,7 @@ _DATA_SCHEMA = {
         "template": _SCENE_SCHEMA,
         "n_train": {"type": "integer", "minimum": 1},
         "n_val": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "required": ["template", "n_train", "n_val"],
     "additionalProperties": False,

@@ -120,10 +120,28 @@ def weights_graph(feats_tc, p, value_split=None):
     value_split=None the value head has one column; with value_split=K the
     first K feature columns are scored by the first K value rows and the
     rest by the remaining rows, giving two columns.
+
+    The logits take one of two forms, chosen by shape. Per frame, with X
+    the (C, feat_dim) features, q k^T is X M X^T + 1 u^T X^T plus terms
+    constant along each row, where M = wq wk^T and u = wk bq; the row
+    softmax ignores those terms. When feat_dim <= 2 * attn_dim (default
+    sacc, ecsacc, analytic) the logits are that bilinear form, at about
+    half the Q/K form's FLOPs; otherwise (icsacc's 2K features, attn_dim 8)
+    the Q/K form is up to 16x cheaper and is kept. M and u are tape nodes,
+    recomputed on every call, so wq, wk and bq get gradients in both forms.
+    bk only adds row constants, so its gradient is zero; the bilinear form
+    leaves it off the tape and ``autodiff.grad`` gives exact zeros. It
+    stays in the parameters and the checkpoint format.
     """
-    attn_dim = p["wq"].shape[1]
-    q = feats_tc @ p["wq"] + p["bq"]
-    k = feats_tc @ p["wk"] + p["bk"]
+    feat_dim, attn_dim = p["wq"].shape
+    if feat_dim <= 2 * attn_dim:
+        wk_t = ad.transpose(p["wk"], (1, 0))
+        u = ad.reshape(p["bq"], (1, attn_dim)) @ wk_t
+        q = feats_tc @ (p["wq"] @ wk_t) + u
+        k = feats_tc
+    else:
+        q = feats_tc @ p["wq"] + p["bq"]
+        k = feats_tc @ p["wk"] + p["bk"]
     logits = (q @ ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(attn_dim))
     att = ad.softmax(logits, axis=-1)
     if value_split is None:

@@ -263,8 +263,14 @@ class AnalyticSaccFrontend(Frontend):
         ft = ad.Tensor(np.transpose(frames, (1, 0, 2)))
         real_ir = self.params["real_ir"]
         imag_ir = real_ir @ ad.Tensor(self._basis_t)
-        re = ft @ ad.transpose(real_ir, (1, 0))
-        im = ft @ ad.transpose(imag_ir, (1, 0))
+        # The filters go in as a (1, L, F) stack: a 3-D operand keeps one
+        # (C, L) @ (L, F) product per frame, where a 2-D one would fold all
+        # frames into one GEMM whose rounding depends on the frame count. So
+        # a frame's outputs are the same whether ``FrameCache`` analyses it
+        # alone or within a whole window.
+        stack = (1, self.kernel_len, self.n_filters)
+        re = ft @ ad.transpose(real_ir, (1, 0)).reshape(stack)
+        im = ft @ ad.transpose(imag_ir, (1, 0)).reshape(stack)
         return re, im
 
     def analyse(self, signal):

@@ -154,12 +154,17 @@ def mvn(x):
     """Mean/variance normalize each bin across time, axis 0 of (T, ...).
 
     Population statistics; the denominator is std + 1e-6 so constant bins
-    map to zeros.
+    map to zeros. One pass: the centered values are computed once and
+    squared once, with numpy's own ``mean``/``var`` arithmetic (an
+    ``add.reduce`` divided by the count), so the result is bitwise that of
+    ``(x - x.mean(0)) / (x.std(0) + 1e-6)``.
     """
     x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=0, keepdims=True)
-    std = x.std(axis=0, keepdims=True)
-    return (x - mean) / (std + MVN_EPS)
+    n = x.shape[0]
+    centered = x - np.add.reduce(x, axis=0, keepdims=True) / n
+    var = np.add.reduce(np.square(centered), axis=0, keepdims=True) / n
+    centered /= np.sqrt(var) + MVN_EPS
+    return centered
 
 
 # -- analytic-signal basis ----------------------------------------------------

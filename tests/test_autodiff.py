@@ -112,6 +112,65 @@ def test_getitem_slice_and_fancy():
     check_op(build, {"a": (4, 3)})
 
 
+# A stacked (..., K) @ (K, M) product runs as one folded GEMM; these are the
+# batched-matmul results it replaces: np.matmul, and for the matrix the
+# stacked product summed over the leading axes.
+@pytest.mark.parametrize("a_shape, b_shape, transposed, a_grad", [
+    pytest.param((5, 3, 4), (4, 2), False, True, id="3d"),
+    pytest.param((2, 3, 4, 5), (5, 3), False, True, id="4d"),
+    pytest.param((5, 3, 4), (4, 2), True, True, id="transposed-view"),
+    pytest.param((5, 3, 4), (4, 2), False, False, id="constant-rows"),
+])
+def test_stacked_rows_matmul_matches_batched_matmul(a_shape, b_shape,
+                                                     transposed, a_grad):
+    a_data = RNG.normal(size=a_shape)
+    if transposed:
+        a_data = np.ascontiguousarray(np.swapaxes(a_data, 0, 1)).swapaxes(0, 1)
+        assert not a_data.flags.c_contiguous
+    b_data = RNG.normal(size=b_shape)
+    probe = RNG.normal(size=a_shape[:-1] + b_shape[-1:])
+    a = ad.parameter(a_data) if a_grad else ad.Tensor(a_data)
+    b = ad.parameter(b_data)
+    out = a @ b
+    assert np.max(np.abs(out.data - np.matmul(a_data, b_data))) < 1e-12
+    ad.backward((out * probe).sum())
+    want_b = ad._unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), probe),
+                             b_shape)
+    assert np.max(np.abs(b.grad - want_b)) < 1e-12
+    if a_grad:
+        want_a = np.matmul(probe, b_data.T)
+        assert a.grad.shape == a_shape
+        assert np.max(np.abs(a.grad - want_a)) < 1e-12
+    else:
+        assert a.grad is None
+
+
+BASIC_KEYS = [
+    slice(1, 3), 2, -1, np.int64(1), slice(None, None, -2), Ellipsis,
+    (Ellipsis, 1), (1, Ellipsis), (slice(None), 0, slice(1, None)),
+    (slice(0, 4, 2), slice(None), -1),
+]
+
+
+@pytest.mark.parametrize("key", BASIC_KEYS, ids=repr)
+def test_getitem_basic_key_gradient_equals_add_at(key):
+    a = ad.parameter(RNG.normal(size=(4, 3, 5)))
+    probe = RNG.normal(size=a.data[key].shape)
+    ad.backward((a[key] * probe).sum())
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, probe)
+    assert np.array_equal(a.grad, want)
+
+
+def test_getitem_fancy_key_with_repeats_accumulates():
+    a = ad.parameter(RNG.normal(size=(4, 3)))
+    key = (np.array([0, 2, 0, 0]), np.array([1, 1, 1, 2]))
+    ad.backward(a[key].sum())
+    want = np.zeros((4, 3))
+    want[0, 1], want[2, 1], want[0, 2] = 2.0, 1.0, 1.0
+    assert np.array_equal(a.grad, want)
+
+
 def test_sum_mean_axes():
     check_op(
         lambda p: (p["a"].sum(axis=0) * p["a"].mean(axis=1, keepdims=True).sum(axis=0)).sum()

@@ -501,7 +501,31 @@ MALFORMED_TEXT = {
     "config-overflowing-number": ("simulate", _SCENE_PREFIX + b'"duration_s": 1e999}', 1),
     "config-overflowing-integer": (
         "simulate", _SCENE_PREFIX + b'"duration_s": 1' + b"0" * 400 + b"}", 1),
+    "config-negative-scene-seed": (
+        "simulate",
+        _SCENE_PREFIX + b'"duration_s": 1.0, "noise": "white", "seed": -1}', 1),
 }
+
+
+def _train_config_with_negative_seed(section):
+    """A small train config whose ``section`` seed is -1, as JSON bytes."""
+    template = {"geometry": {"n_mics": 4, "radius": 0.05}, "duration_s": 0.64}
+    cfg = {"frontend": {"kind": "sacc", "attn_dim": 4},
+           "model": {"bottleneck": 4, "hidden": 4, "layers_per_block": 1,
+                     "blocks": 1},
+           "train": {"batch_size": 1, "steps_per_epoch": 1, "max_epochs": 1,
+                     "segment_s": 0.64},
+           "data": {"template": template, "n_train": 1, "n_val": 1}}
+    if section == "template":
+        template["seed"] = -1
+    else:
+        cfg[section]["seed"] = -1
+    return json.dumps(cfg).encode()
+
+
+for _section in ("frontend", "model", "train", "data", "template"):
+    MALFORMED_TEXT[f"config-negative-{_section}-seed"] = (
+        "train", _train_config_with_negative_seed(_section), 1)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))

@@ -86,6 +86,46 @@ def test_weights_graph_matches_naive_reference():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def biased_init(feat_dim, attn_dim, seed):
+    """``attention_init`` maps with nonzero query, key and value biases."""
+    p = attention_init(feat_dim, attn_dim, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name in ("bq", "bk", "bv"):
+        p[name] = rng.uniform(-0.5, 0.5, size=p[name].shape)
+    return p
+
+
+# (feat_dim, attn_dim) on both sides of feat_dim <= 2 * attn_dim, where
+# ``weights_graph`` switches from the Q/K logits to the bilinear form.
+LOGIT_FORMS = [
+    pytest.param(11, 6, id="bilinear"),
+    pytest.param(12, 6, id="bilinear-boundary"),
+    pytest.param(13, 6, id="qk-boundary"),
+    pytest.param(20, 4, id="qk"),
+]
+
+
+@pytest.mark.parametrize("feat_dim, attn_dim", LOGIT_FORMS)
+def test_both_logit_forms_match_naive_reference(feat_dim, attn_dim):
+    feats = random_feats(c=5, t=7, k=feat_dim, seed=feat_dim)
+    p = biased_init(feat_dim, attn_dim, seed=attn_dim)
+    assert np.max(np.abs(real_weights(feats, p) - naive_weights(feats, p))) < 1e-12
+
+
+@pytest.mark.parametrize("feat_dim, attn_dim", LOGIT_FORMS)
+def test_both_logit_forms_match_naive_split_value_head(feat_dim, attn_dim):
+    # icsacc's layout: one bank over [first | second], two value columns.
+    k = feat_dim // 2
+    values = random_values(c=4, t=6, k=k, seed=feat_dim)
+    p = biased_init(2 * k, attn_dim, seed=attn_dim)
+    _, want = naive_icsacc(values, p, parts="real_imag")
+    feats = np.concatenate([naive_mvn(values.real), naive_mvn(values.imag)],
+                           axis=-1)
+    got = graph_weights(feats, p, value_split=k)
+    assert np.max(np.abs(got[:, :, 0].T - want.real)) < 1e-12
+    assert np.max(np.abs(got[:, :, 1].T - want.imag)) < 1e-12
+
+
 def test_weights_on_simplex_over_many_inputs():
     p = attention_init(9, 5, seed=8)
     for seed in range(20):
@@ -294,3 +334,30 @@ def test_attention_gradients_match_finite_differences():
         # floor 1e-6 keeps finite-difference noise on exactly-zero gradients
         # (the shared key bias cancels in the row softmax) out of the ratio
         assert relative_error(got[name], want[name], floor=1e-6) < 1e-4, name
+
+
+@pytest.mark.parametrize("feat_dim, bilinear", [
+    pytest.param(5, True, id="bilinear"),
+    pytest.param(9, False, id="qk"),
+])
+def test_biased_attention_gradients_match_finite_differences(feat_dim, bilinear):
+    feats = np.transpose(random_feats(c=3, t=4, k=feat_dim, seed=140), (1, 0, 2))
+    probe = np.random.default_rng(141).standard_normal((4, 3, 1))
+    arrays = biased_init(feat_dim, 4, seed=142)
+
+    def loss_of(arrs):
+        p = {k: ad.parameter(v) for k, v in arrs.items()}
+        return p, (weights_graph(ad.Tensor(feats), p) * ad.Tensor(probe)).sum()
+
+    params, loss = loss_of(arrays)
+    got = ad.grad(loss, params)
+    want = numeric_gradient(lambda arrs: float(loss_of(arrs)[1].data), arrays,
+                            h=1e-5)
+    for name in ("wq", "wk", "wv", "bq", "bv"):
+        assert relative_error(got[name], want[name], floor=1e-6) < 1e-4, name
+    # The key bias only shifts whole logit rows, so it has no gradient; the
+    # bilinear form leaves it off the tape altogether.
+    assert (params["bk"].grad is None) == bilinear
+    if bilinear:
+        assert np.array_equal(got["bk"], np.zeros(4))
+    assert np.max(np.abs(want["bk"])) < 1e-6

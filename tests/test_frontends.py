@@ -4,7 +4,7 @@ per-frame references built from the frontend's own parameters."""
 import numpy as np
 import pytest
 
-from arrayvad.autodiff import backward, tsum
+from arrayvad.autodiff import backward, grad, tsum
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.errors import ArgumentError
 from arrayvad.frontends import (
@@ -106,19 +106,31 @@ def test_analytic_graph_matches_numpy_path():
     assert np.max(np.abs(comb.weights.values - w)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", TRAINABLE + ["analytic"])
-def test_gradient_reaches_every_parameter(kind):
-    kw = {"n_filters": 4, "kernel_len": 32} if kind == "analytic" else {}
+@pytest.mark.parametrize("kind, kw", [
+    pytest.param("sacc", {}, id="sacc"),
+    pytest.param("sacc", {"attn_dim": 129}, id="sacc-bilinear"),
+    pytest.param("ecsacc", {}, id="ecsacc"),
+    pytest.param("ecsacc", {"attn_dim": 129}, id="ecsacc-bilinear"),
+    pytest.param("icsacc", {}, id="icsacc"),
+    pytest.param("analytic", {"n_filters": 4, "kernel_len": 32}, id="analytic"),
+])
+def test_gradient_reaches_every_parameter(kind, kw):
     fe = small_frontend(kind, **kw)
     sig = make_signal(seconds=0.2, correlated=False)
     feats = fe.features(sig)
     rng = np.random.default_rng(1)
-    loss = tsum(feats * rng.normal(size=feats.shape))
-    backward(loss)
-    for name, tensor in fe.params.items():
-        assert tensor.grad is not None, name
+    grads = grad(tsum(feats * rng.normal(size=feats.shape)), fe.params)
+    for name, g in grads.items():
+        tensor = fe.params[name]
+        assert g.shape == tensor.shape and np.isfinite(g).all(), name
         if not name.endswith(("bq", "bk")):
-            assert np.abs(tensor.grad).max() > 0, name
+            assert np.abs(g).max() > 0, name
+        if name.endswith("bk"):
+            # The key bias shifts whole logit rows; the bilinear logits
+            # (feat_dim <= 2 * attn_dim) leave it off the tape.
+            feat_dim, attn_dim = fe.params[name[:-2] + "wq"].shape
+            if feat_dim <= 2 * attn_dim:
+                assert tensor.grad is None and not g.any(), name
 
 
 def test_channel_permutation_leaves_features_unchanged():

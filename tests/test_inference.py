@@ -124,6 +124,21 @@ def test_frame_cache_holds_one_window_and_analyses_new_frames_only(
     assert sum(analysed) == want
 
 
+@pytest.mark.parametrize("first, count", [(0, 1), (3, 2), (5, 17), (20, 9)])
+def test_analytic_frames_do_not_depend_on_how_many_are_analysed(first, count):
+    # FrameCache relies on this: a frame analysed with few others equals the
+    # same frame analysed within a whole window (default-size bank).
+    frontend = make_frontend({"kind": "analytic"}, seed=5)
+    signal = _signal(4, 8000, seed=3)
+    whole = frontend.analyse(signal)
+    hop, size = frontend.frame_hop, frontend.frame_len
+    lo = first * hop
+    part = MultichannelSignal(
+        signal.samples[:, lo:lo + (count - 1) * hop + size], RATE)
+    for got, want in zip(frontend.analyse(part), whole):
+        assert np.array_equal(got.data, want.data[first:first + count])
+
+
 def test_infer_labels_records_no_tape(monkeypatch):
     seen = []
 

@@ -174,6 +174,19 @@ def test_mvn_constant_bin_maps_to_zero():
     assert np.allclose(mvn(x), 0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("case", ["3d", "2d", "strided", "constant-bin"])
+def test_mvn_bitwise_equals_two_pass_formula(case):
+    x = RNG.standard_normal((97, 3, 7)) * 3.0 + 1.5
+    if case == "2d":
+        x = x[:, 0, :]
+    elif case == "strided":
+        x = np.transpose(RNG.standard_normal((7, 97, 3)), (1, 2, 0))
+    elif case == "constant-bin":
+        x[:, 1, 2] = 3.7
+    want = (x - x.mean(0)) / (x.std(0) + 1e-6)
+    assert np.array_equal(mvn(x), want)
+
+
 def test_mvn_2d_defaults_to_time_rows():
     x = RNG.standard_normal((100, 4)) + 5.0
     out = mvn(x)
