@@ -18,7 +18,12 @@ Design points that matter for the rest of the package:
   stacked product summed by ``_unbroadcast``. A row's rounding then depends
   on how many rows the GEMM holds; where values must not depend on that
   (per-frame analysis that ``FrameCache`` reuses), pass the matrix as a
-  (1, K, M) stack, which keeps one GEMM per leading index.
+  (1, K, M) stack, which keeps one GEMM per leading index in the forward
+  pass. The stack's gradient is again one rows^T @ g GEMM.
+* ``getitem`` backward adds into the parent's gradient in place when its
+  key selects each element at most once (basic keys, or one 1-D array of
+  distinct indices, as a channel-row selection is); other fancy keys
+  scatter with ``np.add.at``.
 * Two primitives make subgradient choices at non-differentiable points:
   ``sqrt`` and ``complex_abs`` return gradient 0 at 0. These keep training
   finite on silent frames.
@@ -183,10 +188,15 @@ def _make(data, parents, backward):
 
 
 def _accum(t, g):
+    """Add ``g`` into ``t.grad``. The first touch copies ``g`` into a fresh
+    array laid out like ``t.data`` (not like ``g``), so the GEMMs that read
+    the gradient later see the same memory order as a zero-filled sum."""
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
+        else:
+            t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -286,26 +296,37 @@ def transpose(a, axes):
     return _make(a.data.transpose(axes), (a,), backward)
 
 
-def _is_basic_index(key):
-    """True when ``key`` holds only slices, ints and Ellipsis, so no element
-    can be selected twice."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(
-        isinstance(k, slice) or k is Ellipsis
-        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-        for k in parts)
+def _selects_each_once(key):
+    """True when ``key`` can select no element twice: it holds only slices,
+    ints and Ellipsis, plus at most one 1-D array of distinct non-negative
+    integers."""
+    arrays = 0
+    for k in key if isinstance(key, tuple) else (key,):
+        if isinstance(k, slice) or k is Ellipsis or (
+                isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
+            continue
+        k = np.asarray(k)
+        if (k.ndim != 1 or k.dtype.kind not in "iu" or arrays
+                or (k.size and k.min() < 0) or np.unique(k).size != k.size):
+            return False
+        arrays += 1
+    return True
 
 
 def getitem(a, key):
+    """``a[key]``. Backward adds the gradient into ``a.grad[key]`` in place
+    when the key selects each element at most once, and scatters it with
+    ``np.add.at`` otherwise, since a fancy key may repeat an index."""
     a = as_tensor(a)
+    in_place = _selects_each_once(key)
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        if _is_basic_index(key):
-            buf[key] = g
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        if in_place:
+            a.grad[key] += g
         else:
-            np.add.at(buf, key, g)  # fancy keys may repeat an index
-        _accum(a, buf)
+            np.add.at(a.grad, key, g)
 
     return _make(a.data[key], (a,), backward)
 
@@ -332,7 +353,7 @@ def tsum(a, axis=None, keepdims=False):
         gg = g
         if not keepdims and axis is not None:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(a, np.broadcast_to(gg, a.data.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -361,8 +382,17 @@ def matmul(a, b):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             _accum(a, _unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.data.shape))
+            if 2 < b.ndim <= a.ndim and set(b.shape[:-2]) == {1}:
+                # A (1, K, M) stack broadcast over every matrix of ``a``:
+                # its gradient is one rows^T @ g GEMM, not a stacked
+                # product summed by ``_unbroadcast``.
+                k, m = b.shape[-2:]
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+                gb = gb.reshape(b.shape)
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                  b.data.shape)
+            _accum(b, gb)
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 

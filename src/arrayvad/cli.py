@@ -158,10 +158,19 @@ _INVARIANT_SCHEMA = {
     "additionalProperties": False,
 }
 
+# A data template shapes every toy item, but ``toy_dataset`` draws each
+# item's sources and seeds it from ``data.seed``; a template ``seed`` or
+# ``sources`` would be ignored, so the schema refuses them.
+_TEMPLATE_SCHEMA = {
+    **_SCENE_SCHEMA,
+    "properties": {k: v for k, v in _SCENE_SCHEMA["properties"].items()
+                   if k not in ("seed", "sources")},
+}
+
 _DATA_SCHEMA = {
     "type": "object",
     "properties": {
-        "template": _SCENE_SCHEMA,
+        "template": _TEMPLATE_SCHEMA,
         "n_train": {"type": "integer", "minimum": 1},
         "n_val": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},

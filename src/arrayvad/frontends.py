@@ -17,6 +17,8 @@ mel/log. Every analysed part is (T, C, K), one row per frame of the
 ``spectral.FRAME_RATE`` grid that the STFT and the analytic bank share, so
 frames shared by overlapping windows can be analysed once (``FrameCache``)
 while the per-window step, and so the output, stays exactly as without reuse.
+Analysis is per channel too, so ``channel_rows`` of one analysis gives a
+channel-masked copy's parts, as training's masked duplicates use them.
 
 The combination is one method per kind, ``_combine``: attention inputs,
 weights and the weighted channel sum, returning the combined values and the
@@ -458,6 +460,22 @@ class MvdrFrontend(Frontend):
 
 def _values(part):
     return part.data if isinstance(part, ad.Tensor) else part
+
+
+def channel_rows(frames, signal: MultichannelSignal,
+                 duplicate: MultichannelSignal):
+    """The channel rows of ``analyse(signal)`` parts that ``duplicate`` kept.
+
+    ``duplicate`` is a ``mask_channels`` copy of ``signal``; its channels map
+    to row positions of ``signal`` in the duplicate's own (ascending id)
+    order, so ``window_features`` of the result equals ``features`` of the
+    duplicate. Numpy parts are indexed; tape parts (the analytic bank
+    outputs) go through ``autodiff.getitem`` so the gradient reaches them.
+    """
+    row = {cid: i for i, cid in enumerate(signal.channel_ids)}
+    key = (slice(None), np.array([row[cid] for cid in duplicate.channel_ids]))
+    return tuple(ad.getitem(part, key) if isinstance(part, ad.Tensor)
+                 else part[key] for part in frames)
 
 
 class FrameCache:

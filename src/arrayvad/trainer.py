@@ -8,6 +8,13 @@ xorshift64* stream (documented below) so duplicate construction is
 bit-reproducible across platforms and independent of numpy's generator
 internals.
 
+A training step analyses each cropped item once (``frontend.analyse``).
+The reference features and every masked duplicate's features come from
+that one analysis: a duplicate selects its kept channels' rows of the
+analysed frames (``frontends.channel_rows``) before
+``frontend.window_features``. Analysis is per channel, so this gives bit
+for bit what analysing the duplicate's own samples gives.
+
 Masking stream
 --------------
 For duplicate ``p`` of step ``step`` under seed ``s``, the generator state
@@ -33,6 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .errors import ArgumentError, NumericError
+from .frontends import channel_rows
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
 from .signal_io import MultichannelSignal, mask_channels, slice_segment
@@ -370,7 +378,9 @@ def train(frontend, model: ModelParams, train_items, val_items,
     Per step: sample a batch, crop each item to a segment_s window when it
     is longer, run the frontend and classifier per segment, average the
     cross-entropy (reference path only), optionally add the invariance term
-    over channel-masked duplicates, backprop once, update with Adam. Per
+    over channel-masked duplicates, backprop once, update with Adam. Each
+    segment is analysed once; a duplicate's features come from the rows of
+    that analysis for the channels it kept (``channel_rows``). Per
     epoch: validation OSD F1; stop after ``patience`` epochs without a new
     best and restore the best snapshot before returning. Each history
     record goes to ``log_path`` (NDJSON) as soon as it exists.
@@ -406,7 +416,8 @@ def train(frontend, model: ModelParams, train_items, val_items,
                 for offset, item_index in enumerate(batch):
                     item = train_items[int(item_index)]
                     signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
-                    feats = frontend.features(signal)
+                    frames = frontend.analyse(signal)
+                    feats = frontend.window_features(frames)
                     logits = tcn_forward(model, feats)
                     ce_terms.append(cross_entropy(
                         logits, _aligned_labels(frame_labels, logits.shape[0])))
@@ -414,8 +425,10 @@ def train(frontend, model: ModelParams, train_items, val_items,
                         dups = make_masked_duplicates(
                             signal, icfg,
                             step=step * tcfg.batch_size + offset)
-                        inv_terms.append(invariant_loss(
-                            feats, [frontend.features(d) for d in dups]))
+                        inv_terms.append(invariant_loss(feats, [
+                            frontend.window_features(
+                                channel_rows(frames, signal, d))
+                            for d in dups]))
                 ce_mean = _mean(ce_terms)
                 if use_inv:
                     inv_mean = _mean(inv_terms)

@@ -131,3 +131,46 @@ def naive_icsacc(values, p, parts="mag_phase"):
         wm[:, t] = naive_softmax((att @ v_mag)[:, 0], axis=0)
         wp[:, t] = naive_softmax((att @ v_phase)[:, 0], axis=0)
     return naive_complex_sum(values, wm, wp, parts)
+
+
+# -- naive training loop --------------------------------------------------------
+
+
+def naive_dual_steps(frontend, model, items, tcfg, icfg):
+    """Step records of one ``trainer.train`` epoch from the per-duplicate
+    loop: every masked duplicate is analysed again from its own samples with
+    ``frontend.features``. Same draws, losses and Adam updates as ``train``;
+    no validation. Returns [{"step", "epoch", "ce", "loss", "inv"}, ...]."""
+    from arrayvad import autodiff as ad
+    from arrayvad.seqmodel import tcn_forward
+    from arrayvad.trainer import (AdamState, _aligned_labels, _crop_item,
+                                  adam_step, cross_entropy, dual_loss,
+                                  invariant_loss, make_masked_duplicates)
+
+    params = {"frontend/" + k: t for k, t in frontend.params.items()}
+    params.update({"model/" + k: t for k, t in model.tensors.items()})
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(tcfg.seed)
+    records = []
+    for step in range(tcfg.steps_per_epoch):
+        batch = rng.integers(0, len(items), size=tcfg.batch_size)
+        for tensor in params.values():
+            tensor.grad = None
+        ce_total = inv_total = None
+        for offset, index in enumerate(batch):
+            signal, labels = _crop_item(items[int(index)], tcfg.segment_s, rng)
+            feats = frontend.features(signal)
+            logits = tcn_forward(model, feats)
+            ce = cross_entropy(logits, _aligned_labels(labels, logits.shape[0]))
+            dups = make_masked_duplicates(
+                signal, icfg, step=step * tcfg.batch_size + offset)
+            inv = invariant_loss(feats, [frontend.features(d) for d in dups])
+            ce_total = ce if ce_total is None else ce_total + ce
+            inv_total = inv if inv_total is None else inv_total + inv
+        ce_mean = ce_total * (1.0 / len(batch))
+        inv_mean = inv_total * (1.0 / len(batch))
+        loss = dual_loss(ce_mean, inv_mean, icfg.lam)
+        adam_step(params, ad.grad(loss, params), state, tcfg.lr)
+        records.append({"step": step, "epoch": 0, "ce": float(ce_mean.data),
+                        "loss": float(loss.data), "inv": float(inv_mean.data)})
+    return records

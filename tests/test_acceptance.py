@@ -536,7 +536,7 @@ def _pipeline_once(root):
                   "patience": 1, "segment_s": 0.64, "seed": 5},
         "data": {"template": {"geometry": {"n_mics": 4, "radius": 0.05},
                               "duration_s": 0.64, "noise": "white",
-                              "snr_db": 15.0, "seed": 0},
+                              "snr_db": 15.0},
                  "n_train": 3, "n_val": 2, "seed": 1},
     }))
     steps = [

@@ -171,6 +171,92 @@ def test_getitem_fancy_key_with_repeats_accumulates():
     assert np.array_equal(a.grad, want)
 
 
+# Keys that select each element at most once: the gradient is added in place
+# into the parent's gradient rather than scattered with np.add.at.
+UNIQUE_INDEX_KEYS = [
+    (slice(None), np.array([0, 2])),
+    np.array([3, 0, 1]),
+    (Ellipsis, np.array([4, 1, 2])),
+    (1, np.array([2, 0]), slice(1, None)),
+    (slice(None), np.array([], dtype=np.int64)),
+]
+
+
+@pytest.mark.parametrize("key", UNIQUE_INDEX_KEYS, ids=repr)
+def test_getitem_unique_index_in_place_equals_add_at(key):
+    a = ad.parameter(RNG.normal(size=(4, 3, 5)))
+    assert ad._selects_each_once(key)
+    first = RNG.normal(size=a.data[key].shape)
+    second = RNG.normal(size=a.data.shape)
+    # ``a`` feeds two nodes, so the second gradient lands on the first.
+    ad.backward((a[key] * first).sum() + (a * second).sum())
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, first)
+    want = want + second
+    assert np.array_equal(a.grad, want)
+
+
+@pytest.mark.parametrize("key", [
+    np.array([1, 1, 0]),
+    (slice(None), np.array([2, 0, 2])),
+    (slice(None), np.array([-1, 2])),
+    (np.array([0, 2]), np.array([1, 1])),
+    np.array([[0, 1], [1, 2]]),
+], ids=repr)
+def test_getitem_repeated_or_ambiguous_index_still_accumulates(key):
+    a = ad.parameter(RNG.normal(size=(4, 3)))
+    assert not ad._selects_each_once(key)
+    probe = RNG.normal(size=a.data[key].shape)
+    ad.backward((a[key] * probe).sum())
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, probe)
+    assert np.array_equal(a.grad, want)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    pytest.param((6, 3, 5), (1, 5, 4), id="3d"),
+    pytest.param((2, 6, 3, 5), (1, 1, 5, 4), id="4d"),
+    pytest.param((2, 6, 3, 5), (1, 5, 4), id="fewer-dims"),
+])
+def test_broadcast_stack_gradient_equals_summed_stacked_product(a_shape,
+                                                                b_shape):
+    a_data = np.ascontiguousarray(
+        RNG.normal(size=a_shape[:-3] + (a_shape[-2], a_shape[-3], a_shape[-1]))
+    ).swapaxes(-2, -3)  # a strided view, as the analytic frames are
+    b_data = RNG.normal(size=b_shape)
+    a, b = ad.parameter(a_data), ad.parameter(b_data)
+    probe = RNG.normal(size=a_shape[:-1] + b_shape[-1:])
+    out = a @ b
+    ad.backward((out * probe).sum())
+    want_b = ad._unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), probe),
+                             b_shape)
+    assert b.grad.shape == b_shape
+    assert np.max(np.abs(b.grad - want_b)) < 1e-12
+    assert np.array_equal(a.grad, np.matmul(probe, np.swapaxes(b_data, -1, -2)))
+
+
+@pytest.mark.parametrize("layout", ["c-order", "transposed", "broadcast"])
+def test_accum_first_touch_copy_equals_zero_fill_then_add(layout):
+    data = RNG.normal(size=(4, 6))
+    if layout == "c-order":
+        first = RNG.normal(size=(4, 6))
+    elif layout == "transposed":
+        first = RNG.normal(size=(6, 4)).T
+    else:
+        first = np.broadcast_to(RNG.normal(size=(1, 6)), (4, 6))
+    second = RNG.normal(size=(4, 6))
+    t = ad.parameter(data)
+    ad._accum(t, first)
+    want = np.zeros_like(data)
+    want += first
+    assert np.array_equal(t.grad, want)
+    assert t.grad.flags.c_contiguous and t.grad.flags.writeable
+    assert not np.shares_memory(t.grad, first)
+    ad._accum(t, second)
+    want += second
+    assert np.array_equal(t.grad, want)
+
+
 def test_sum_mean_axes():
     check_op(
         lambda p: (p["a"].sum(axis=0) * p["a"].mean(axis=1, keepdims=True).sum(axis=0)).sum()

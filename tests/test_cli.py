@@ -112,7 +112,6 @@ def train_config(workdir):
                 "duration_s": 0.64,
                 "noise": "white",
                 "snr_db": 15.0,
-                "seed": 0,
             },
             "n_train": 3,
             "n_val": 2,
@@ -526,6 +525,15 @@ def _train_config_with_negative_seed(section):
 for _section in ("frontend", "model", "train", "data", "template"):
     MALFORMED_TEXT[f"config-negative-{_section}-seed"] = (
         "train", _train_config_with_negative_seed(_section), 1)
+
+# The toy data draws every item's sources and seed from ``data.seed``, so a
+# template that sets either is refused rather than silently ignored.
+for _key, _value in (("seed", 0), ("sources", [])):
+    _cfg = json.loads(_train_config_with_negative_seed("data"))
+    _cfg["data"]["template"][_key] = _value
+    del _cfg["data"]["seed"]
+    MALFORMED_TEXT[f"config-template-{_key}"] = (
+        "train", json.dumps(_cfg).encode(), 1)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))

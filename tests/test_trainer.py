@@ -11,9 +11,9 @@ from arrayvad.arraysim import SceneSpec, toy_dataset
 from arrayvad.autodiff import Tensor, backward, parameter, tsum
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.errors import ArgumentError, NumericError
-from arrayvad.frontends import make_frontend
+from arrayvad.frontends import channel_rows, make_frontend
 from arrayvad.seqmodel import TcnConfig, tcn_init
-from arrayvad.signal_io import MultichannelSignal
+from arrayvad.signal_io import MultichannelSignal, mask_channels
 from arrayvad.segeval import FrameLabels
 from arrayvad.trainer import (
     AdamState,
@@ -29,6 +29,8 @@ from arrayvad.trainer import (
     make_masked_duplicates,
     train,
 )
+
+from helpers import naive_dual_steps
 
 # -- cross entropy ------------------------------------------------------------
 
@@ -371,6 +373,123 @@ def test_lambda_one_equals_pure_ce():
                         for name, t in model.tensors.items()})
     for name in outputs[0]:
         assert (outputs[0][name] == outputs[1][name]).all(), name
+
+
+# -- one analysis per item -----------------------------------------------------
+
+
+def analyse_once_frontend(kind, attn_dim, **kw):
+    if kind == "analytic":
+        kw = {"n_filters": 32, "kernel_len": 64, **kw}
+    return make_frontend({"kind": kind, "attn_dim": attn_dim, "seed": 3, **kw})
+
+
+def six_channel_signal(seconds=0.5, channel_ids=None):
+    rng = np.random.default_rng(12)
+    n = int(seconds * 16000)
+    base = rng.normal(size=n)
+    data = np.stack([np.roll(base, 3 * c) + 0.1 * rng.normal(size=n)
+                     for c in range(6)])
+    return MultichannelSignal(0.1 * data, 16000, channel_ids=channel_ids)
+
+
+# attn_dim 8 takes the Q/K logits and 256 the bilinear form for every kind
+# but icsacc, whose 514 attention inputs need attn_dim 257 for the latter.
+ANALYSE_ONCE_CASES = [
+    pytest.param(kind, kw, attn_dim, id=f"{name}-{attn_dim}")
+    for name, kind, kw in [
+        ("sacc", "sacc", {}),
+        ("analytic", "analytic", {}),
+        ("ecsacc", "ecsacc", {"parts": "mag_phase"}),
+        ("ecsacc-real_imag", "ecsacc", {"parts": "real_imag"}),
+        ("icsacc", "icsacc", {"parts": "mag_phase"}),
+        ("icsacc-real_imag", "icsacc", {"parts": "real_imag"}),
+    ]
+    for attn_dim in ((8, 256, 257) if kind == "icsacc" else (8, 256))
+]
+
+KEEP_SETS = [(0, 1), (1, 3, 4), (0, 2, 3, 5), (1, 2, 3, 4, 5),
+             (0, 1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
+def test_channel_rows_of_one_analysis_equal_masked_features(kind, kw,
+                                                            attn_dim):
+    fe = analyse_once_frontend(kind, attn_dim, **kw)
+    sig = six_channel_signal()
+    frames = fe.analyse(sig)
+    for keep in KEEP_SETS:
+        dup = mask_channels(sig, keep)
+        got = fe.window_features(channel_rows(frames, sig, dup))
+        want = fe.features(dup)
+        assert np.array_equal(got.data, want.data), keep
+
+
+def test_channel_rows_follow_the_duplicate_channel_order():
+    fe = analyse_once_frontend("sacc", 8)
+    sig = six_channel_signal(channel_ids=(4, 0, 5, 2, 1, 3))
+    frames = fe.analyse(sig)
+    for step in range(4):
+        for dup in make_masked_duplicates(sig, InvariantConfig(p=2), step):
+            got = fe.window_features(channel_rows(frames, sig, dup))
+            assert np.array_equal(got.data, fe.features(dup).data)
+
+
+def six_mic_items(n_items, seed):
+    template = SceneSpec(geometry=ArrayGeometry.uniform_circular(6, 0.1),
+                         duration_s=0.84, noise="white", snr_db=15.0)
+    return list(toy_dataset(template, n_items, seed=seed))
+
+
+def analyse_once_setup(kind, kw):
+    fe = analyse_once_frontend(kind, 8, **kw)
+    cfg = TcnConfig(input_dim=fe.feature_dim, bottleneck=8, hidden=8,
+                    layers_per_block=2, blocks=1)
+    return fe, tcn_init(cfg, seed=4)
+
+
+DUAL_TCFG = TrainConfig(batch_size=2, steps_per_epoch=3, max_epochs=1,
+                        patience=1, segment_s=0.64, seed=5)
+DUAL_ICFG = InvariantConfig(p=2, lam=0.7, rng_seed=9)
+
+
+@pytest.mark.parametrize("kind, kw", [
+    pytest.param("sacc", {}, id="sacc"),
+    pytest.param("analytic", {}, id="analytic"),
+    pytest.param("ecsacc", {"parts": "mag_phase"}, id="ecsacc"),
+    pytest.param("icsacc", {"parts": "real_imag"}, id="icsacc-real_imag"),
+])
+def test_dual_history_equals_per_duplicate_loop(kind, kw):
+    items = six_mic_items(4, seed=6)
+    result = train(*analyse_once_setup(kind, kw), items[:3], items[3:],
+                   DUAL_TCFG, DUAL_ICFG)
+    got = [r for r in result.history if "step" in r]
+    want = naive_dual_steps(*analyse_once_setup(kind, kw), items[:3],
+                            DUAL_TCFG, DUAL_ICFG)
+    assert [sorted(r) for r in got] == [sorted(r) for r in want]
+    if kind != "analytic":
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        for name in ("ce", "loss", "inv"):
+            assert abs(g[name] - w[name]) <= 1e-12 * abs(w[name]), name
+
+
+def test_dual_step_analyses_each_item_once(monkeypatch):
+    fe, model = analyse_once_setup("sacc", {})
+    calls = []
+    analyse = fe.analyse
+
+    def counted(signal):
+        calls.append(signal.n_channels)
+        return analyse(signal)
+
+    monkeypatch.setattr(fe, "analyse", counted)
+    items = six_mic_items(4, seed=6)
+    train(fe, model, items[:3], items[3:], DUAL_TCFG, DUAL_ICFG)
+    # one analysis of all six channels per cropped item and step, plus one
+    # per validation item; no duplicate is analysed on its own
+    assert calls == [6] * (DUAL_TCFG.steps_per_epoch * DUAL_TCFG.batch_size + 1)
 
 
 def test_train_rejects_empty_datasets():
