@@ -313,12 +313,29 @@ def _selects_each_once(key):
     return True
 
 
+def _is_rows_key(key):
+    """True for a ``(slice(None), 1-D integer array)`` key."""
+    return (isinstance(key, tuple) and len(key) == 2
+            and isinstance(key[0], slice) and key[0] == slice(None)
+            and isinstance(key[1], np.ndarray) and key[1].ndim == 1
+            and key[1].dtype.kind in "iu")
+
+
 def getitem(a, key):
     """``a[key]``. Backward adds the gradient into ``a.grad[key]`` in place
     when the key selects each element at most once, and scatters it with
-    ``np.add.at`` otherwise, since a fancy key may repeat an index."""
+    ``np.add.at`` otherwise, since a fancy key may repeat an index.
+
+    A ``(slice(None), index array)`` key, a channel-row selection of a
+    (T, C, K) part, is taken with ``np.take``: the value is C-contiguous and
+    frame-major, where numpy's fancy indexing would lay it out channel-major.
+    """
     a = as_tensor(a)
     in_place = _selects_each_once(key)
+    if _is_rows_key(key):
+        data = np.take(a.data, key[1], axis=1)
+    else:
+        data = a.data[key]
 
     def backward(g):
         if a.grad is None:
@@ -328,7 +345,7 @@ def getitem(a, key):
         else:
             np.add.at(a.grad, key, g)
 
-    return _make(a.data[key], (a,), backward)
+    return _make(data, (a,), backward)
 
 
 def concat(tensors, axis=0):
@@ -400,8 +417,10 @@ def matmul(a, b):
 def _rows_matmul(a, b):
     """(..., K) @ (K, M) as one (N, K) @ (K, M) GEMM over the stacked rows.
 
-    The backward closure keeps ``a`` itself, not its (N, K) reshape, which
-    is a copy when ``a`` is a strided view; ``backward`` reshapes again.
+    The (N, K) reshape of ``a`` is a view when its leading axes merge, as
+    for the C-contiguous parts the frontends hand in (or a last-axis slice
+    of one); a strided ``a`` would be copied here and again in backward,
+    which keeps ``a`` itself and reshapes it once more.
     """
     rows = (int(np.prod(a.shape[:-1])), a.shape[-1])
     out_shape = a.shape[:-1] + (b.shape[1],)

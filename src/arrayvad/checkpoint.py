@@ -182,21 +182,32 @@ def _config_section(section):
 
 
 def load_model(path):
-    """Rebuild (frontend, model) from a ``save_model`` checkpoint."""
+    """Rebuild (frontend, model) from a ``save_model`` checkpoint.
+
+    Every tensor must be a ``frontend/<param>`` or ``model/<tensor>`` of the
+    rebuilt bundle, else FormatError, and none of those may be missing.
+    """
     tensors, config = read_checkpoint(path)
     if (not isinstance(config, dict) or "frontend" not in config
             or "model" not in config):
         raise FormatError("checkpoint does not hold a frontend+model bundle")
     with _config_section("frontend"):
         frontend = make_frontend(config["frontend"])
-    frontend.load_state({name[len("frontend/"):]: arr
-                         for name, arr in tensors.items()
-                         if name.startswith("frontend/")})
     with _config_section("model"):
         model_cfg = TcnConfig.from_dict(config["model"])
     with _config_section("model_seed"):
         model = tcn_init(model_cfg,
                          seed=config_int(config.get("model_seed", 0), "model_seed"))
+    known = {"frontend/" + name for name in frontend.params}
+    known.update("model/" + name for name in model.tensors)
+    unknown = sorted(set(tensors) - known)
+    if unknown:
+        raise FormatError(
+            f"checkpoint holds tensors that a {frontend.kind!r} frontend and "
+            f"its model do not have: {unknown}")
+    frontend.load_state({name[len("frontend/"):]: arr
+                         for name, arr in tensors.items()
+                         if name.startswith("frontend/")})
     saved = {name[len("model/"):]: arr for name, arr in tensors.items()
              if name.startswith("model/")}
     missing = set(model.tensors) - set(saved)

@@ -161,17 +161,19 @@ def combine_real_graph(w_tc1, values_tc):
     return (ad.transpose(w_tc1, (0, 2, 1)) @ values_tc).reshape(n_frames, width)
 
 
-def combine_mag_phase_graph(w_re, w_im, re_tc, im_tc):
+def combine_mag_phase_graph(w_re, w_im, reim_tc):
     """Complex weighted channel sum, sum_c (w_re + j*w_im) * (re + j*im).
 
-    w_re, w_im: (T, C, 1); re_tc, im_tc: (T, C, K). One (T, 2, C) @
-    (T, C, 2K) product gives the four real channel sums; returns the (re, im)
-    pair of (T, K) tensors. It serves both ``parts`` layouts; the name stays
-    because ``perfbench`` traces the combination under it.
+    w_re, w_im: (T, C, 1); reim_tc: (T, C, 2K), the real parts of the
+    spectrum in the first K columns and the imaginary parts in the last K.
+    One (T, 2, C) @ (T, C, 2K) product gives the four real channel sums;
+    returns the (re, im) pair of (T, K) tensors. It serves both ``parts``
+    layouts; the name stays because ``perfbench`` traces the combination
+    under it.
     """
-    width = re_tc.shape[-1]
+    width = reim_tc.shape[-1] // 2
     w = ad.transpose(ad.concat([w_re, w_im], axis=-1), (0, 2, 1))
-    p = w @ ad.concat([re_tc, im_tc], axis=-1)
+    p = w @ reim_tc
     re = p[:, 0, :width] - p[:, 1, width:]
     im = p[:, 0, width:] + p[:, 1, :width]
     return re, im

@@ -7,18 +7,25 @@ normalization of attention inputs, mel matrix) enters the graph as
 constants; only the combination weights (and, for the analytic bank, the
 filter impulse responses) carry gradients.
 
-``features`` is two steps. ``analyse`` is the per-frame step: work that
-depends on one analysis frame's samples only, that is the STFT with its
-magnitude, log-magnitude and angle (or real/imaginary parts), or the
-analytic bank outputs with their log-magnitude. ``window_features`` is the
-per-window step: whatever looks across the frames of the window (MVN of the
-attention inputs, attention, MVDR statistics) plus channel combination and
-mel/log. Every analysed part is (T, C, K), one row per frame of the
-``spectral.FRAME_RATE`` grid that the STFT and the analytic bank share, so
-frames shared by overlapping windows can be analysed once (``FrameCache``)
-while the per-window step, and so the output, stays exactly as without reuse.
-Analysis is per channel too, so ``channel_rows`` of one analysis gives a
-channel-masked copy's parts, as training's masked duplicates use them.
+``features`` is three steps, and inference, validation, training and
+``FrameCache`` all run them: ``window_features(normalise(analyse(signal)))``.
+``analyse`` is the per-frame step: work that depends on one analysis frame's
+samples only, that is the STFT with its magnitude, log-magnitude and angle
+(or real/imaginary parts), or the analytic bank outputs with their
+log-magnitude. ``normalise`` is the per-window, per-channel step: MVN of the
+attention inputs over the window's frames (``mvn``, or ``mvn_graph`` on the
+tape for ``analytic``). ``window_features`` is the cross-channel step:
+attention, MVDR statistics, channel combination and mel/log.
+
+Every part is (T, C, K), one row per frame of the ``spectral.FRAME_RATE``
+grid that the STFT and the analytic bank share, and C-contiguous
+(frame-major), so the stacked-row GEMMs of the attention read it without a
+copy. Frames shared by overlapping windows can be analysed once
+(``FrameCache``) while the per-window steps, and so the output, stay exactly
+as without reuse. Both ``analyse`` and ``normalise`` work on each channel
+alone, so ``channel_rows`` of the normalised parts of a signal are the
+normalised parts of a channel-masked copy: training's masked duplicates
+select those rows and run only ``window_features``.
 
 The combination is one method per kind, ``_combine``: attention inputs,
 weights and the weighted channel sum, returning the combined values and the
@@ -29,11 +36,14 @@ complex weights w_re + j*w_im times the complex STFT
 (``combine_mag_phase_graph``, both ``parts`` layouts). The ``ecsacc`` and
 ``icsacc`` kinds pack their two weight columns into (w_re, w_im) on the
 (T, C, 1) weights only: a*cos(2*pi*b), a*sin(2*pi*b) for ``mag_phase``,
-(a, b) for ``real_imag``. Both combination ops keep their names here
-because ``perfbench`` traces them where this module imports them.
+(a, b) for ``real_imag``; their STFT part is the real and imaginary parts
+side by side, (T, C, 2K), as the combination multiplies them. Both
+combination ops keep their names here because ``perfbench`` traces them
+where this module imports them.
 
 ``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
-its combined row as it is). ``combined`` runs the same ``_combine`` under
+its combined row as it is). ``combined`` runs the same ``_combine`` of the
+normalised parts under
 ``autodiff.no_grad`` and returns the values and per-channel weights as numpy
 (a ``CombinedSpectrogram``), so the weights the ``beampattern`` command
 analyses are the ones the graph applies.
@@ -147,7 +157,8 @@ class Frontend:
         return self.stft_cfg.hop_samples(self.sample_rate)
 
     def features(self, signal, cache=None) -> ad.Tensor:
-        """(T, F) features of ``signal``: ``window_features(analyse(signal))``.
+        """(T, F) features of ``signal``:
+        ``window_features(normalise(analyse(signal)))``.
 
         With a ``FrameCache``, frames the previous window analysed are taken
         from it instead of being analysed again; the result is the same.
@@ -155,16 +166,17 @@ class Frontend:
         so tracing (``perfbench``) can wrap and time the kinds apart.
         """
         frames = self.analyse(signal) if cache is None else cache.frames(signal)
-        return self.window_features(frames)
+        return self.window_features(self.normalise(frames))
 
     def combined(self, signal) -> CombinedSpectrogram:
         """Channel-combined values of ``signal`` and the weights that built
-        them, as numpy: ``_combine(analyse(signal))`` off the tape.
+        them, as numpy: ``_combine(normalise(analyse(signal)))`` off the
+        tape.
 
         A (re, im) pair of combined values becomes one complex array.
         """
         with ad.no_grad():
-            values, weights = self._combine(self.analyse(signal))
+            values, weights = self._combine(self.normalise(self.analyse(signal)))
         if weights is not None:
             weights = self._combination_weights(weights)
         return CombinedSpectrogram(self._combined_values(values), self.kind,
@@ -195,7 +207,8 @@ class Frontend:
             "attn_dim": self.attn_dim,
         }
 
-    # subclasses: analyse(), _combine(), window_features(), feature_dim
+    # subclasses: analyse(), normalise(), _combine(), window_features(),
+    # feature_dim
 
 
 class SaccStftFrontend(Frontend):
@@ -217,14 +230,19 @@ class SaccStftFrontend(Frontend):
         mag = np.abs(self._stft(signal))
         return mag, log_compress(mag)
 
-    def _combine(self, frames):
-        """(T, K) combined magnitude and the (T, C, 1) weights."""
+    def normalise(self, frames):
+        """(magnitude, MVN of the log-magnitude)."""
         mag, log_mag = frames
-        w = weights_graph(ad.Tensor(mvn(log_mag)), self.params)
+        return mag, mvn(log_mag)
+
+    def _combine(self, inputs):
+        """(T, K) combined magnitude and the (T, C, 1) weights."""
+        mag, attn_in = inputs
+        w = weights_graph(ad.Tensor(attn_in), self.params)
         return combine_real_graph(w, ad.Tensor(mag)), w
 
-    def window_features(self, frames) -> ad.Tensor:
-        combined, _ = self._combine(frames)
+    def window_features(self, inputs) -> ad.Tensor:
+        combined, _ = self._combine(inputs)
         return self._logmel(combined)
 
 
@@ -280,15 +298,20 @@ class AnalyticSaccFrontend(Frontend):
         re, im = self._bank_outputs(signal)
         return re, im, ad.tlog(ad.complex_abs(re, im) + LOG_EPS)
 
-    def _combine(self, frames):
+    def normalise(self, frames):
+        """(real, imaginary, MVN of the log-magnitude), on the tape."""
+        re, im, log_mag = frames
+        return re, im, mvn_graph(ad.as_tensor(log_mag))
+
+    def _combine(self, inputs):
         """(T, 2F) combined [real | imaginary] bank outputs and the
         (T, C, 1) weights."""
-        re, im, log_mag = frames
-        w = weights_graph(mvn_graph(ad.as_tensor(log_mag)), self.params)
+        re, im, attn_in = inputs
+        w = weights_graph(attn_in, self.params)
         return combine_real_graph(w, ad.concat([re, im], axis=-1)), w
 
-    def window_features(self, frames) -> ad.Tensor:
-        row, _ = self._combine(frames)
+    def window_features(self, inputs) -> ad.Tensor:
+        row, _ = self._combine(inputs)
         return row
 
     def _combined_values(self, row):
@@ -304,22 +327,6 @@ class AnalyticSaccFrontend(Frontend):
             "kernel_len": self.kernel_len,
             "attn_dim": self.attn_dim,
         }
-
-
-def _analyse_parts(values, parts):
-    """Per-frame parts of complex STFT values: the real and imaginary parts
-    the combination multiplies, then for ``mag_phase`` the log-magnitude and
-    angle the attention reads."""
-    if parts == "mag_phase":
-        return (values.real, values.imag, log_compress(np.abs(values)),
-                np.angle(values))
-    return values.real, values.imag
-
-
-def _attention_inputs(frames, parts):
-    """Numpy attention inputs of the two representation parts, (T, C, K)."""
-    first, second = frames[2:] if parts == "mag_phase" else frames
-    return mvn(first), mvn(second)
 
 
 class _ComplexSaccFrontend(Frontend):
@@ -338,13 +345,30 @@ class _ComplexSaccFrontend(Frontend):
         return self.n_mels
 
     def analyse(self, signal):
-        return _analyse_parts(self._stft(signal), self.parts)
+        """The STFT's real and imaginary parts side by side, (T, C, 2K), as
+        the combination multiplies them; for ``mag_phase`` also the
+        log-magnitude and angle the attention reads, each (T, C, K)."""
+        values = self._stft(signal)
+        reim = np.concatenate([values.real, values.imag], axis=-1)
+        if self.parts == "mag_phase":
+            return reim, log_compress(np.abs(values)), np.angle(values)
+        return (reim,)
 
-    def window_features(self, frames) -> ad.Tensor:
-        (re, im), _ = self._combine(frames)
+    def _normalised_parts(self, frames):
+        """MVN of the two representation parts the attention reads: the
+        log-magnitude and angle for ``mag_phase``, the real and imaginary
+        parts for ``real_imag``."""
+        if self.parts == "mag_phase":
+            first, second = frames[1:]
+        else:
+            first, second = np.split(frames[0], 2, axis=-1)
+        return mvn(first), mvn(second)
+
+    def window_features(self, inputs) -> ad.Tensor:
+        (re, im), _ = self._combine(inputs)
         return self._logmel(ad.complex_abs(re, im))
 
-    def _complex_sum(self, a, b, frames):
+    def _complex_sum(self, a, b, inputs):
         """Complex channel sum from the two (T, C, 1) weight columns (a, b).
 
         The columns become w = w_re + j*w_im: a*exp(j*2*pi*b) for
@@ -356,8 +380,8 @@ class _ComplexSaccFrontend(Frontend):
             w_re, w_im = a * phase.cos(), a * phase.sin()
         else:
             w_re, w_im = a, b
-        re, im = (ad.Tensor(part) for part in frames[:2])
-        return combine_mag_phase_graph(w_re, w_im, re, im), (w_re, w_im)
+        reim = ad.Tensor(inputs[0])
+        return combine_mag_phase_graph(w_re, w_im, reim), (w_re, w_im)
 
     def _combination_weights(self, w):
         """(w_re, w_im) weight pair -> complex (C, T) ``CombinationWeights``."""
@@ -385,12 +409,16 @@ class EcSaccFrontend(_ComplexSaccFrontend):
         self.params.update(_attn_tensors(k, self.attn_dim, self.seed, "mag/"))
         self.params.update(_attn_tensors(k, self.attn_dim, self.seed + 1, "phase/"))
 
-    def _combine(self, frames):
+    def normalise(self, frames):
+        """([real | imaginary], first attention input, second one)."""
+        return frames[:1] + self._normalised_parts(frames)
+
+    def _combine(self, inputs):
         """(T, K) re/im of the combination and the (w_re, w_im) weights."""
-        first, second = _attention_inputs(frames, self.parts)
+        first, second = inputs[1:]
         w1 = weights_graph(ad.Tensor(first), _subparams(self.params, "mag/"))
         w2 = weights_graph(ad.Tensor(second), _subparams(self.params, "phase/"))
-        return self._complex_sum(w1, w2, frames)
+        return self._complex_sum(w1, w2, inputs)
 
 
 class IcSaccFrontend(_ComplexSaccFrontend):
@@ -406,14 +434,18 @@ class IcSaccFrontend(_ComplexSaccFrontend):
         self.params = _attn_tensors(2 * self.stft_cfg.n_bins, self.attn_dim,
                                     self.seed)
 
-    def _combine(self, frames):
+    def normalise(self, frames):
+        """([real | imaginary], both attention inputs side by side), each
+        (T, C, 2K)."""
+        return frames[:1] + (np.concatenate(self._normalised_parts(frames),
+                                            axis=-1),)
+
+    def _combine(self, inputs):
         """(T, K) re/im of the combination and the (w_re, w_im) weights
         packed from the two columns of the split value head."""
-        first, second = _attention_inputs(frames, self.parts)
-        feats = np.concatenate([first, second], axis=-1)
-        w = weights_graph(ad.Tensor(feats), self.params,
+        w = weights_graph(ad.Tensor(inputs[1]), self.params,
                           value_split=self.stft_cfg.n_bins)
-        return self._complex_sum(w[:, :, :1], w[:, :, 1:], frames)
+        return self._complex_sum(w[:, :, :1], w[:, :, 1:], inputs)
 
 
 class MvdrFrontend(Frontend):
@@ -438,15 +470,20 @@ class MvdrFrontend(Frontend):
         """(STFT values,), (T, C, K) complex; MVDR statistics are per window."""
         return (self._stft(signal),)
 
-    def _combine(self, frames):
+    def normalise(self, frames):
+        """The frames as they are: the CDR mask and MVDR statistics look
+        across channels, so no step here is per channel."""
+        return frames
+
+    def _combine(self, inputs):
         """(T, K) beamformed magnitude; a fixed beamformer has no
         per-channel weights, so the weights are None."""
-        spec = ComplexSpectrogram(np.transpose(frames[0], (1, 0, 2)),
+        spec = ComplexSpectrogram(np.transpose(inputs[0], (1, 0, 2)),
                                   self.sample_rate)
         return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values), None
 
-    def window_features(self, frames) -> ad.Tensor:
-        mag, _ = self._combine(frames)
+    def window_features(self, inputs) -> ad.Tensor:
+        mag, _ = self._combine(inputs)
         return self._logmel(ad.Tensor(mag))
 
     def config(self):
@@ -462,20 +499,24 @@ def _values(part):
     return part.data if isinstance(part, ad.Tensor) else part
 
 
-def channel_rows(frames, signal: MultichannelSignal,
+def channel_rows(parts, signal: MultichannelSignal,
                  duplicate: MultichannelSignal):
-    """The channel rows of ``analyse(signal)`` parts that ``duplicate`` kept.
+    """The channel rows that ``duplicate`` kept of (T, C, K) ``parts`` of
+    ``signal``: of ``analyse(signal)`` or of ``normalise`` of it.
 
     ``duplicate`` is a ``mask_channels`` copy of ``signal``; its channels map
     to row positions of ``signal`` in the duplicate's own (ascending id)
-    order, so ``window_features`` of the result equals ``features`` of the
-    duplicate. Numpy parts are indexed; tape parts (the analytic bank
-    outputs) go through ``autodiff.getitem`` so the gradient reaches them.
+    order, so ``window_features`` of the rows of ``normalise(analyse(signal))``
+    equals ``features`` of the duplicate. Every part comes out C-contiguous:
+    numpy parts through ``np.take``, tape parts (the analytic bank outputs)
+    through ``autodiff.getitem``, which takes them the same way and passes
+    the gradient back.
     """
     row = {cid: i for i, cid in enumerate(signal.channel_ids)}
-    key = (slice(None), np.array([row[cid] for cid in duplicate.channel_ids]))
-    return tuple(ad.getitem(part, key) if isinstance(part, ad.Tensor)
-                 else part[key] for part in frames)
+    idx = np.array([row[cid] for cid in duplicate.channel_ids])
+    return tuple(ad.getitem(part, (slice(None), idx))
+                 if isinstance(part, ad.Tensor) else np.take(part, idx, axis=1)
+                 for part in parts)
 
 
 class FrameCache:

@@ -7,6 +7,7 @@ always name channels by their original index in the recording.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +71,17 @@ def read_wav(path) -> MultichannelSignal:
 
     PCM16 decodes as sample/32768, PCM24/32 as sample/2**31, IEEE float is
     taken as-is. Other encodings raise UnsupportedCodecError; broken files
-    raise FormatError.
+    raise FormatError, and so does a file whose data ends before the length
+    its header declares (scipy would return the part it read, with a
+    ``WavFileWarning``). Other ``WavFileWarning``s stay warnings.
     """
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    except wavfile.WavFileWarning as exc:
+        raise FormatError(f"truncated WAV file: {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"not a readable WAV file: {exc}") from exc
     except Exception as exc:  # struct errors, truncation

@@ -91,7 +91,16 @@ def frame_signal(samples, win, hop):
 
 
 def stft(signal: MultichannelSignal) -> ComplexSpectrogram:
-    """One-sided Hann STFT of each channel, (C, T, K), K = FFT_SIZE/2 + 1."""
+    """One-sided Hann STFT of each channel, (C, T, K), K = FFT_SIZE/2 + 1.
+
+    The values are computed frame-major: the windowed frames go straight
+    into a zero-padded (T, C, FFT_SIZE) buffer, whose transform is (T, C, K)
+    C-contiguous memory, and the spectrogram holds its (C, T, K) transposed
+    view. So ``values.transpose(1, 0, 2)``, the (T, C, K) layout every
+    frontend reads, needs no copy. Transforming the padded buffer spares
+    ``rfft`` its own padding copy and gives bitwise the values of
+    ``rfft(frames * hann, n=FFT_SIZE)``.
+    """
     cfg = StftConfig()
     rate = signal.sample_rate
     win = cfg.win_samples(rate)
@@ -99,7 +108,10 @@ def stft(signal: MultichannelSignal) -> ComplexSpectrogram:
         raise ArgumentError(f"a {win}-sample window ({rate} Hz) exceeds the FFT size")
     frames = frame_signal(signal.samples, win, cfg.hop_samples(rate))
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic
-    return ComplexSpectrogram(np.fft.rfft(frames * hann, n=FFT_SIZE), rate)
+    n_ch, n_frames = frames.shape[:2]
+    padded = np.zeros((n_frames, n_ch, FFT_SIZE))
+    np.multiply(frames.transpose(1, 0, 2), hann, out=padded[..., :win])
+    return ComplexSpectrogram(np.fft.rfft(padded).transpose(1, 0, 2), rate)
 
 
 # -- mel projection -----------------------------------------------------------

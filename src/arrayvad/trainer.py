@@ -8,12 +8,13 @@ xorshift64* stream (documented below) so duplicate construction is
 bit-reproducible across platforms and independent of numpy's generator
 internals.
 
-A training step analyses each cropped item once (``frontend.analyse``).
-The reference features and every masked duplicate's features come from
-that one analysis: a duplicate selects its kept channels' rows of the
-analysed frames (``frontends.channel_rows``) before
-``frontend.window_features``. Analysis is per channel, so this gives bit
-for bit what analysing the duplicate's own samples gives.
+A training step analyses and normalises each cropped item once
+(``frontend.analyse``, then ``frontend.normalise``). The reference features
+and every masked duplicate's features come from those normalised parts: a
+duplicate selects its kept channels' rows of them
+(``frontends.channel_rows``) before ``frontend.window_features``. Analysis
+and normalisation work on each channel alone, so this gives bit for bit
+the parts that the duplicate's own samples would give.
 
 Masking stream
 --------------
@@ -379,10 +380,11 @@ def train(frontend, model: ModelParams, train_items, val_items,
     is longer, run the frontend and classifier per segment, average the
     cross-entropy (reference path only), optionally add the invariance term
     over channel-masked duplicates, backprop once, update with Adam. Each
-    segment is analysed once; a duplicate's features come from the rows of
-    that analysis for the channels it kept (``channel_rows``). Per
-    epoch: validation OSD F1; stop after ``patience`` epochs without a new
-    best and restore the best snapshot before returning. Each history
+    segment is analysed and normalised once; a duplicate's features come
+    from the rows of those parts for the channels it kept
+    (``channel_rows``). Per epoch: validation OSD F1; stop after
+    ``patience`` epochs without a new best and restore the best snapshot
+    before returning. Each history
     record goes to ``log_path`` (NDJSON) as soon as it exists.
     With lam = 1 the duplicate branch is skipped outright, which leaves
     gradients identical to a plain cross-entropy run.
@@ -416,8 +418,8 @@ def train(frontend, model: ModelParams, train_items, val_items,
                 for offset, item_index in enumerate(batch):
                     item = train_items[int(item_index)]
                     signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
-                    frames = frontend.analyse(signal)
-                    feats = frontend.window_features(frames)
+                    inputs = frontend.normalise(frontend.analyse(signal))
+                    feats = frontend.window_features(inputs)
                     logits = tcn_forward(model, feats)
                     ce_terms.append(cross_entropy(
                         logits, _aligned_labels(frame_labels, logits.shape[0])))
@@ -427,7 +429,7 @@ def train(frontend, model: ModelParams, train_items, val_items,
                             step=step * tcfg.batch_size + offset)
                         inv_terms.append(invariant_loss(feats, [
                             frontend.window_features(
-                                channel_rows(frames, signal, d))
+                                channel_rows(inputs, signal, d))
                             for d in dups]))
                 ce_mean = _mean(ce_terms)
                 if use_inv:

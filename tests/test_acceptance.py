@@ -86,9 +86,9 @@ def _complex_sum(a, b, spec_t):
     """Complex channel sum of (T, C, K) ``spec_t`` with the weight columns
     (a, b) packed as w = a*exp(j*2*pi*b), as the mag/phase frontends do."""
     phase = b * (2.0 * np.pi)
+    reim = np.concatenate([spec_t.real, spec_t.imag], axis=-1)
     return combine_mag_phase_graph(a * phase.cos(), a * phase.sin(),
-                                   ad.Tensor(spec_t.real),
-                                   ad.Tensor(spec_t.imag))
+                                   ad.Tensor(reim))
 
 
 def _rand_spec(rng):

@@ -158,6 +158,18 @@ def test_analytic_checkpoint_naming_stride_is_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("name", ["frontend/wz", "frontend/real_ir/old",
+                                  "model/extra", "optimizer/m"])
+def test_unknown_tensor_names_raise_format_error(tmp_path, name):
+    path = tmp_path / "analytic.ckpt"
+    tensors, config = _analytic_bundle(path)
+    load_model(path)
+    tensors[name] = np.zeros(3)
+    write_checkpoint(path, tensors, config)
+    with pytest.raises(FormatError, match=name):
+        load_model(path)
+
+
 def test_whole_float_config_values_load_as_ints(tmp_path):
     # JSON writers may emit 8.0 for 8; jsonschema's integer admits it too.
     path = tmp_path / "analytic.ckpt"

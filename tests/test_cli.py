@@ -550,6 +550,21 @@ def test_malformed_text_exits_without_traceback(workdir, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_truncated_wav_exits_2_without_traceback(scene_out, workdir,
+                                                 untrained_ckpt, capsys):
+    raw = (scene_out / "scene.wav").read_bytes()
+    n_channels = read_wav(scene_out / "scene.wav").n_channels
+    data_start = raw.index(b"data") + 8
+    cut = workdir / "truncated.wav"
+    cut.write_bytes(raw[:data_start + 20000 * 2 * n_channels])
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(untrained_ckpt),
+                 "--wav", str(cut), "--out", str(workdir / "truncated")]) == 2
+    err = capsys.readouterr().err
+    assert "truncated" in err and "Traceback" not in err
+    assert not (workdir / "truncated" / "hyp.rttm").exists()
+
+
 def test_checkpoint_naming_three_classes_still_loads(scene_out, workdir,
                                                      untrained_ckpt):
     # Checkpoints written while the class count was a model field carry it.

@@ -55,9 +55,9 @@ def n_params(p):
 
 
 def spectrum_tc(values):
-    """(T, C, K) real and imaginary parts of complex (C, T, K) values."""
-    return (ad.Tensor(np.transpose(values.real, (1, 0, 2))),
-            ad.Tensor(np.transpose(values.imag, (1, 0, 2))))
+    """(T, C, 2K) [real | imaginary] parts of complex (C, T, K) values."""
+    return ad.Tensor(np.transpose(
+        np.concatenate([values.real, values.imag], axis=-1), (1, 0, 2)))
 
 
 def packed_weights(first, second):
@@ -191,7 +191,7 @@ def test_ecsacc_matches_naive_reference():
     w_mag = graph_weights(naive_mvn(np.log(np.abs(values) + 1e-8)), pm)
     w_phase = graph_weights(naive_mvn(np.angle(values)), pp)
     re, im = combine_mag_phase_graph(*packed_weights(w_mag, w_phase),
-                                     *spectrum_tc(values))
+                                     spectrum_tc(values))
     want, w = naive_ecsacc(values, pm, pp)
     assert np.max(np.abs(re.data + 1j * im.data - want)) < 1e-12
     assert np.allclose(w_mag[:, :, 0].T, np.abs(w), atol=1e-12)
@@ -233,7 +233,7 @@ def test_icsacc_matches_naive_reference():
                             naive_mvn(np.angle(values))], axis=-1)
     w = graph_weights(feats, p, value_split=6)
     re, im = combine_mag_phase_graph(*packed_weights(w[:, :, :1], w[:, :, 1:]),
-                                     *spectrum_tc(values))
+                                     spectrum_tc(values))
     want, _ = naive_icsacc(values, p)
     assert np.max(np.abs(re.data + 1j * im.data - want)) < 1e-12
 

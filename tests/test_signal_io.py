@@ -1,5 +1,7 @@
 """WAV round trips, channel masking and segment slicing."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,38 @@ def test_malformed_file_raises_format_error(tmp_path):
     path.write_bytes(b"RIFFxxxxWAVEfmt garbage")
     with pytest.raises(FormatError):
         read_wav(path)
+
+
+def truncated_pcm16(tmp_path, channels=4, keep_frames=1000):
+    """A PCM16 WAV of 3 s whose data is cut on a sample-frame boundary."""
+    path = tmp_path / "whole.wav"
+    write_wav(make_signal(c=channels, n=48000), path)
+    raw = path.read_bytes()
+    data_start = raw.index(b"data") + 8
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(raw[:data_start + keep_frames * 2 * channels])
+    return cut
+
+
+def test_truncated_wav_raises_format_error(tmp_path):
+    with pytest.raises(FormatError, match="truncated"):
+        read_wav(truncated_pcm16(tmp_path))
+
+
+def test_other_wav_warnings_stay_warnings(tmp_path):
+    # An unknown chunk before the data: scipy skips it with a warning.
+    path = tmp_path / "a.wav"
+    sig = make_signal(c=2, n=100)
+    write_wav(sig, path)
+    raw = path.read_bytes()
+    at = raw.index(b"data")
+    chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
+    riff_size = struct.unpack("<I", raw[4:8])[0] + len(chunk)
+    path.write_bytes(raw[:4] + struct.pack("<I", riff_size) + raw[8:at]
+                     + chunk + raw[at:])
+    with pytest.warns(wavfile.WavFileWarning):
+        back = read_wav(path)
+    assert back.samples.shape == (2, 100)
 
 
 def test_unsupported_codec(tmp_path):

@@ -12,6 +12,7 @@ from arrayvad.spectral import (
     ComplexSpectrogram,
     StftConfig,
     frame_count,
+    frame_signal,
     hilbert_basis,
     hz_to_mel,
     log_compress,
@@ -56,6 +57,20 @@ def test_stft_matches_naive_per_frame_dft():
         frame = x[t * 160 : t * 160 + win] * hann
         want = np.fft.rfft(frame, n=512)
         assert np.allclose(spec.values[0, t], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [8000, 16000])
+@pytest.mark.parametrize("seconds", [0.03, 0.25, 1.0137])
+def test_stft_bitwise_equals_rfft_of_windowed_frames(rate, seconds):
+    rng = np.random.default_rng(int(seconds * rate))
+    sig = MultichannelSignal(rng.normal(size=(3, int(seconds * rate))), rate)
+    win = int(round(0.025 * rate))
+    hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
+    frames = frame_signal(sig.samples, win, rate // 100)
+    values = stft(sig).values
+    assert np.array_equal(values, np.fft.rfft(frames * hann, n=512))
+    # (C, T, K) view of frame-major memory: the (T, C, K) layout is free
+    assert values.transpose(1, 0, 2).flags.c_contiguous
 
 
 def test_stft_integer_hop_delay_shifts_frames():

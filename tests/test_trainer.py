@@ -11,9 +11,9 @@ from arrayvad.arraysim import SceneSpec, toy_dataset
 from arrayvad.autodiff import Tensor, backward, parameter, tsum
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.errors import ArgumentError, NumericError
-from arrayvad.frontends import channel_rows, make_frontend
+from arrayvad.frontends import FrameCache, channel_rows, make_frontend
 from arrayvad.seqmodel import TcnConfig, tcn_init
-from arrayvad.signal_io import MultichannelSignal, mask_channels
+from arrayvad.signal_io import MultichannelSignal, mask_channels, slice_segment
 from arrayvad.segeval import FrameLabels
 from arrayvad.trainer import (
     AdamState,
@@ -417,10 +417,10 @@ def test_channel_rows_of_one_analysis_equal_masked_features(kind, kw,
                                                             attn_dim):
     fe = analyse_once_frontend(kind, attn_dim, **kw)
     sig = six_channel_signal()
-    frames = fe.analyse(sig)
+    inputs = fe.normalise(fe.analyse(sig))
     for keep in KEEP_SETS:
         dup = mask_channels(sig, keep)
-        got = fe.window_features(channel_rows(frames, sig, dup))
+        got = fe.window_features(channel_rows(inputs, sig, dup))
         want = fe.features(dup)
         assert np.array_equal(got.data, want.data), keep
 
@@ -428,11 +428,84 @@ def test_channel_rows_of_one_analysis_equal_masked_features(kind, kw,
 def test_channel_rows_follow_the_duplicate_channel_order():
     fe = analyse_once_frontend("sacc", 8)
     sig = six_channel_signal(channel_ids=(4, 0, 5, 2, 1, 3))
-    frames = fe.analyse(sig)
+    inputs = fe.normalise(fe.analyse(sig))
     for step in range(4):
         for dup in make_masked_duplicates(sig, InvariantConfig(p=2), step):
-            got = fe.window_features(channel_rows(frames, sig, dup))
+            got = fe.window_features(channel_rows(inputs, sig, dup))
             assert np.array_equal(got.data, fe.features(dup).data)
+
+
+def _values(part):
+    return part.data if isinstance(part, Tensor) else part
+
+
+@pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
+def test_normalise_commutes_with_channel_rows(kind, kw, attn_dim):
+    # MVN is per channel over the frames, so a duplicate's normalised inputs
+    # are rows of the reference's
+    fe = analyse_once_frontend(kind, attn_dim, **kw)
+    sig = six_channel_signal()
+    frames = fe.analyse(sig)
+    inputs = fe.normalise(frames)
+    for keep in KEEP_SETS:
+        dup = mask_channels(sig, keep)
+        want = fe.normalise(channel_rows(frames, sig, dup))
+        got = channel_rows(inputs, sig, dup)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(_values(g), _values(w)), keep
+
+
+@pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
+def test_analysed_normalised_and_channel_row_parts_are_contiguous(kind, kw,
+                                                                 attn_dim):
+    fe = analyse_once_frontend(kind, attn_dim, **kw)
+    sig = six_channel_signal()
+    frames = fe.analyse(sig)
+    inputs = fe.normalise(frames)
+    dup = mask_channels(sig, (1, 3, 4))
+    for stage, parts in [("analyse", frames), ("normalise", inputs),
+                         ("channel_rows", channel_rows(frames, sig, dup)),
+                         ("normalised rows", channel_rows(inputs, sig, dup))]:
+        for i, part in enumerate(parts):
+            assert _values(part).flags.c_contiguous, (stage, i)
+
+
+def test_rows_matmul_operands_reshape_without_a_copy(monkeypatch):
+    # ``_rows_matmul`` folds (..., K) rows into one GEMM operand; a strided
+    # operand would be copied there in the forward and again in backward.
+    # Every frontend path (features, combined, duplicates, backward and
+    # sliding windows through FrameCache) hands it operands whose rows are a
+    # view.
+    seen = []
+    rows_matmul = ad._rows_matmul
+
+    def checked(a, b):
+        seen.append(np.shares_memory(a.data.reshape(-1, a.shape[-1]), a.data))
+        return rows_matmul(a, b)
+
+    monkeypatch.setattr(ad, "_rows_matmul", checked)
+    items = six_mic_items(4, seed=6)
+    tcfg = TrainConfig(batch_size=1, steps_per_epoch=1, max_epochs=1,
+                       patience=1, segment_s=0.64, seed=5)
+    for kind, kw in [("sacc", {}), ("analytic", {}),
+                     ("ecsacc", {"parts": "mag_phase"}),
+                     ("ecsacc", {"parts": "real_imag"}),
+                     ("icsacc", {"parts": "mag_phase"}),
+                     ("icsacc", {"parts": "real_imag"})]:
+        for attn_dim in (8, 256):
+            fe = analyse_once_frontend(kind, attn_dim, **kw)
+            cfg = TcnConfig(input_dim=fe.feature_dim, bottleneck=8, hidden=8,
+                            layers_per_block=2, blocks=1)
+            train(fe, tcn_init(cfg, seed=4), items[:3], items[3:], tcfg,
+                  DUAL_ICFG)
+            signal = items[3].signal
+            fe.combined(signal)
+            cache = FrameCache(fe)
+            with ad.no_grad():
+                for start_s in (0.0, 0.1):
+                    fe.features(slice_segment(signal, start_s, 0.5), cache)
+    assert seen and all(seen)
 
 
 def six_mic_items(n_items, seed):
