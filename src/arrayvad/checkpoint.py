@@ -181,11 +181,21 @@ def _config_section(section):
         raise FormatError(f"checkpoint {section} config is invalid: {exc}") from exc
 
 
+def _legacy_bias(name, known):
+    """Whether ``name`` is a legacy key or value bias of a known bank."""
+    return (name.startswith("frontend/") and name.endswith(("bk", "bv"))
+            and name[:-2] + "wq" in known)
+
+
 def load_model(path):
     """Rebuild (frontend, model) from a ``save_model`` checkpoint.
 
     Every tensor must be a ``frontend/<param>`` or ``model/<tensor>`` of the
-    rebuilt bundle, else FormatError, and none of those may be missing.
+    rebuilt bundle, else FormatError, and none of those may be missing. The
+    one exception is a legacy attention bias: files written before banks
+    lost their key and value biases hold ``frontend/<prefix>bk`` and
+    ``frontend/<prefix>bv`` next to a known ``frontend/<prefix>wq``. Those
+    biases cannot change an output, so they are dropped.
     """
     tensors, config = read_checkpoint(path)
     if (not isinstance(config, dict) or "frontend" not in config
@@ -200,7 +210,8 @@ def load_model(path):
                          seed=config_int(config.get("model_seed", 0), "model_seed"))
     known = {"frontend/" + name for name in frontend.params}
     known.update("model/" + name for name in model.tensors)
-    unknown = sorted(set(tensors) - known)
+    unknown = sorted(name for name in set(tensors) - known
+                     if not _legacy_bias(name, known))
     if unknown:
         raise FormatError(
             f"checkpoint holds tensors that a {frontend.kind!r} frontend and "

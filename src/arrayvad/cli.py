@@ -408,7 +408,7 @@ def _cmd_beampattern(args):
     geom = ArrayGeometry.from_dict(cfg["geometry"])
     frontend, _ = load_model(args.checkpoint)
     signal = read_wav(args.wav)
-    weights = frontend.combined(signal).weights
+    _, weights = frontend.combined(signal)
     if weights is None:
         raise ArgumentError(
             f"frontend kind {frontend.kind!r} does not produce per-frame "
@@ -417,7 +417,7 @@ def _cmd_beampattern(args):
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     columns = []
     for freq in cfg["freqs"]:
-        response = time_avg_beampattern(weights.values, geom, freq, thetas)
+        response = time_avg_beampattern(weights, geom, freq, thetas)
         columns.append(np.abs(response))
     out = _out_dir(args)
     header = ["theta_deg"] + [f"mag_{freq:g}hz" for freq in cfg["freqs"]]

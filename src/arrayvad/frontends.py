@@ -43,10 +43,9 @@ where this module imports them.
 
 ``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
 its combined row as it is). ``combined`` runs the same ``_combine`` of the
-normalised parts under
-``autodiff.no_grad`` and returns the values and per-channel weights as numpy
-(a ``CombinedSpectrogram``), so the weights the ``beampattern`` command
-analyses are the ones the graph applies.
+normalised parts under ``autodiff.no_grad`` and returns the values and the
+per-channel weights as plain numpy arrays, so the weights the
+``beampattern`` command analyses are the ones the graph applies.
 
 ``make_frontend`` builds any variant from a JSON-able config dict; the
 same dict comes back from ``config()`` so checkpoints can rebuild the
@@ -60,8 +59,6 @@ import numpy as np
 from . import autodiff as ad
 from .beamform import ArrayGeometry, cdr_mask, mvdr
 from .combinator import (
-    CombinationWeights,
-    CombinedSpectrogram,
     attention_init,
     combine_mag_phase_graph,
     combine_real_graph,
@@ -87,8 +84,6 @@ FRONTEND_KINDS = ("sacc", "analytic", "ecsacc", "icsacc", "mvdr")
 
 TWO_PI = 2.0 * np.pi
 
-_ATTN_NAMES = ("wq", "wk", "wv", "bq", "bk", "bv")
-
 
 def _attn_tensors(feat_dim, attn_dim, seed, prefix=""):
     init = attention_init(feat_dim, attn_dim, seed)
@@ -96,7 +91,9 @@ def _attn_tensors(feat_dim, attn_dim, seed, prefix=""):
 
 
 def _subparams(params, prefix):
-    return {name: params[prefix + name] for name in _ATTN_NAMES}
+    """The tensors of ``params`` under ``prefix``, with the prefix cut off."""
+    return {name[len(prefix):]: t for name, t in params.items()
+            if name.startswith(prefix)}
 
 
 class Frontend:
@@ -168,29 +165,20 @@ class Frontend:
         frames = self.analyse(signal) if cache is None else cache.frames(signal)
         return self.window_features(self.normalise(frames))
 
-    def combined(self, signal) -> CombinedSpectrogram:
-        """Channel-combined values of ``signal`` and the weights that built
-        them, as numpy: ``_combine(normalise(analyse(signal)))`` off the
-        tape.
-
-        A (re, im) pair of combined values becomes one complex array.
+    def combined(self, signal):
+        """``(values, weights)`` of ``_combine(normalise(analyse(signal)))``
+        off the tape, as numpy: the (T, K) channel combination and the (C, T)
+        weights that built it (None for ``mvdr``). Real weights lie on the
+        simplex; a (re, im) pair of values or weights becomes complex.
         """
         with ad.no_grad():
             values, weights = self._combine(self.normalise(self.analyse(signal)))
         if weights is not None:
-            weights = self._combination_weights(weights)
-        return CombinedSpectrogram(self._combined_values(values), self.kind,
-                                   weights=weights)
+            weights = _values(weights)[:, :, 0].T
+        return self._combined_values(values), weights
 
     def _combined_values(self, values):
-        """``_combine`` values as numpy; a (re, im) pair becomes complex."""
-        if isinstance(values, tuple):
-            return values[0].data + 1j * values[1].data
         return _values(values)
-
-    def _combination_weights(self, w):
-        """(T, C, 1) weight tensor -> real (C, T) ``CombinationWeights``."""
-        return CombinationWeights(w.data[:, :, 0].T, kind="real")
 
     def _mel_tensor(self):
         return ad.Tensor(mel_filterbank(self.n_mels, self.stft_cfg.n_bins,
@@ -249,7 +237,9 @@ class SaccStftFrontend(Frontend):
 class AnalyticSaccFrontend(Frontend):
     """Learned analytic FIR bank replacing the STFT; features are the
     real/imag parts of the weighted channel combination. The bank hops by
-    ``frame_hop``, the STFT hop, so it yields one frame per 10 ms too."""
+    ``frame_hop``, the STFT hop, so it yields one frame per 10 ms too.
+    Kernels are at most 100 ms long (``sample_rate // 10`` taps), four times
+    the STFT window: the bank materialises an (L, L) Hilbert operator."""
 
     kind = "analytic"
     features = Frontend.features
@@ -259,8 +249,12 @@ class AnalyticSaccFrontend(Frontend):
         super().__init__(sample_rate, n_mels=1, attn_dim=attn_dim, seed=seed)
         self.n_filters = config_int(n_filters, "n_filters")
         self.kernel_len = config_int(kernel_len, "kernel_len")
-        if self.kernel_len < 2 or self.kernel_len % 2 or self.n_filters < 1:
-            raise ArgumentError("kernel_len must be even and >= 2, n_filters >= 1")
+        max_len = self.sample_rate // 10
+        if (self.kernel_len < 2 or self.kernel_len % 2
+                or self.kernel_len > max_len or self.n_filters < 1):
+            raise ArgumentError(
+                f"kernel_len must be even, >= 2 and <= {max_len} (100 ms), "
+                "n_filters >= 1")
         rng = np.random.default_rng(self.seed)
         bound = 1.0 / np.sqrt(self.kernel_len)
         self.params = _attn_tensors(self.n_filters, self.attn_dim, self.seed)
@@ -383,11 +377,6 @@ class _ComplexSaccFrontend(Frontend):
         reim = ad.Tensor(inputs[0])
         return combine_mag_phase_graph(w_re, w_im, reim), (w_re, w_im)
 
-    def _combination_weights(self, w):
-        """(w_re, w_im) weight pair -> complex (C, T) ``CombinationWeights``."""
-        w_re, w_im = (part.data[:, :, 0].T for part in w)
-        return CombinationWeights(w_re + 1j * w_im, kind="complex")
-
     def config(self):
         out = super().config()
         out["parts"] = self.parts
@@ -496,6 +485,9 @@ class MvdrFrontend(Frontend):
 
 
 def _values(part):
+    """``part`` as numpy; a (re, im) pair of tensors becomes complex."""
+    if isinstance(part, tuple):
+        return part[0].data + 1j * part[1].data
     return part.data if isinstance(part, ad.Tensor) else part
 
 

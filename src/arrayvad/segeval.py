@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError, UndefinedMetricError
+from .errors import ArgumentError, ParseError, RangeError, UndefinedMetricError
 from .signal_io import MultichannelSignal, slice_segment
 from .spectral import FRAME_RATE
 
 N_CLASSES = 3
+MAX_LABEL_FRAMES = 24 * 3600 * FRAME_RATE
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,11 @@ def labels_from_segments(segs: SegmentSet, duration_s) -> FrameLabels:
 
     A speaker is active at a frame when the frame center falls inside any of
     that speaker's segments, so adjacent pieces of a split segment behave
-    exactly like the original.
+    exactly like the original. The span ``duration_s`` must lie in
+    [0, 24 h] (``MAX_LABEL_FRAMES``), else RangeError.
     """
+    if not 0 <= duration_s * FRAME_RATE <= MAX_LABEL_FRAMES:
+        raise RangeError(f"label span of {duration_s} s is not in [0, 24 h]")
     n_frames = int(round(duration_s * FRAME_RATE))
     centers = (np.arange(n_frames) + 0.5) / FRAME_RATE
     count = np.zeros(n_frames, dtype=np.int64)

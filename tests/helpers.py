@@ -42,7 +42,7 @@ def relative_error(a, b, floor=1e-8):
 #
 # Per-frame loops with their own softmax and normalization code, so the
 # vectorized tape path in ``combinator``/``frontends`` is checked against an
-# independent route. ``p`` maps wq, wk, wv, bq, bk, bv to numpy arrays (as
+# independent route. ``p`` maps wq, wk, wv, bq to numpy arrays (as
 # ``combinator.attention_init`` returns them); values are complex (C, T, K)
 # spectra.
 
@@ -66,8 +66,8 @@ def naive_weights(feats, p):
     for t in range(n_frames):
         frame = feats[:, t, :]
         q = frame @ p["wq"] + p["bq"]
-        k = frame @ p["wk"] + p["bk"]
-        v = frame @ p["wv"] + p["bv"]
+        k = frame @ p["wk"]
+        v = frame @ p["wv"]
         att = naive_softmax(q @ k.T / np.sqrt(p["wq"].shape[1]), axis=-1)
         scores = att @ v
         out[:, t] = naive_softmax(scores[:, 0], axis=0)
@@ -124,10 +124,10 @@ def naive_icsacc(values, p, parts="mag_phase"):
     for t in range(n_frames):
         frame = feats[:, t, :]
         q = frame @ p["wq"] + p["bq"]
-        kk = frame @ p["wk"] + p["bk"]
+        kk = frame @ p["wk"]
         att = naive_softmax(q @ kk.T / np.sqrt(p["wq"].shape[1]), axis=-1)
-        v_mag = frame[:, :k] @ p["wv"][:k] + p["bv"]
-        v_phase = frame[:, k:] @ p["wv"][k:] + p["bv"]
+        v_mag = frame[:, :k] @ p["wv"][:k]
+        v_phase = frame[:, k:] @ p["wv"][k:]
         wm[:, t] = naive_softmax((att @ v_mag)[:, 0], axis=0)
         wp[:, t] = naive_softmax((att @ v_phase)[:, 0], axis=0)
     return naive_complex_sum(values, wm, wp, parts)

@@ -159,7 +159,9 @@ def test_analytic_checkpoint_naming_stride_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["frontend/wz", "frontend/real_ir/old",
-                                  "model/extra", "optimizer/m"])
+                                  "model/extra", "optimizer/m", "frontend/bz",
+                                  "frontend/mag/bk", "frontend/real_irbv",
+                                  "model/bk"])
 def test_unknown_tensor_names_raise_format_error(tmp_path, name):
     path = tmp_path / "analytic.ckpt"
     tensors, config = _analytic_bundle(path)
@@ -167,6 +169,40 @@ def test_unknown_tensor_names_raise_format_error(tmp_path, name):
     tensors[name] = np.zeros(3)
     write_checkpoint(path, tensors, config)
     with pytest.raises(FormatError, match=name):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["sacc", "ecsacc", "icsacc"])
+def test_legacy_attention_biases_are_dropped(tmp_path, kind):
+    # Banks written before the key and value biases went hold zero
+    # <prefix>bk and <prefix>bv next to every <prefix>wq.
+    frontend = make_frontend({"kind": kind, "attn_dim": 4, "seed": 5})
+    model = tcn_init(TcnConfig(input_dim=frontend.feature_dim, bottleneck=4,
+                               hidden=4, layers_per_block=1, blocks=1), seed=6)
+    path = tmp_path / "current.ckpt"
+    save_model(path, frontend, model)
+    tensors, config = read_checkpoint(path)
+    prefixes = [name[:-2] for name in tensors
+                if name.startswith("frontend/") and name.endswith("wq")]
+    assert len(prefixes) == (2 if kind == "ecsacc" else 1)
+    for prefix in prefixes:
+        tensors[prefix + "bk"] = np.zeros(4)
+        tensors[prefix + "bv"] = np.zeros(1)
+    legacy = tmp_path / "legacy.ckpt"
+    write_checkpoint(legacy, tensors, config)
+
+    sig = MultichannelSignal(
+        0.1 * np.random.default_rng(7).normal(size=(3, 4000)), 16000)
+    feats = [load_model(p)[0].features(sig).data for p in (path, legacy)]
+    assert feats[0].tobytes() == feats[1].tobytes()
+
+
+def test_analytic_checkpoint_with_huge_kernel_is_rejected(tmp_path):
+    path = tmp_path / "analytic.ckpt"
+    tensors, config = _analytic_bundle(path)
+    config["frontend"]["kernel_len"] = 100000
+    write_checkpoint(path, tensors, config)
+    with pytest.raises(FormatError, match="kernel_len"):
         load_model(path)
 
 

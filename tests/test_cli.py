@@ -565,6 +565,99 @@ def test_truncated_wav_exits_2_without_traceback(scene_out, workdir,
     assert not (workdir / "truncated" / "hyp.rttm").exists()
 
 
+def _write(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return str(path)
+
+
+def _rttm(onset, duration):
+    return f"SPEAKER f 1 {onset} {duration} <NA> <NA> a <NA> <NA>\n"
+
+
+def _mutated_ckpt(ckpt, path, mutate):
+    tensors, config = read_checkpoint(ckpt)
+    mutate(tensors, config)
+    write_checkpoint(path, tensors, config)
+    return str(path)
+
+
+def _score_argv(rttm):
+    return lambda d, wav, ckpt: [
+        "score", "--ref", _write(d / "ref.rttm", rttm),
+        "--hyp", _write(d / "hyp.rttm", rttm)]
+
+
+def _features_argv(cfg):
+    return lambda d, wav, ckpt: [
+        "features", "--config", _write(d / "features.json", json.dumps(cfg)),
+        "--wav", wav, "--out", str(d / "out")]
+
+
+def _infer_argv(mutate):
+    return lambda d, wav, ckpt: [
+        "infer", "--checkpoint", _mutated_ckpt(ckpt, d / "model.ckpt", mutate),
+        "--wav", wav, "--out", str(d / "out")]
+
+
+def _train_argv(frontend):
+    template = {"geometry": {"n_mics": 4, "radius": 0.05}, "duration_s": 0.64}
+    cfg = {"frontend": frontend,
+           "model": {"bottleneck": 4, "hidden": 4, "layers_per_block": 1,
+                     "blocks": 1},
+           "train": {"batch_size": 1, "steps_per_epoch": 1, "max_epochs": 1,
+                     "segment_s": 0.64},
+           "data": {"template": template, "n_train": 1, "n_val": 1}}
+    return lambda d, wav, ckpt: [
+        "train", "--config", _write(d / "train.json", json.dumps(cfg)),
+        "--out", str(d / "out")]
+
+
+def _nan_model_tensor(tensors, config):
+    name = next(n for n in sorted(tensors) if n.startswith("model/"))
+    tensors[name][...] = np.nan
+
+
+_HUGE_KERNEL = {"kind": "analytic", "kernel_len": 100000, "attn_dim": 4,
+                "sample_rate": 16000}
+
+# One row per failure class: the argv a row builds from (its own directory,
+# the scene WAV, a small sacc checkpoint) and the documented exit code, 1 for
+# usage, 2 for data and formats, 3 for numeric failures.
+FAILURE_CLASSES = {
+    "usage-unknown-command": (lambda d, wav, ckpt: ["not-a-command"], 1),
+    "usage-unknown-config-key": (
+        _features_argv({"variant": "sacc", "x": 1}), 1),
+    "data-missing-wav": (lambda d, wav, ckpt: [
+        "infer", "--checkpoint", ckpt, "--wav", str(d / "missing.wav"),
+        "--out", str(d / "out")], 2),
+    "data-rttm-bad-field": (_score_argv(_rttm("zero", 1.0)), 2),
+    "data-rttm-day-long-span": (_score_argv(_rttm(0.0, 1e12)), 2),
+    "data-rttm-overflowing-end": (_score_argv(_rttm(1e308, 1e308)), 2),
+    "data-rttm-negative-span": (_score_argv(_rttm(-5.0, 1.0)), 2),
+    "data-features-huge-analytic-kernel": (
+        _features_argv({"variant": "analytic", "kernel_len": 100000}), 2),
+    "data-train-huge-analytic-kernel": (_train_argv(_HUGE_KERNEL), 2),
+    "data-checkpoint-huge-analytic-kernel": (_infer_argv(
+        lambda t, c: c.update(frontend=_HUGE_KERNEL)), 2),
+    "data-checkpoint-unknown-tensor": (_infer_argv(
+        lambda t, c: t.update({"frontend/bz": np.zeros(4)})), 2),
+    "numeric-nan-model-weights": (_infer_argv(_nan_model_tensor), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CLASSES))
+def test_failure_classes_map_to_exit_codes_without_traceback(
+        scene_out, workdir, untrained_ckpt, capsys, case):
+    build, code = FAILURE_CLASSES[case]
+    d = workdir / f"failure_{case}"
+    d.mkdir()
+    argv = build(d, str(scene_out / "scene.wav"), str(untrained_ckpt))
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
 def test_checkpoint_naming_three_classes_still_loads(scene_out, workdir,
                                                      untrained_ckpt):
     # Checkpoints written while the class count was a model field carry it.

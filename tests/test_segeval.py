@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from arrayvad.errors import ArgumentError, ParseError, UndefinedMetricError
+from arrayvad.errors import (ArgumentError, ParseError, RangeError,
+                             UndefinedMetricError)
 from arrayvad.segeval import (
     FrameLabels,
     OsdMetrics,
     Segment,
     SegmentSet,
     VadMetrics,
+    MAX_LABEL_FRAMES,
     labels_from_segments,
     osd_metrics,
     parse_rttm,
@@ -149,6 +151,24 @@ def test_segments_past_duration_are_clipped():
     out = labels_from_segments(segs, 2.0)
     assert (out.labels[:150] == 0).all()
     assert (out.labels[150:] == 1).all()
+
+
+@pytest.mark.parametrize("duration_s", [
+    1e12, float("inf"), float("nan"), -1.0, MAX_LABEL_FRAMES / 100 + 0.01])
+def test_label_spans_that_are_not_finite_or_over_a_day_are_refused(duration_s):
+    # 1e12 s would ask for 728 TiB of frame centres; inf used to overflow.
+    segs = SegmentSet((Segment("f", 0.0, 1.0, "a"),))
+    with pytest.raises(RangeError, match="label span"):
+        labels_from_segments(segs, duration_s)
+
+
+def test_spans_from_zero_to_a_day_are_labelled():
+    assert MAX_LABEL_FRAMES == 8_640_000
+    segs = SegmentSet((Segment("f", 0.0, 1.0, "a"),))
+    assert len(labels_from_segments(segs, 0.0)) == 0
+    day = labels_from_segments(segs, 24 * 3600.0)
+    assert len(day) == MAX_LABEL_FRAMES
+    assert day.labels[:100].all() and not day.labels[100:].any()
 
 
 # -- segments_from_labels -----------------------------------------------------
