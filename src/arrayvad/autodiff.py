@@ -313,29 +313,14 @@ def _selects_each_once(key):
     return True
 
 
-def _is_rows_key(key):
-    """True for a ``(slice(None), 1-D integer array)`` key."""
-    return (isinstance(key, tuple) and len(key) == 2
-            and isinstance(key[0], slice) and key[0] == slice(None)
-            and isinstance(key[1], np.ndarray) and key[1].ndim == 1
-            and key[1].dtype.kind in "iu")
-
-
 def getitem(a, key):
     """``a[key]``. Backward adds the gradient into ``a.grad[key]`` in place
     when the key selects each element at most once, and scatters it with
     ``np.add.at`` otherwise, since a fancy key may repeat an index.
-
-    A ``(slice(None), index array)`` key, a channel-row selection of a
-    (T, C, K) part, is taken with ``np.take``: the value is C-contiguous and
-    frame-major, where numpy's fancy indexing would lay it out channel-major.
     """
     a = as_tensor(a)
     in_place = _selects_each_once(key)
-    if _is_rows_key(key):
-        data = np.take(a.data, key[1], axis=1)
-    else:
-        data = a.data[key]
+    data = a.data[key]
 
     def backward(g):
         if a.grad is None:

@@ -35,7 +35,7 @@ from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
                       write_rttm)
 from .seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
-from .signal_io import mask_channels, read_wav, write_wav
+from .signal_io import channel_mask, mask_channels, read_wav, write_wav
 from .spectral import log_compress, mel_project, stft
 from .trainer import InvariantConfig, TrainConfig, train
 
@@ -311,15 +311,25 @@ def _write_csv(path, header, rows):
             ) + "\n")
 
 
-def _infer_labels(frontend, model, signal, cfg):
+def _infer_labels(frontend, model, signal, cfg, mask=None):
     """Sliding-window labels; no tape, and each window analyses only the
     frames the previous one did not (per-window MVN and TCN are kept).
-    The window and hop are ``sliding_infer``'s unless ``cfg`` names them."""
+    The window and hop are ``sliding_infer``'s unless ``cfg`` names them.
+
+    With a (P, C) channel mask, one pass serves P channel subsets: each
+    window is analysed and normalised once, its features come as a
+    (T, P, F) stack and the TCN runs once per path; returns a list of P
+    ``FrameLabels``, path p's equal to those of the signal masked to the
+    channels mask row p keeps.
+    """
     cache = FrameCache(frontend)
 
     def posterior_fn(window):
-        feats = frontend.features(window, cache=cache)
-        return posteriors(tcn_forward(model, feats.data))
+        feats = frontend.features(window, cache=cache, mask=mask).data
+        if mask is None:
+            return posteriors(tcn_forward(model, feats))
+        return np.stack([posteriors(tcn_forward(model, feats[:, p]))
+                         for p in range(feats.shape[1])])
 
     window = {k: cfg[k] for k in ("win_s", "hop_s") if k in cfg}
     with no_grad():
@@ -555,12 +565,17 @@ def _cmd_maskeval(args):
     else:
         keep_sets = [list(range(signal.n_channels))]
 
-    rows = []
-    for keep in keep_sets:
-        masked = mask_channels(signal, keep)
-        labels = _infer_labels(frontend, model, masked, cfg)
-        scored = _score_pair(ref_labels, labels)
-        rows.append({"n_channels": len(keep), "keep": keep, **scored})
+    if frontend.kind == "mvdr":
+        # No per-channel weights to mask: each keep set is its own signal.
+        hyps = [_infer_labels(frontend, model, mask_channels(signal, keep),
+                              cfg)
+                for keep in keep_sets]
+    else:
+        mask = np.stack([channel_mask(signal, keep) for keep in keep_sets])
+        hyps = _infer_labels(frontend, model, signal, cfg, mask=mask)
+    rows = [{"n_channels": len(keep), "keep": keep,
+             **_score_pair(ref_labels, labels)}
+            for keep, labels in zip(keep_sets, hyps)]
 
     header = f"{'C':>4}  {'kept':<20} {'FA':>7} {'Miss':>7} {'SER':>7} {'OSD-F1':>7}"
     print(header)

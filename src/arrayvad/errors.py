@@ -8,6 +8,12 @@ failures exit 3.
 
 import numbers
 
+# Most float64 values one part of a model may hold (512 MiB): an attention
+# map, a filterbank, the TCN's weights. Size fields of configs and
+# checkpoints are checked against it before anything is built, so an absurd
+# width fails as bad input instead of running out of memory.
+MAX_ELEMENTS = 1 << 26
+
 
 class ArrayVadError(Exception):
     """Base class for all package errors."""
@@ -58,3 +64,12 @@ def config_int(value, name):
     if whole or isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def check_size(count, what):
+    """ArgumentError when ``what``, which would hold ``count`` values, is
+    over ``MAX_ELEMENTS``."""
+    if count > MAX_ELEMENTS:
+        raise ArgumentError(
+            f"{what} would hold {count} values, over the limit of "
+            f"{MAX_ELEMENTS}")

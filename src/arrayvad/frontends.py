@@ -23,9 +23,13 @@ grid that the STFT and the analytic bank share, and C-contiguous
 copy. Frames shared by overlapping windows can be analysed once
 (``FrameCache``) while the per-window steps, and so the output, stay exactly
 as without reuse. Both ``analyse`` and ``normalise`` work on each channel
-alone, so ``channel_rows`` of the normalised parts of a signal are the
-normalised parts of a channel-masked copy: training's masked duplicates
-select those rows and run only ``window_features``.
+alone, so the normalised parts of a signal hold those of every channel
+subset of it: ``window_features(inputs, mask)`` with a (P, C) boolean
+channel mask gives a (T, P, F) stack whose path p equals the features of
+the channels mask row p keeps. Only the attention's two softmaxes, the
+channel sum and mel/log run per path (``combinator.weights_graph``).
+Training's reference and masked duplicates and every ``maskeval`` keep set
+share one analysis, one normalisation and one set of projections that way.
 
 The combination is one method per kind, ``_combine``: attention inputs,
 weights and the weighted channel sum, returning the combined values and the
@@ -35,14 +39,16 @@ the bank's real and imaginary outputs side by side for ``analytic``), or
 complex weights w_re + j*w_im times the complex STFT
 (``combine_mag_phase_graph``, both ``parts`` layouts). The ``ecsacc`` and
 ``icsacc`` kinds pack their two weight columns into (w_re, w_im) on the
-(T, C, 1) weights only: a*cos(2*pi*b), a*sin(2*pi*b) for ``mag_phase``,
-(a, b) for ``real_imag``; their STFT part is the real and imaginary parts
-side by side, (T, C, 2K), as the combination multiplies them. Both
-combination ops keep their names here because ``perfbench`` traces them
-where this module imports them.
+(T, [P,] C, 1) weights only: a*cos(2*pi*b), a*sin(2*pi*b) for
+``mag_phase``, (a, b) for ``real_imag``; their STFT part is the real and
+imaginary parts side by side, (T, C, 2K), as the combination multiplies
+them. Both combination ops keep their names here because ``perfbench``
+traces them where this module imports them.
 
 ``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
-its combined row as it is). ``combined`` runs the same ``_combine`` of the
+its combined row as it is); with a mask, the combination is one
+(T, P, C) @ (T, C, K) product and mel/log one GEMM over the T * P rows.
+``mvdr`` takes no mask. ``combined`` runs the same ``_combine`` of the
 normalised parts under ``autodiff.no_grad`` and returns the values and the
 per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
@@ -65,7 +71,7 @@ from .combinator import (
     mvn_graph,
     weights_graph,
 )
-from .errors import ArgumentError, config_int
+from .errors import ArgumentError, check_size, config_int
 from .signal_io import MultichannelSignal
 from .spectral import (
     LOG_EPS,
@@ -107,6 +113,8 @@ class Frontend:
         self.attn_dim = config_int(attn_dim, "attn_dim")
         self.seed = config_int(seed, "seed")
         self.stft_cfg = StftConfig()
+        check_size(self.n_mels * self.stft_cfg.n_bins,
+                   f"a {self.n_mels}-band mel filterbank")
         self.params = {}
 
     # -- weights in/out -------------------------------------------------------
@@ -153,17 +161,19 @@ class Frontend:
         STFT hop of 1 / FRAME_RATE s, which every kind uses."""
         return self.stft_cfg.hop_samples(self.sample_rate)
 
-    def features(self, signal, cache=None) -> ad.Tensor:
+    def features(self, signal, cache=None, mask=None) -> ad.Tensor:
         """(T, F) features of ``signal``:
-        ``window_features(normalise(analyse(signal)))``.
+        ``window_features(normalise(analyse(signal)), mask)``.
 
         With a ``FrameCache``, frames the previous window analysed are taken
         from it instead of being analysed again; the result is the same.
+        With a (P, C) boolean channel mask the result is a (T, P, F) stack:
+        path p holds the features of the channels that mask row p keeps.
         Each kind binds ``features = Frontend.features`` in its own class,
         so tracing (``perfbench``) can wrap and time the kinds apart.
         """
         frames = self.analyse(signal) if cache is None else cache.frames(signal)
-        return self.window_features(self.normalise(frames))
+        return self.window_features(self.normalise(frames), mask)
 
     def combined(self, signal):
         """``(values, weights)`` of ``_combine(normalise(analyse(signal)))``
@@ -185,6 +195,8 @@ class Frontend:
                                         self.sample_rate))
 
     def _logmel(self, combined_mag):
+        """Log-mel of (T, K) magnitudes, or of a (T, P, K) stack as one GEMM
+        over its T * P rows."""
         return ad.tlog(combined_mag @ self._mel_tensor() + LOG_EPS)
 
     def config(self):
@@ -223,14 +235,15 @@ class SaccStftFrontend(Frontend):
         mag, log_mag = frames
         return mag, mvn(log_mag)
 
-    def _combine(self, inputs):
-        """(T, K) combined magnitude and the (T, C, 1) weights."""
+    def _combine(self, inputs, mask=None):
+        """(T, K) combined magnitude and the (T, C, 1) weights; (T, P, K)
+        and (T, P, C, 1) with a mask."""
         mag, attn_in = inputs
-        w = weights_graph(ad.Tensor(attn_in), self.params)
+        w = weights_graph(ad.Tensor(attn_in), self.params, mask=mask)
         return combine_real_graph(w, ad.Tensor(mag)), w
 
-    def window_features(self, inputs) -> ad.Tensor:
-        combined, _ = self._combine(inputs)
+    def window_features(self, inputs, mask=None) -> ad.Tensor:
+        combined, _ = self._combine(inputs, mask)
         return self._logmel(combined)
 
 
@@ -255,6 +268,8 @@ class AnalyticSaccFrontend(Frontend):
             raise ArgumentError(
                 f"kernel_len must be even, >= 2 and <= {max_len} (100 ms), "
                 "n_filters >= 1")
+        check_size(self.n_filters * self.kernel_len,
+                   f"a bank of {self.n_filters} filters")
         rng = np.random.default_rng(self.seed)
         bound = 1.0 / np.sqrt(self.kernel_len)
         self.params = _attn_tensors(self.n_filters, self.attn_dim, self.seed)
@@ -297,15 +312,15 @@ class AnalyticSaccFrontend(Frontend):
         re, im, log_mag = frames
         return re, im, mvn_graph(ad.as_tensor(log_mag))
 
-    def _combine(self, inputs):
+    def _combine(self, inputs, mask=None):
         """(T, 2F) combined [real | imaginary] bank outputs and the
-        (T, C, 1) weights."""
+        (T, C, 1) weights; (T, P, 2F) and (T, P, C, 1) with a mask."""
         re, im, attn_in = inputs
-        w = weights_graph(attn_in, self.params)
+        w = weights_graph(attn_in, self.params, mask=mask)
         return combine_real_graph(w, ad.concat([re, im], axis=-1)), w
 
-    def window_features(self, inputs) -> ad.Tensor:
-        row, _ = self._combine(inputs)
+    def window_features(self, inputs, mask=None) -> ad.Tensor:
+        row, _ = self._combine(inputs, mask)
         return row
 
     def _combined_values(self, row):
@@ -358,16 +373,17 @@ class _ComplexSaccFrontend(Frontend):
             first, second = np.split(frames[0], 2, axis=-1)
         return mvn(first), mvn(second)
 
-    def window_features(self, inputs) -> ad.Tensor:
-        (re, im), _ = self._combine(inputs)
+    def window_features(self, inputs, mask=None) -> ad.Tensor:
+        (re, im), _ = self._combine(inputs, mask)
         return self._logmel(ad.complex_abs(re, im))
 
     def _complex_sum(self, a, b, inputs):
-        """Complex channel sum from the two (T, C, 1) weight columns (a, b).
+        """Complex channel sum from the two (T, [P,] C, 1) weight columns
+        (a, b).
 
         The columns become w = w_re + j*w_im: a*exp(j*2*pi*b) for
-        ``mag_phase``, a + j*b for ``real_imag``. Returns the (T, K) re/im
-        of sum_c w_c * X_c and the (w_re, w_im) pair.
+        ``mag_phase``, a + j*b for ``real_imag``. Returns the (T, [P,] K)
+        re/im of sum_c w_c * X_c and the (w_re, w_im) pair.
         """
         if self.parts == "mag_phase":
             phase = b * TWO_PI
@@ -402,11 +418,14 @@ class EcSaccFrontend(_ComplexSaccFrontend):
         """([real | imaginary], first attention input, second one)."""
         return frames[:1] + self._normalised_parts(frames)
 
-    def _combine(self, inputs):
-        """(T, K) re/im of the combination and the (w_re, w_im) weights."""
+    def _combine(self, inputs, mask=None):
+        """(T, [P,] K) re/im of the combination and the (w_re, w_im)
+        weights."""
         first, second = inputs[1:]
-        w1 = weights_graph(ad.Tensor(first), _subparams(self.params, "mag/"))
-        w2 = weights_graph(ad.Tensor(second), _subparams(self.params, "phase/"))
+        w1 = weights_graph(ad.Tensor(first), _subparams(self.params, "mag/"),
+                           mask=mask)
+        w2 = weights_graph(ad.Tensor(second),
+                           _subparams(self.params, "phase/"), mask=mask)
         return self._complex_sum(w1, w2, inputs)
 
 
@@ -429,12 +448,12 @@ class IcSaccFrontend(_ComplexSaccFrontend):
         return frames[:1] + (np.concatenate(self._normalised_parts(frames),
                                             axis=-1),)
 
-    def _combine(self, inputs):
-        """(T, K) re/im of the combination and the (w_re, w_im) weights
+    def _combine(self, inputs, mask=None):
+        """(T, [P,] K) re/im of the combination and the (w_re, w_im) weights
         packed from the two columns of the split value head."""
         w = weights_graph(ad.Tensor(inputs[1]), self.params,
-                          value_split=self.stft_cfg.n_bins)
-        return self._complex_sum(w[:, :, :1], w[:, :, 1:], inputs)
+                          value_split=self.stft_cfg.n_bins, mask=mask)
+        return self._complex_sum(w[..., :1], w[..., 1:], inputs)
 
 
 class MvdrFrontend(Frontend):
@@ -471,7 +490,14 @@ class MvdrFrontend(Frontend):
                                   self.sample_rate)
         return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values), None
 
-    def window_features(self, inputs) -> ad.Tensor:
+    def window_features(self, inputs, mask=None) -> ad.Tensor:
+        """Log-mel of the beamformed magnitude. A channel mask does not
+        apply: a fixed beamformer has no per-channel weights to restrict,
+        and a channel subset needs its own CDR mask and MVDR solve."""
+        if mask is not None:
+            raise ArgumentError(
+                "the mvdr frontend has no per-channel weights to mask; "
+                "mask the signal's channels instead")
         mag, _ = self._combine(inputs)
         return self._logmel(ad.Tensor(mag))
 
@@ -489,26 +515,6 @@ def _values(part):
     if isinstance(part, tuple):
         return part[0].data + 1j * part[1].data
     return part.data if isinstance(part, ad.Tensor) else part
-
-
-def channel_rows(parts, signal: MultichannelSignal,
-                 duplicate: MultichannelSignal):
-    """The channel rows that ``duplicate`` kept of (T, C, K) ``parts`` of
-    ``signal``: of ``analyse(signal)`` or of ``normalise`` of it.
-
-    ``duplicate`` is a ``mask_channels`` copy of ``signal``; its channels map
-    to row positions of ``signal`` in the duplicate's own (ascending id)
-    order, so ``window_features`` of the rows of ``normalise(analyse(signal))``
-    equals ``features`` of the duplicate. Every part comes out C-contiguous:
-    numpy parts through ``np.take``, tape parts (the analytic bank outputs)
-    through ``autodiff.getitem``, which takes them the same way and passes
-    the gradient back.
-    """
-    row = {cid: i for i, cid in enumerate(signal.channel_ids)}
-    idx = np.array([row[cid] for cid in duplicate.channel_ids])
-    return tuple(ad.getitem(part, (slice(None), idx))
-                 if isinstance(part, ad.Tensor) else np.take(part, idx, axis=1)
-                 for part in parts)
 
 
 class FrameCache:

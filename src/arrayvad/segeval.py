@@ -191,14 +191,17 @@ def segments_from_labels(labels: FrameLabels, file_id) -> SegmentSet:
 
 
 def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0,
-                  hop_s=0.5) -> FrameLabels:
+                  hop_s=0.5):
     """Run a window-level posterior function over a long signal.
 
     posterior_fn maps a MultichannelSignal window to (frames, 3) posteriors
-    on the FRAME_RATE grid. Windows advance by hop_s; a final window aligned
-    to the signal end covers any tail. Overlapping frames average their
-    posteriors (arithmetic mean over the windows that cover them); classes
-    are the argmax, ties resolved toward the lower class.
+    on the FRAME_RATE grid, or to a (P, frames, 3) stack of P paths (for
+    example P channel subsets of the window). Windows advance by hop_s; a
+    final window aligned to the signal end covers any tail. Overlapping
+    frames average their posteriors (arithmetic mean over the windows that
+    cover them); classes are the argmax, ties resolved toward the lower
+    class. Returns FrameLabels, or a list of P FrameLabels for stacks; each
+    path is averaged exactly as it would be alone.
     """
     if win_s <= 0 or hop_s <= 0:
         raise ArgumentError("window and hop must be positive")
@@ -211,21 +214,30 @@ def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0,
         starts.append(last_start)  # tail window aligned to the signal end
     duration = signal.n_samples / rate
     n_frames = int(round(duration * FRAME_RATE))
-    acc = np.zeros((n_frames, N_CLASSES))
+    acc = None
     cover = np.zeros(n_frames)
     for start_n in starts:
         window = slice_segment(signal, start_n / rate, win_n / rate)
         post = np.asarray(posterior_fn(window), dtype=np.float64)
-        if post.ndim != 2 or post.shape[1] != N_CLASSES:
-            raise ArgumentError("posterior_fn must return (frames, 3)")
+        if (post.ndim not in (2, 3) or post.shape[-1] != N_CLASSES
+                or acc is not None and post.shape[:-2] != acc.shape[:-2]):
+            raise ArgumentError(
+                "posterior_fn must return (frames, 3), or (paths, frames, 3) "
+                "with the same paths for every window")
+        if acc is None:
+            acc = np.zeros(post.shape[:-2] + (n_frames, N_CLASSES))
         offset = int(round(start_n / rate * FRAME_RATE))
-        frames = min(post.shape[0], n_frames - offset)
-        acc[offset:offset + frames] += post[:frames]
+        frames = min(post.shape[-2], n_frames - offset)
+        acc[..., offset:offset + frames, :] += post[..., :frames, :]
         cover[offset:offset + frames] += 1.0
     covered = cover > 0
-    acc[covered] /= cover[covered, None]
-    acc[~covered] = np.array([1.0, 0.0, 0.0])  # uncovered tail counts as silence
-    labels = np.argmax(acc, axis=1)  # argmax takes the first (lowest) on ties
+    acc[..., covered, :] /= cover[covered, None]
+    # an uncovered tail counts as silence
+    acc[..., ~covered, :] = np.array([1.0, 0.0, 0.0])
+    labels = np.argmax(acc, axis=-1)  # argmax takes the first (lowest) on ties
+    if acc.ndim == 3:
+        return [FrameLabels(labels=lab, posteriors=post)
+                for lab, post in zip(labels, acc)]
     return FrameLabels(labels=labels, posteriors=acc)
 
 

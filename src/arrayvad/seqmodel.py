@@ -34,7 +34,7 @@ from .autodiff import (
     tmean,
     tsqrt,
 )
-from .errors import ArgumentError, NumericError, config_int
+from .errors import ArgumentError, NumericError, check_size, config_int
 from .segeval import N_CLASSES
 
 _NORM_EPS = 1e-5
@@ -61,6 +61,16 @@ class TcnConfig:
                      "blocks", "kernel"):
             if int(getattr(self, name)) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
+        width = max(self.bottleneck, self.hidden)
+        n_layers = self.blocks * self.layers_per_block
+        check_size(self.input_dim * self.bottleneck
+                   + n_layers * self.kernel * width * self.hidden,
+                   "the TCN's weights")
+        # The widest dilation pads (kernel - 1) * 2**(layers_per_block - 1)
+        # frames; past 2**64 frames the check fails either way.
+        dilation = 2 ** min(self.layers_per_block - 1, 64)
+        check_size((self.kernel - 1) * dilation * width,
+                   "the TCN's causal padding")
 
     def to_dict(self):
         return {

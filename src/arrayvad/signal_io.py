@@ -118,22 +118,35 @@ def write_wav(signal: MultichannelSignal, path):
     wavfile.write(path, signal.sample_rate, out)
 
 
+def _checked_keep(signal: MultichannelSignal, keep):
+    """``keep`` as a list of ints; ArgumentError when it is empty, repeats
+    an id or names one that ``signal`` does not hold."""
+    keep = [int(k) for k in keep]
+    if len(keep) == 0:
+        raise ArgumentError("keep must name at least one channel")
+    if len(set(keep)) != len(keep):
+        raise ArgumentError("keep contains duplicate channel ids")
+    missing = [k for k in keep if k not in signal.channel_ids]
+    if missing:
+        raise ArgumentError(f"channel ids not present: {missing}")
+    return keep
+
+
+def channel_mask(signal: MultichannelSignal, keep) -> np.ndarray:
+    """(C,) boolean row mask of ``signal``: True on the channels whose
+    original ids ``keep`` names. Refuses ``keep`` as ``mask_channels``
+    does."""
+    return np.isin(signal.channel_ids, _checked_keep(signal, keep))
+
+
 def mask_channels(signal: MultichannelSignal, keep) -> MultichannelSignal:
     """Keep only the channels named in ``keep`` (original channel ids).
 
     The kept rows stay in ascending original-id order, so masking is
     idempotent and order-insensitive in ``keep``.
     """
-    keep = [int(k) for k in keep]
-    if len(keep) == 0:
-        raise ArgumentError("keep must name at least one channel")
-    if len(set(keep)) != len(keep):
-        raise ArgumentError("keep contains duplicate channel ids")
+    order = sorted(_checked_keep(signal, keep))
     present = {cid: row for row, cid in enumerate(signal.channel_ids)}
-    missing = [k for k in keep if k not in present]
-    if missing:
-        raise ArgumentError(f"channel ids not present: {missing}")
-    order = sorted(keep)
     rows = [present[k] for k in order]
     return MultichannelSignal(
         signal.samples[rows], signal.sample_rate, channel_ids=tuple(order)

@@ -9,12 +9,16 @@ bit-reproducible across platforms and independent of numpy's generator
 internals.
 
 A training step analyses and normalises each cropped item once
-(``frontend.analyse``, then ``frontend.normalise``). The reference features
-and every masked duplicate's features come from those normalised parts: a
-duplicate selects its kept channels' rows of them
-(``frontends.channel_rows``) before ``frontend.window_features``. Analysis
-and normalisation work on each channel alone, so this gives bit for bit
-the parts that the duplicate's own samples would give.
+(``frontend.analyse``, then ``frontend.normalise``). With the invariance
+term, the reference features and every masked duplicate's features come
+from one ``frontend.window_features`` call on those normalised parts with a
+channel mask: row 0 keeps every channel (the reference), row p the channels
+duplicate p kept. Analysis, normalisation and the attention projections
+work on each channel alone, so they run once per item and only the masked
+softmaxes, the channel sum and mel/log run per path. Each path's features
+equal those of the duplicate's own samples to within rounding (about
+1e-15 relative); without the invariance term no mask is passed and the
+step is the plain reference path.
 
 Masking stream
 --------------
@@ -41,10 +45,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .errors import ArgumentError, NumericError
-from .frontends import channel_rows
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
-from .signal_io import MultichannelSignal, mask_channels, slice_segment
+from .signal_io import (MultichannelSignal, channel_mask, mask_channels,
+                        slice_segment)
 from .spectral import FRAME_RATE
 
 _MASK64 = (1 << 64) - 1
@@ -71,10 +75,6 @@ class InvariantConfig:
             raise ArgumentError("lambda must lie in [0, 1]")
         if self.min_keep < 2:
             raise ArgumentError("min_keep must be >= 2")
-
-    def to_dict(self):
-        return {"p": self.p, "lambda": self.lam, "min_keep": self.min_keep,
-                "rng_seed": self.rng_seed}
 
     @classmethod
     def from_dict(cls, d):
@@ -105,13 +105,6 @@ class TrainConfig:
             raise ArgumentError("counts in TrainConfig must be >= 1")
         if self.segment_s <= 0 or self.lr <= 0:
             raise ArgumentError("segment_s and lr must be positive")
-
-    def to_dict(self):
-        return {"batch_size": self.batch_size,
-                "steps_per_epoch": self.steps_per_epoch,
-                "segment_s": self.segment_s, "lr": self.lr,
-                "patience": self.patience, "max_epochs": self.max_epochs,
-                "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d):
@@ -355,6 +348,13 @@ def _validation_f1(frontend, model, items):
     return osd_metrics(ref, hyp).f1
 
 
+def _duplicate_mask(signal, duplicates):
+    """(1 + P, C) channel mask of ``signal``: row 0 keeps every channel (the
+    reference path), row p the channels that duplicate p kept."""
+    rows = [channel_mask(signal, d.channel_ids) for d in duplicates]
+    return np.stack([np.ones(signal.n_channels, dtype=bool)] + rows)
+
+
 def _mean(terms):
     total = terms[0]
     for t in terms[1:]:
@@ -380,12 +380,12 @@ def train(frontend, model: ModelParams, train_items, val_items,
     is longer, run the frontend and classifier per segment, average the
     cross-entropy (reference path only), optionally add the invariance term
     over channel-masked duplicates, backprop once, update with Adam. Each
-    segment is analysed and normalised once; a duplicate's features come
-    from the rows of those parts for the channels it kept
-    (``channel_rows``). Per epoch: validation OSD F1; stop after
-    ``patience`` epochs without a new best and restore the best snapshot
-    before returning. Each history
-    record goes to ``log_path`` (NDJSON) as soon as it exists.
+    segment is analysed and normalised once; the reference and its
+    duplicates take their features from one masked ``window_features``
+    call on those parts (``_duplicate_mask``). Per epoch: validation OSD
+    F1; stop after ``patience`` epochs without a new best and restore the
+    best snapshot before returning. Each history record goes to
+    ``log_path`` (NDJSON) as soon as it exists.
     With lam = 1 the duplicate branch is skipped outright, which leaves
     gradients identical to a plain cross-entropy run.
     """
@@ -419,18 +419,20 @@ def train(frontend, model: ModelParams, train_items, val_items,
                     item = train_items[int(item_index)]
                     signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
                     inputs = frontend.normalise(frontend.analyse(signal))
-                    feats = frontend.window_features(inputs)
-                    logits = tcn_forward(model, feats)
-                    ce_terms.append(cross_entropy(
-                        logits, _aligned_labels(frame_labels, logits.shape[0])))
                     if use_inv:
                         dups = make_masked_duplicates(
                             signal, icfg,
                             step=step * tcfg.batch_size + offset)
+                        paths = frontend.window_features(
+                            inputs, _duplicate_mask(signal, dups))
+                        feats = paths[:, 0]
                         inv_terms.append(invariant_loss(feats, [
-                            frontend.window_features(
-                                channel_rows(inputs, signal, d))
-                            for d in dups]))
+                            paths[:, p] for p in range(1, len(dups) + 1)]))
+                    else:
+                        feats = frontend.window_features(inputs)
+                    logits = tcn_forward(model, feats)
+                    ce_terms.append(cross_entropy(
+                        logits, _aligned_labels(frame_labels, logits.shape[0])))
                 ce_mean = _mean(ce_terms)
                 if use_inv:
                     inv_mean = _mean(inv_terms)

@@ -174,3 +174,29 @@ def naive_dual_steps(frontend, model, items, tcfg, icfg):
         records.append({"step": step, "epoch": 0, "ce": float(ce_mean.data),
                         "loss": float(loss.data), "inv": float(inv_mean.data)})
     return records
+
+
+# -- naive channel-masking evaluation -------------------------------------------
+
+
+def naive_maskeval(frontend, model, signal, ref_labels, keep_sets, win_s=2.0,
+                   hop_s=0.5):
+    """``maskeval`` rows from a per-keep-set loop: each keep set's masked
+    copy of ``signal`` goes through a plain window loop that analyses every
+    window from its own samples. Returns (rows, [posteriors per keep set])."""
+    from arrayvad.cli import _score_pair
+    from arrayvad.segeval import sliding_infer
+    from arrayvad.seqmodel import posteriors, tcn_forward
+    from arrayvad.signal_io import mask_channels
+
+    def posterior_fn(window):
+        return posteriors(tcn_forward(model, frontend.features(window).data))
+
+    rows, posts = [], []
+    for keep in keep_sets:
+        labels = sliding_infer(posterior_fn, mask_channels(signal, keep),
+                               win_s=win_s, hop_s=hop_s)
+        rows.append({"n_channels": len(keep), "keep": list(keep),
+                     **_score_pair(ref_labels, labels)})
+        posts.append(labels.posteriors)
+    return rows, posts

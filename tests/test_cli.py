@@ -599,11 +599,11 @@ def _infer_argv(mutate):
         "--wav", wav, "--out", str(d / "out")]
 
 
-def _train_argv(frontend):
+def _train_argv(frontend, **model):
     template = {"geometry": {"n_mics": 4, "radius": 0.05}, "duration_s": 0.64}
     cfg = {"frontend": frontend,
            "model": {"bottleneck": 4, "hidden": 4, "layers_per_block": 1,
-                     "blocks": 1},
+                     "blocks": 1, **model},
            "train": {"batch_size": 1, "steps_per_epoch": 1, "max_epochs": 1,
                      "segment_s": 0.64},
            "data": {"template": template, "n_train": 1, "n_val": 1}}
@@ -639,6 +639,20 @@ FAILURE_CLASSES = {
     "data-train-huge-analytic-kernel": (_train_argv(_HUGE_KERNEL), 2),
     "data-checkpoint-huge-analytic-kernel": (_infer_argv(
         lambda t, c: c.update(frontend=_HUGE_KERNEL)), 2),
+    "data-features-huge-attn-dim": (
+        _features_argv({"variant": "sacc", "attn_dim": 1000000000}), 2),
+    "data-features-huge-n-mels": (
+        _features_argv({"variant": "ecsacc", "n_mels": 1000000000}), 2),
+    "data-features-huge-n-filters": (
+        _features_argv({"variant": "analytic", "n_filters": 1000000000}), 2),
+    "data-train-huge-tcn-hidden": (_train_argv(
+        {"kind": "sacc", "attn_dim": 4}, hidden=1000000000), 2),
+    "data-train-huge-tcn-dilation": (_train_argv(
+        {"kind": "sacc", "attn_dim": 4}, layers_per_block=200), 2),
+    "data-checkpoint-huge-attn-dim": (_infer_argv(
+        lambda t, c: c["frontend"].update(attn_dim=1000000000)), 2),
+    "data-checkpoint-huge-tcn-blocks": (_infer_argv(
+        lambda t, c: c["model"].update(blocks=1000000000)), 2),
     "data-checkpoint-unknown-tensor": (_infer_argv(
         lambda t, c: t.update({"frontend/bz": np.zeros(4)})), 2),
     "numeric-nan-model-weights": (_infer_argv(_nan_model_tensor), 3),

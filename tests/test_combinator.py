@@ -355,3 +355,84 @@ def test_biased_attention_gradients_match_finite_differences(feat_dim):
     assert set(arrays) == {"wq", "wk", "wv", "bq"}
     for name in arrays:
         assert relative_error(got[name], want[name], floor=1e-6) < 1e-4, name
+
+
+# -- channel masks ------------------------------------------------------------
+
+# One row per path: all channels, a pair, a triple, one channel.
+MASK = np.array([[True, True, True, True, True],
+                 [False, True, False, True, False],
+                 [True, False, True, False, True],
+                 [False, False, True, False, False]])
+
+
+@pytest.mark.parametrize("feat_dim, attn_dim", LOGIT_FORMS)
+@pytest.mark.parametrize("value_split", [None, 3], ids=["one-column", "split"])
+def test_masked_weights_equal_weights_of_each_channel_subset(
+        feat_dim, attn_dim, value_split):
+    feats = random_feats(c=5, t=7, k=feat_dim, seed=feat_dim)
+    p = biased_init(feat_dim, attn_dim, seed=attn_dim)
+    tensors = {name: ad.Tensor(arr) for name, arr in p.items()}
+    feats_tc = ad.Tensor(np.transpose(feats, (1, 0, 2)))
+    got = weights_graph(feats_tc, tensors, value_split, mask=MASK).data
+    assert got.shape == (7, len(MASK), 5, 1 if value_split is None else 2)
+    for path, keep in enumerate(MASK):
+        want = graph_weights(feats[keep], p, value_split)
+        assert np.max(np.abs(got[:, path][:, keep] - want)) < 1e-12
+        assert np.all(got[:, path][:, ~keep] == 0.0)
+    assert np.all(got[:, -1][:, MASK[-1]] == 1.0)
+
+
+def test_masked_combination_is_one_product_per_path():
+    values = random_values(c=5, t=6, k=4, seed=150)
+    rng = np.random.default_rng(151)
+    w = rng.uniform(size=(6, len(MASK), 5, 1)) * MASK[None, :, :, None]
+    mag = ad.Tensor(np.transpose(np.abs(values), (1, 0, 2)))
+    got = combine_real_graph(ad.Tensor(w), mag).data
+    reim = spectrum_tc(values)
+    w_im = ad.Tensor(w[::-1].copy())
+    re, im = combine_mag_phase_graph(ad.Tensor(w), w_im, reim)
+    assert got.shape == re.shape == im.shape == (6, len(MASK), 4)
+    for path in range(len(MASK)):
+        one = combine_real_graph(ad.Tensor(w[:, path]), mag).data
+        assert np.max(np.abs(got[:, path] - one)) < 1e-12
+        one_re, one_im = combine_mag_phase_graph(
+            ad.Tensor(w[:, path]), ad.Tensor(w_im.data[:, path]), reim)
+        assert np.max(np.abs(re.data[:, path] - one_re.data)) < 1e-12
+        assert np.max(np.abs(im.data[:, path] - one_im.data)) < 1e-12
+
+
+@pytest.mark.parametrize("feat_dim", [
+    pytest.param(5, id="bilinear"),
+    pytest.param(9, id="qk"),
+])
+def test_masked_attention_gradients_match_finite_differences(feat_dim):
+    feats = np.transpose(random_feats(c=5, t=4, k=feat_dim, seed=160),
+                         (1, 0, 2))
+    probe = np.random.default_rng(161).standard_normal((4, len(MASK), 5, 1))
+    arrays = biased_init(feat_dim, 4, seed=162)
+
+    def loss_of(arrs):
+        p = {k: ad.parameter(v) for k, v in arrs.items()}
+        w = weights_graph(ad.Tensor(feats), p, mask=MASK)
+        return p, (w * ad.Tensor(probe)).sum()
+
+    params, loss = loss_of(arrays)
+    got = ad.grad(loss, params)
+    want = numeric_gradient(lambda arrs: float(loss_of(arrs)[1].data), arrays,
+                            h=1e-5)
+    for name in arrays:
+        assert relative_error(got[name], want[name], floor=1e-6) < 1e-4, name
+
+
+@pytest.mark.parametrize("mask", [
+    pytest.param(MASK[:, :4], id="wrong-width"),
+    pytest.param(MASK[0], id="one-dimensional"),
+    pytest.param(MASK.astype(int), id="not-boolean"),
+    pytest.param(np.vstack([MASK, np.zeros(5, dtype=bool)]), id="empty-row"),
+])
+def test_bad_channel_masks_are_rejected(mask):
+    feats = ad.Tensor(np.transpose(random_feats(c=5, t=3, k=6), (1, 0, 2)))
+    p = {name: ad.Tensor(arr) for name, arr in attention_init(6, 4).items()}
+    with pytest.raises(ArgumentError):
+        weights_graph(feats, p, mask=mask)

@@ -1,6 +1,8 @@
 """Sliding-window inference: the tape-free, frame-reusing path must give
 exactly the posteriors of a plain per-window loop with the tape on."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,11 +10,16 @@ from hypothesis import strategies as st
 
 from arrayvad import cli
 from arrayvad.beamform import ArrayGeometry
+from arrayvad.checkpoint import save_model
+from arrayvad.errors import ArgumentError
 from arrayvad.frontends import FrameCache, make_frontend
-from arrayvad.segeval import sliding_infer
+from arrayvad.segeval import labels_from_segments, parse_rttm, sliding_infer
 from arrayvad.seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
-from arrayvad.signal_io import MultichannelSignal, mask_channels
+from arrayvad.signal_io import (MultichannelSignal, channel_mask,
+                                mask_channels, read_wav, write_wav)
 from arrayvad.spectral import frame_count
+
+from helpers import naive_maskeval
 
 RATE = 16000
 
@@ -153,3 +160,73 @@ def test_infer_labels_records_no_tape(monkeypatch):
                       {"win_s": 0.25, "hop_s": 0.1})
     assert len(seen) == 3 and not any(seen)
     assert frontend.features(signal).requires_grad
+
+
+CONFIG_IDS = ["sacc", "analytic", "ecsacc", "ecsacc-real_imag", "icsacc",
+              "icsacc-real_imag", "mvdr"]
+
+
+@pytest.mark.parametrize("cfg", FRONTEND_CONFIGS, ids=CONFIG_IDS)
+def test_maskeval_rows_equal_per_keep_set_loop(cfg, tmp_path, capsys):
+    # One sliding pass with a channel mask serves every keep set (mvdr
+    # masks each keep set's signal instead); rows match a loop that
+    # analyses each keep set's masked signal window by window.
+    write_wav(_signal(4, 9000, seed=7), tmp_path / "scene.wav")
+    signal = read_wav(tmp_path / "scene.wav")
+    (tmp_path / "ref.rttm").write_text(
+        "SPEAKER f 1 0.05 0.30 <NA> <NA> a <NA> <NA>\n"
+        "SPEAKER f 1 0.20 0.25 <NA> <NA> b <NA> <NA>\n")
+    ref = labels_from_segments(parse_rttm(tmp_path / "ref.rttm"),
+                               signal.duration_s)
+    frontend = _frontend(cfg, 4)
+    model = _model(frontend)
+    save_model(tmp_path / "model.ckpt", frontend, model)
+    window = {"win_s": 0.25, "hop_s": 0.1}
+    keep_sets = [[0, 1, 2, 3], [1, 3], [0, 2, 3], [2]]
+    if cfg["kind"] == "mvdr":
+        # an mvdr geometry names every microphone, so only the full set runs
+        keep_sets = [[0, 1, 2, 3], [0, 1, 2, 3]]
+    (tmp_path / "maskeval.json").write_text(
+        json.dumps({"keep_sets": keep_sets, **window}))
+    assert cli.main(["maskeval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--wav", str(tmp_path / "scene.wav"),
+                     "--ref", str(tmp_path / "ref.rttm"),
+                     "--config", str(tmp_path / "maskeval.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "out" / "maskeval.json").read_text())["rows"]
+    want_rows, want_posts = naive_maskeval(frontend, model, signal, ref,
+                                           keep_sets, **window)
+    assert rows == want_rows
+    if cfg["kind"] == "mvdr":
+        return
+    mask = np.stack([channel_mask(signal, keep) for keep in keep_sets])
+    got = cli._infer_labels(frontend, model, signal, window, mask=mask)
+    for labels, want in zip(got, want_posts):
+        assert np.max(np.abs(labels.posteriors - want)) <= 1e-12
+
+
+def test_mvdr_takes_no_channel_mask():
+    frontend = _frontend(FRONTEND_CONFIGS[-1], 3)
+    with pytest.raises(ArgumentError):
+        frontend.features(_signal(3, 4000, seed=1),
+                          mask=np.ones((1, 3), dtype=bool))
+
+
+def test_sliding_infer_averages_each_path_as_alone():
+    signal = _signal(2, 7000, seed=4)
+    rng = np.random.default_rng(9)
+    stacks = {}
+
+    def stacked_fn(window):
+        post = rng.dirichlet(np.ones(3), size=(3, 25))
+        stacks[len(stacks)] = post
+        return post
+
+    got = sliding_infer(stacked_fn, signal, win_s=0.25, hop_s=0.1)
+    for p in range(3):
+        calls = iter(range(len(stacks)))
+        want = sliding_infer(lambda window: stacks[next(calls)][p], signal,
+                             win_s=0.25, hop_s=0.1)
+        assert np.array_equal(got[p].posteriors, want.posteriors)
+        assert np.array_equal(got[p].labels, want.labels)

@@ -11,9 +11,10 @@ from arrayvad.arraysim import SceneSpec, toy_dataset
 from arrayvad.autodiff import Tensor, backward, parameter, tsum
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.errors import ArgumentError, NumericError
-from arrayvad.frontends import FrameCache, channel_rows, make_frontend
+from arrayvad.frontends import FrameCache, make_frontend
 from arrayvad.seqmodel import TcnConfig, tcn_init
-from arrayvad.signal_io import MultichannelSignal, mask_channels, slice_segment
+from arrayvad.signal_io import (MultichannelSignal, channel_mask,
+                                mask_channels, slice_segment)
 from arrayvad.segeval import FrameLabels
 from arrayvad.trainer import (
     AdamState,
@@ -233,8 +234,6 @@ def test_masked_duplicates_validation():
         InvariantConfig(p=0)
     with pytest.raises(ArgumentError):
         InvariantConfig(lam=1.2)
-    cfg = InvariantConfig(p=3, lam=0.5, min_keep=2, rng_seed=9)
-    assert InvariantConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -409,30 +408,47 @@ ANALYSE_ONCE_CASES = [
 ]
 
 KEEP_SETS = [(0, 1), (1, 3, 4), (0, 2, 3, 5), (1, 2, 3, 4, 5),
-             (0, 1, 2, 3, 4, 5)]
+             (0, 1, 2, 3, 4, 5), (4,)]
+
+
+def keep_mask(sig, keep_sets):
+    return np.stack([channel_mask(sig, keep) for keep in keep_sets])
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Within ``rtol`` of the largest magnitude of ``want``."""
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
 def test_channel_rows_of_one_analysis_equal_masked_features(kind, kw,
                                                             attn_dim):
+    # One analysis of all channels and a channel mask give every keep set,
+    # a one-channel set included, the features of its own masked signal;
+    # the masked softmaxes add zeros in another order, so not bit for bit.
+    # RuntimeWarnings are errors in this suite, so an -inf - -inf fails it.
     fe = analyse_once_frontend(kind, attn_dim, **kw)
     sig = six_channel_signal()
     inputs = fe.normalise(fe.analyse(sig))
-    for keep in KEEP_SETS:
-        dup = mask_channels(sig, keep)
-        got = fe.window_features(channel_rows(inputs, sig, dup))
-        want = fe.features(dup)
-        assert np.array_equal(got.data, want.data), keep
+    paths = fe.window_features(inputs, keep_mask(sig, KEEP_SETS))
+    assert paths.shape[1] == len(KEEP_SETS)
+    for p, keep in enumerate(KEEP_SETS):
+        want = fe.features(mask_channels(sig, keep)).data
+        assert_close(paths.data[:, p], want)
 
 
 def test_channel_rows_follow_the_duplicate_channel_order():
+    # Channel ids out of row order: the mask marks rows by id, so each
+    # duplicate's path still sees the channels it kept.
     fe = analyse_once_frontend("sacc", 8)
     sig = six_channel_signal(channel_ids=(4, 0, 5, 2, 1, 3))
     inputs = fe.normalise(fe.analyse(sig))
     for step in range(4):
-        for dup in make_masked_duplicates(sig, InvariantConfig(p=2), step):
-            got = fe.window_features(channel_rows(inputs, sig, dup))
-            assert np.array_equal(got.data, fe.features(dup).data)
+        dups = make_masked_duplicates(sig, InvariantConfig(p=2), step)
+        paths = fe.window_features(
+            inputs, keep_mask(sig, [d.channel_ids for d in dups]))
+        for p, dup in enumerate(dups):
+            assert_close(paths.data[:, p], fe.features(dup).data)
 
 
 def _values(part):
@@ -441,19 +457,36 @@ def _values(part):
 
 @pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
 def test_normalise_commutes_with_channel_rows(kind, kw, attn_dim):
-    # MVN is per channel over the frames, so a duplicate's normalised inputs
-    # are rows of the reference's
+    # MVN is per channel over the frames, so the normalised inputs of a
+    # channel subset are rows of the full signal's: what lets one
+    # normalisation serve every masked path
     fe = analyse_once_frontend(kind, attn_dim, **kw)
     sig = six_channel_signal()
     frames = fe.analyse(sig)
     inputs = fe.normalise(frames)
     for keep in KEEP_SETS:
-        dup = mask_channels(sig, keep)
-        want = fe.normalise(channel_rows(frames, sig, dup))
-        got = channel_rows(inputs, sig, dup)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(_values(g), _values(w)), keep
+        rows = np.array(keep)
+        want = fe.normalise(tuple(
+            ad.getitem(part, (slice(None), rows)) if isinstance(part, Tensor)
+            else part[:, rows] for part in frames))
+        assert len(inputs) == len(want)
+        for g, w in zip(inputs, want):
+            assert np.array_equal(_values(g)[:, rows], _values(w)), keep
+
+
+@pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
+def test_masked_weights_are_zero_outside_each_keep_set(kind, kw, attn_dim):
+    fe = analyse_once_frontend(kind, attn_dim, **kw)
+    sig = six_channel_signal()
+    mask = keep_mask(sig, KEEP_SETS)
+    _, weights = fe._combine(fe.normalise(fe.analyse(sig)), mask)
+    for w in weights if isinstance(weights, tuple) else (weights,):
+        assert w.shape[1:3] == mask.shape
+        assert np.all(w.data[:, ~mask] == 0.0)
+        assert np.all(np.isfinite(w.data))
+    if kind in ("sacc", "analytic"):
+        assert np.allclose(weights.data.sum(axis=2), 1.0, atol=1e-12)
+        assert np.all(weights.data[:, -1, 4] == 1.0)  # the one-channel set
 
 
 @pytest.mark.parametrize("kind, kw, attn_dim", ANALYSE_ONCE_CASES)
@@ -463,10 +496,9 @@ def test_analysed_normalised_and_channel_row_parts_are_contiguous(kind, kw,
     sig = six_channel_signal()
     frames = fe.analyse(sig)
     inputs = fe.normalise(frames)
-    dup = mask_channels(sig, (1, 3, 4))
+    paths = fe.window_features(inputs, keep_mask(sig, KEEP_SETS))
     for stage, parts in [("analyse", frames), ("normalise", inputs),
-                         ("channel_rows", channel_rows(frames, sig, dup)),
-                         ("normalised rows", channel_rows(inputs, sig, dup))]:
+                         ("masked paths", (paths,))]:
         for i, part in enumerate(parts):
             assert _values(part).flags.c_contiguous, (stage, i)
 
@@ -533,6 +565,9 @@ DUAL_ICFG = InvariantConfig(p=2, lam=0.7, rng_seed=9)
     pytest.param("icsacc", {"parts": "real_imag"}, id="icsacc-real_imag"),
 ])
 def test_dual_history_equals_per_duplicate_loop(kind, kw):
+    # The masked paths sum the softmaxes' zeros in another order than a
+    # duplicate's own features do (about 5e-16 relative), so the histories
+    # agree to 1e-12, not bit for bit.
     items = six_mic_items(4, seed=6)
     result = train(*analyse_once_setup(kind, kw), items[:3], items[3:],
                    DUAL_TCFG, DUAL_ICFG)
@@ -540,9 +575,8 @@ def test_dual_history_equals_per_duplicate_loop(kind, kw):
     want = naive_dual_steps(*analyse_once_setup(kind, kw), items[:3],
                             DUAL_TCFG, DUAL_ICFG)
     assert [sorted(r) for r in got] == [sorted(r) for r in want]
-    if kind != "analytic":
-        assert got == want
-        return
+    assert [(r["step"], r["epoch"]) for r in got] == [
+        (r["step"], r["epoch"]) for r in want]
     for g, w in zip(got, want):
         for name in ("ce", "loss", "inv"):
             assert abs(g[name] - w[name]) <= 1e-12 * abs(w[name]), name
@@ -583,8 +617,6 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ArgumentError):
         TrainConfig.from_dict({"batch_size": 2, "warmup": 5})
-    cfg = TrainConfig(batch_size=2, steps_per_epoch=3, seed=9)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # -- segment cropping ---------------------------------------------------------
