@@ -205,20 +205,29 @@ def cdr_from_coherence(coh_x, coh_n) -> np.ndarray:
     return np.maximum(num / den, 0.0)
 
 
-def cdr_mask(spec: ComplexSpectrogram, geom: ArrayGeometry) -> np.ndarray:
+def cdr_mask(spec: ComplexSpectrogram, geom: ArrayGeometry,
+             channel_ids=None) -> np.ndarray:
     """Speech-presence mask m = CDR / (CDR + 1) in [0, 1], shape (T, K).
 
     CDR is estimated per microphone pair from recursively smoothed
     coherence against the diffuse model for that pair's spacing, then
-    averaged over pairs.
+    averaged over pairs. ``channel_ids`` names the microphone of ``geom``
+    behind each row of ``spec`` (a recording masked to some channels);
+    by default the rows are every microphone in order.
     """
-    if geom.n_mics != spec.n_channels:
+    if channel_ids is None:
+        channel_ids = range(geom.n_mics)
+    channel_ids = list(channel_ids)
+    if len(channel_ids) != spec.n_channels:
         raise ArgumentError("geometry and spectrogram disagree on channel count")
-    if geom.n_mics < 2:
+    if not all(0 <= c < geom.n_mics for c in channel_ids):
+        raise ArgumentError(f"channel ids {channel_ids} name microphones "
+                            f"outside the {geom.n_mics}-mic geometry")
+    if spec.n_channels < 2:
         raise ArgumentError("CDR masking needs at least two microphones")
     pairs, coh = pairwise_coherence(spec)
     freqs = _bin_freqs(spec)
-    positions = geom.positions
+    positions = geom.positions[channel_ids]
     cdr_sum = np.zeros((spec.n_frames, spec.n_bins))
     for p, (i, j) in enumerate(pairs):
         dist = float(np.linalg.norm(positions[i] - positions[j]))

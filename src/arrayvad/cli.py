@@ -35,7 +35,8 @@ from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
                       write_rttm)
 from .seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
-from .signal_io import channel_mask, mask_channels, read_wav, write_wav
+from .signal_io import (WavReader, channel_mask, mask_channels, read_wav,
+                        write_wav)
 from .spectral import log_compress, mel_project, stft
 from .trainer import InvariantConfig, TrainConfig, train
 
@@ -311,29 +312,62 @@ def _write_csv(path, header, rows):
             ) + "\n")
 
 
-def _infer_labels(frontend, model, signal, cfg, mask=None):
+def _infer_labels(frontend, model, recording, cfg, mask=None):
     """Sliding-window labels; no tape, and each window analyses only the
     frames the previous one did not (per-window MVN and TCN are kept).
-    The window and hop are ``sliding_infer``'s unless ``cfg`` names them.
+    ``recording`` is a ``WavReader`` (each window's samples are read from
+    the file when the window runs) or a ``MultichannelSignal``. The window
+    and hop are ``sliding_infer``'s unless ``cfg`` names them.
 
     With a (P, C) channel mask, one pass serves P channel subsets: each
     window is analysed and normalised once, its features come as a
     (T, P, F) stack and the TCN runs once per path; returns a list of P
-    ``FrameLabels``, path p's equal to those of the signal masked to the
-    channels mask row p keeps.
+    ``FrameLabels``, path p's equal to those of the recording masked to the
+    channels mask row p keeps. An ``mvdr`` frontend has no per-channel
+    weights to mask, so it beamforms each window's kept channels
+    (``mask_channels``) on their own, with a frame cache per path.
     """
-    cache = FrameCache(frontend)
+    def labels(feats):
+        return posteriors(tcn_forward(model, feats))
 
-    def posterior_fn(window):
-        feats = frontend.features(window, cache=cache, mask=mask).data
-        if mask is None:
-            return posteriors(tcn_forward(model, feats))
-        return np.stack([posteriors(tcn_forward(model, feats[:, p]))
-                         for p in range(feats.shape[1])])
+    if mask is None:
+        cache = FrameCache(frontend)
+
+        def posterior_fn(window):
+            return labels(frontend.features(window, cache=cache).data)
+    elif frontend.kind == "mvdr":
+        caches = [FrameCache(frontend) for _ in mask]
+
+        def posterior_fn(window):
+            ids = np.asarray(window.channel_ids)
+            return np.stack([
+                labels(frontend.features(mask_channels(window, ids[row]),
+                                         cache=cache).data)
+                for row, cache in zip(mask, caches)])
+    else:
+        cache = FrameCache(frontend)
+
+        def posterior_fn(window):
+            feats = frontend.features(window, cache=cache, mask=mask).data
+            return np.stack([labels(feats[:, p]) for p in range(len(mask))])
 
     window = {k: cfg[k] for k in ("win_s", "hop_s") if k in cfg}
     with no_grad():
-        return sliding_infer(posterior_fn, signal, **window)
+        return sliding_infer(posterior_fn, recording, **window)
+
+
+def _check_recording(frontend, recording):
+    """ArgumentError unless ``recording`` suits ``frontend``: the same rate
+    and, for ``mvdr``, one channel per microphone of its geometry (a window
+    names the microphones it holds by channel id)."""
+    if recording.sample_rate != frontend.sample_rate:
+        raise ArgumentError(
+            f"wav rate {recording.sample_rate} != frontend rate "
+            f"{frontend.sample_rate}")
+    if frontend.kind == "mvdr" and recording.n_channels != frontend.geometry.n_mics:
+        raise ArgumentError(
+            f"wav has {recording.n_channels} channels, the mvdr geometry "
+            f"{frontend.geometry.n_mics} microphones")
 
 
 def _score_pair(ref_labels, hyp_labels):
@@ -390,19 +424,19 @@ def _cmd_features(args):
         mag = np.abs(stft(signal).values[0])
         feats = log_compress(mel_project(mag, cfg.get("n_mels", 64),
                                          signal.sample_rate))
-    elif args.checkpoint is not None:
-        frontend, _ = load_model(args.checkpoint)
-        if frontend.kind != variant:
-            raise ArgumentError(
-                f"checkpoint holds a {frontend.kind!r} frontend, config asks "
-                f"for {variant!r}")
-        with no_grad():
-            feats = frontend.features(signal).data
     else:
-        fe_cfg = {k: v for k, v in cfg.items() if k != "variant"}
-        fe_cfg["kind"] = variant
-        fe_cfg.setdefault("sample_rate", signal.sample_rate)
-        frontend = make_frontend(fe_cfg, seed=args.seed)
+        if args.checkpoint is not None:
+            frontend, _ = load_model(args.checkpoint)
+            if frontend.kind != variant:
+                raise ArgumentError(
+                    f"checkpoint holds a {frontend.kind!r} frontend, config "
+                    f"asks for {variant!r}")
+        else:
+            fe_cfg = {k: v for k, v in cfg.items() if k != "variant"}
+            fe_cfg["kind"] = variant
+            fe_cfg.setdefault("sample_rate", signal.sample_rate)
+            frontend = make_frontend(fe_cfg, seed=args.seed)
+        _check_recording(frontend, signal)
         with no_grad():
             feats = frontend.features(signal).data
     out = _out_dir(args)
@@ -510,12 +544,9 @@ def _cmd_train(args):
 def _cmd_infer(args):
     cfg = _load_config(args.config, _INFER_SCHEMA) if args.config else {}
     frontend, model = load_model(args.checkpoint)
-    signal = read_wav(args.wav)
-    if signal.sample_rate != frontend.sample_rate:
-        raise ArgumentError(
-            f"wav rate {signal.sample_rate} != frontend rate "
-            f"{frontend.sample_rate}")
-    labels = _infer_labels(frontend, model, signal, cfg)
+    recording = WavReader(args.wav)
+    _check_recording(frontend, recording)
+    labels = _infer_labels(frontend, model, recording, cfg)
     segs = segments_from_labels(labels, cfg.get("file_id", "infer"))
     out = _out_dir(args)
     write_rttm(segs, out / "hyp.rttm")
@@ -555,24 +586,18 @@ def _cmd_maskeval(args):
         raise UsageError("give keep sets either via --keep or the config, "
                          "not both")
     frontend, model = load_model(args.checkpoint)
-    signal = read_wav(args.wav)
+    recording = WavReader(args.wav)
+    _check_recording(frontend, recording)
     ref = parse_rttm(args.ref)
-    ref_labels = labels_from_segments(ref, signal.duration_s)
+    ref_labels = labels_from_segments(ref, recording.duration_s)
     if args.keep:
         keep_sets = [_parse_keep(text) for text in args.keep]
     elif "keep_sets" in cfg:
         keep_sets = [sorted(set(ids)) for ids in cfg["keep_sets"]]
     else:
-        keep_sets = [list(range(signal.n_channels))]
-
-    if frontend.kind == "mvdr":
-        # No per-channel weights to mask: each keep set is its own signal.
-        hyps = [_infer_labels(frontend, model, mask_channels(signal, keep),
-                              cfg)
-                for keep in keep_sets]
-    else:
-        mask = np.stack([channel_mask(signal, keep) for keep in keep_sets])
-        hyps = _infer_labels(frontend, model, signal, cfg, mask=mask)
+        keep_sets = [list(range(recording.n_channels))]
+    mask = np.stack([channel_mask(recording, keep) for keep in keep_sets])
+    hyps = _infer_labels(frontend, model, recording, cfg, mask=mask)
     rows = [{"n_channels": len(keep), "keep": keep,
              **_score_pair(ref_labels, labels)}
             for keep, labels in zip(keep_sets, hyps)]

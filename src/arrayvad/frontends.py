@@ -48,7 +48,9 @@ traces them where this module imports them.
 ``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
 its combined row as it is); with a mask, the combination is one
 (T, P, C) @ (T, C, K) product and mel/log one GEMM over the T * P rows.
-``mvdr`` takes no mask. ``combined`` runs the same ``_combine`` of the
+``mvdr`` takes no mask; its ``features`` beamforms the microphones that the
+signal's ``channel_ids`` name, so a signal masked to some channels is
+beamformed with those alone. ``combined`` runs the same ``_combine`` of the
 normalised parts under ``autodiff.no_grad`` and returns the values and the
 per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
@@ -169,8 +171,9 @@ class Frontend:
         from it instead of being analysed again; the result is the same.
         With a (P, C) boolean channel mask the result is a (T, P, F) stack:
         path p holds the features of the channels that mask row p keeps.
-        Each kind binds ``features = Frontend.features`` in its own class,
-        so tracing (``perfbench``) can wrap and time the kinds apart.
+        Each trainable kind binds ``features = Frontend.features`` in its
+        own class, so tracing (``perfbench``) can wrap and time the kinds
+        apart; ``mvdr`` has its own.
         """
         frames = self.analyse(signal) if cache is None else cache.frames(signal)
         return self.window_features(self.normalise(frames), mask)
@@ -461,7 +464,6 @@ class MvdrFrontend(Frontend):
     filter from the masked covariances, log-mel of the beamformed magnitude."""
 
     kind = "mvdr"
-    features = Frontend.features
 
     def __init__(self, geometry: ArrayGeometry, sample_rate=16000, n_mels=64):
         super().__init__(sample_rate, n_mels, attn_dim=1, seed=0)
@@ -483,22 +485,28 @@ class MvdrFrontend(Frontend):
         across channels, so no step here is per channel."""
         return frames
 
-    def _combine(self, inputs):
-        """(T, K) beamformed magnitude; a fixed beamformer has no
+    def _combine(self, inputs, channel_ids=None):
+        """(T, K) beamformed magnitude of the microphones ``channel_ids``
+        names (every microphone by default); a fixed beamformer has no
         per-channel weights, so the weights are None."""
         spec = ComplexSpectrogram(np.transpose(inputs[0], (1, 0, 2)),
                                   self.sample_rate)
-        return np.abs(mvdr(spec, cdr_mask(spec, self.geometry)).values), None
+        mask = cdr_mask(spec, self.geometry, channel_ids)
+        return np.abs(mvdr(spec, mask).values), None
 
-    def window_features(self, inputs, mask=None) -> ad.Tensor:
-        """Log-mel of the beamformed magnitude. A channel mask does not
-        apply: a fixed beamformer has no per-channel weights to restrict,
-        and a channel subset needs its own CDR mask and MVDR solve."""
+    def features(self, signal, cache=None, mask=None) -> ad.Tensor:
+        """Log-mel of the beamformed magnitude of ``signal``, whose
+        ``channel_ids`` name the geometry's microphones it holds: a signal
+        masked to some channels (``mask_channels``) is beamformed with the
+        spacings of those alone. A channel mask does not apply: a fixed
+        beamformer has no per-channel weights to restrict, and a channel
+        subset needs its own CDR mask and MVDR solve."""
         if mask is not None:
             raise ArgumentError(
                 "the mvdr frontend has no per-channel weights to mask; "
                 "mask the signal's channels instead")
-        mag, _ = self._combine(inputs)
+        frames = self.analyse(signal) if cache is None else cache.frames(signal)
+        mag, _ = self._combine(frames, signal.channel_ids)
         return self._logmel(ad.Tensor(mag))
 
     def config(self):

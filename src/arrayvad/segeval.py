@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ParseError, RangeError, UndefinedMetricError
-from .signal_io import MultichannelSignal, slice_segment
+from .signal_io import slice_segment
 from .spectral import FRAME_RATE
 
 N_CLASSES = 3
@@ -190,9 +190,13 @@ def segments_from_labels(labels: FrameLabels, file_id) -> SegmentSet:
 # -- sliding-window inference -------------------------------------------------
 
 
-def sliding_infer(posterior_fn, signal: MultichannelSignal, win_s=2.0,
-                  hop_s=0.5):
+def sliding_infer(posterior_fn, signal, win_s=2.0, hop_s=0.5):
     """Run a window-level posterior function over a long signal.
+
+    ``signal`` is a ``MultichannelSignal`` or a ``signal_io.WavReader``.
+    Each window is cut by ``slice_segment`` when its turn comes, so with a
+    reader only the window's samples are read and held, and memory does
+    not grow with the recording.
 
     posterior_fn maps a MultichannelSignal window to (frames, 3) posteriors
     on the FRAME_RATE grid, or to a (P, frames, 3) stack of P paths (for

@@ -275,6 +275,26 @@ def test_cdr_mask_argument_errors():
     single = as_spec(values[:1])
     with pytest.raises(ArgumentError):
         cdr_mask(single, ArrayGeometry.uniform_circular(1, 0.1))
+    with pytest.raises(ArgumentError):
+        cdr_mask(as_spec(values[:2]), geom, channel_ids=[3, 8])
+    with pytest.raises(ArgumentError):
+        cdr_mask(as_spec(values[:2]), geom, channel_ids=[3])
+    with pytest.raises(ArgumentError):
+        cdr_mask(single, geom, channel_ids=[3])
+
+
+def test_cdr_mask_of_kept_microphones_uses_their_spacing():
+    # Microphones 1 and 5 of an 8-mic circle sit on a diameter, as the two
+    # microphones of a 2-mic circle of the same radius do.
+    rng = np.random.default_rng(43)
+    values = rng.normal(size=(8, 20, 65)) + 1j * rng.normal(size=(8, 20, 65))
+    values[5] = 0.8 * values[1] + 0.2 * values[5]
+    kept = as_spec(values[[1, 5]])
+    got = cdr_mask(kept, make_geom(), channel_ids=(1, 5))
+    assert np.allclose(got, cdr_mask(kept, make_geom(n_mics=2)), rtol=0,
+                       atol=1e-12)
+    adjacent = cdr_mask(kept, make_geom(), channel_ids=(1, 2))
+    assert np.max(np.abs(got - adjacent)) > 1e-3
 
 
 # -- MVDR ---------------------------------------------------------------------

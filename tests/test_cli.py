@@ -612,6 +612,20 @@ def _train_argv(frontend, **model):
         "--out", str(d / "out")]
 
 
+def _mvdr_infer_argv(n_mics):
+    """``infer`` with an mvdr checkpoint whose geometry has ``n_mics``
+    microphones, on the 4-channel scene."""
+    def build(d, wav, ckpt):
+        frontend = make_frontend({"kind": "mvdr", "n_mels": 16, "geometry": {
+            "n_mics": n_mics, "radius": 0.05}})
+        model = tcn_init(TcnConfig(input_dim=16, bottleneck=4, hidden=4,
+                                   layers_per_block=1, blocks=1), seed=0)
+        save_model(d / "mvdr.ckpt", frontend, model)
+        return ["infer", "--checkpoint", str(d / "mvdr.ckpt"), "--wav", wav,
+                "--out", str(d / "out")]
+    return build
+
+
 def _nan_model_tensor(tensors, config):
     name = next(n for n in sorted(tensors) if n.startswith("model/"))
     tensors[name][...] = np.nan
@@ -655,6 +669,8 @@ FAILURE_CLASSES = {
         lambda t, c: c["model"].update(blocks=1000000000)), 2),
     "data-checkpoint-unknown-tensor": (_infer_argv(
         lambda t, c: t.update({"frontend/bz": np.zeros(4)})), 2),
+    "data-mvdr-geometry-fewer-mics": (_mvdr_infer_argv(3), 2),
+    "data-mvdr-geometry-more-mics": (_mvdr_infer_argv(5), 2),
     "numeric-nan-model-weights": (_infer_argv(_nan_model_tensor), 3),
 }
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from arrayvad.checkpoint import read_checkpoint, write_checkpoint
 from arrayvad.errors import ArrayVadError
 from arrayvad.segeval import labels_from_segments, parse_rttm
-from arrayvad.signal_io import MultichannelSignal, read_wav, write_wav
+from arrayvad.signal_io import MultichannelSignal, WavReader, read_wav, write_wav
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -78,11 +78,23 @@ def test_mutated_checkpoints_raise_only_package_errors(tmp_path, checkpoint_seed
                          read_checkpoint)
 
 
+def _read_windows(path):
+    """The first, a middle and the end-aligned last 16-frame window of the
+    file, each read on its own as sliding inference reads them."""
+    reader = WavReader(path)
+    n = reader.n_samples
+    for start in (0, n // 3, n - 16):
+        if 0 <= start <= n - 16:
+            reader.read(start, 16)
+
+
 @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
 @FUZZ
 @given(data=st.data())
 def test_mutated_wavs_raise_only_package_errors(tmp_path, wav_seed, data):
-    _only_package_errors(tmp_path, data.draw(mutations(st.just(wav_seed))), read_wav)
+    mutated = data.draw(mutations(st.just(wav_seed)))
+    _only_package_errors(tmp_path, mutated, read_wav)
+    _only_package_errors(tmp_path, mutated, _read_windows)
 
 
 def _labels_of_rttm(path):

@@ -2,6 +2,11 @@
 exactly the posteriors of a plain per-window loop with the tape on."""
 
 import json
+import os
+import subprocess
+import sys
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from arrayvad.errors import ArgumentError
 from arrayvad.frontends import FrameCache, make_frontend
 from arrayvad.segeval import labels_from_segments, parse_rttm, sliding_infer
 from arrayvad.seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
-from arrayvad.signal_io import (MultichannelSignal, channel_mask,
+from arrayvad.signal_io import (MultichannelSignal, WavReader, channel_mask,
                                 mask_channels, read_wav, write_wav)
 from arrayvad.spectral import frame_count
 
@@ -169,7 +174,7 @@ CONFIG_IDS = ["sacc", "analytic", "ecsacc", "ecsacc-real_imag", "icsacc",
 @pytest.mark.parametrize("cfg", FRONTEND_CONFIGS, ids=CONFIG_IDS)
 def test_maskeval_rows_equal_per_keep_set_loop(cfg, tmp_path, capsys):
     # One sliding pass with a channel mask serves every keep set (mvdr
-    # masks each keep set's signal instead); rows match a loop that
+    # masks each window's channels instead); rows match a loop that
     # analyses each keep set's masked signal window by window.
     write_wav(_signal(4, 9000, seed=7), tmp_path / "scene.wav")
     signal = read_wav(tmp_path / "scene.wav")
@@ -184,8 +189,7 @@ def test_maskeval_rows_equal_per_keep_set_loop(cfg, tmp_path, capsys):
     window = {"win_s": 0.25, "hop_s": 0.1}
     keep_sets = [[0, 1, 2, 3], [1, 3], [0, 2, 3], [2]]
     if cfg["kind"] == "mvdr":
-        # an mvdr geometry names every microphone, so only the full set runs
-        keep_sets = [[0, 1, 2, 3], [0, 1, 2, 3]]
+        keep_sets = keep_sets[:3]  # a beamformer needs two microphones
     (tmp_path / "maskeval.json").write_text(
         json.dumps({"keep_sets": keep_sets, **window}))
     assert cli.main(["maskeval", "--checkpoint", str(tmp_path / "model.ckpt"),
@@ -198,8 +202,6 @@ def test_maskeval_rows_equal_per_keep_set_loop(cfg, tmp_path, capsys):
     want_rows, want_posts = naive_maskeval(frontend, model, signal, ref,
                                            keep_sets, **window)
     assert rows == want_rows
-    if cfg["kind"] == "mvdr":
-        return
     mask = np.stack([channel_mask(signal, keep) for keep in keep_sets])
     got = cli._infer_labels(frontend, model, signal, window, mask=mask)
     for labels, want in zip(got, want_posts):
@@ -230,3 +232,65 @@ def test_sliding_infer_averages_each_path_as_alone():
                              win_s=0.25, hop_s=0.1)
         assert np.array_equal(got[p].posteriors, want.posteriors)
         assert np.array_equal(got[p].labels, want.labels)
+
+
+@pytest.mark.parametrize("cfg", FRONTEND_CONFIGS, ids=CONFIG_IDS)
+def test_infer_from_the_file_equals_infer_from_the_whole_signal(cfg, tmp_path):
+    write_wav(_signal(3, 7777, seed=8), tmp_path / "scene.wav")
+    frontend = _frontend(cfg, 3)
+    model = _model(frontend)
+    window = {"win_s": 0.25, "hop_s": 0.1}
+    got = cli._infer_labels(frontend, model, WavReader(tmp_path / "scene.wav"),
+                            window)
+    want = cli._infer_labels(frontend, model, read_wav(tmp_path / "scene.wav"),
+                             window)
+    assert np.array_equal(got.posteriors, want.posteriors)
+
+
+def _write_noise_wav(path, seconds, n_channels=8, rate=RATE):
+    """PCM16 noise written a second at a time, so the test holds no
+    recording in memory either."""
+    rng = np.random.default_rng(0)
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(n_channels)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        for _ in range(seconds):
+            block = rng.integers(-3000, 3000, size=(rate, n_channels))
+            fh.writeframes(block.astype("<i2").tobytes())
+
+
+_PEAK_RSS_OF_INFER = """\
+import resource, sys
+from arrayvad.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_infer_peak_memory_does_not_grow_with_the_recording(tmp_path):
+    # Each window is read from the file when it runs, so a recording four
+    # times longer needs no more memory; reading it whole needed about
+    # 1 MB per second of 8-mic audio.
+    frontend = make_frontend({"kind": "sacc", "attn_dim": 8}, seed=1)
+    model = tcn_init(TcnConfig(input_dim=frontend.feature_dim, bottleneck=16,
+                               hidden=16, layers_per_block=2, blocks=2), seed=2)
+    save_model(tmp_path / "model.ckpt", frontend, model)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    peak_kb = {}
+    for seconds in (60, 240):
+        wav = tmp_path / f"noise{seconds}.wav"
+        _write_noise_wav(wav, seconds)
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_OF_INFER, "infer",
+             "--checkpoint", str(tmp_path / "model.ckpt"), "--wav", str(wav),
+             "--out", str(tmp_path / f"out{seconds}")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        peak_kb[seconds] = int(proc.stdout.strip().splitlines()[-1])
+        wav.unlink()
+    assert (peak_kb[240] - peak_kb[60]) / 1024 < 10.0, peak_kb

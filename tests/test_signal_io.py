@@ -1,6 +1,7 @@
 """WAV round trips, channel masking and segment slicing."""
 
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.io import wavfile
 from arrayvad.errors import ArgumentError, FormatError, RangeError, UnsupportedCodecError
 from arrayvad.signal_io import (
     MultichannelSignal,
+    WavReader,
     mask_channels,
     read_wav,
     slice_segment,
@@ -79,6 +81,104 @@ def truncated_pcm16(tmp_path, channels=4, keep_frames=1000):
 def test_truncated_wav_raises_format_error(tmp_path):
     with pytest.raises(FormatError, match="truncated"):
         read_wav(truncated_pcm16(tmp_path))
+
+
+def test_reader_refuses_a_truncated_file_before_reading_samples(tmp_path,
+                                                                monkeypatch):
+    path = truncated_pcm16(tmp_path)
+
+    def no_sample_reads(*args, **kwargs):
+        raise AssertionError("samples read before the header was checked")
+
+    monkeypatch.setattr(np, "fromfile", no_sample_reads)
+    with pytest.raises(FormatError, match="truncated"):
+        WavReader(path)
+
+
+def _scipy_decoded(path):
+    """The samples as ``read_wav`` decoded them through scipy: the oracle
+    for the reader's conversions."""
+    _, data = wavfile.read(path)
+    scale = 1.0
+    if data.dtype.kind == "i":
+        scale = {2: 32768.0, 4: 2.0 ** 31}[data.itemsize]
+    samples = data.astype(np.float64) / scale
+    return samples.T if samples.ndim == 2 else samples[None, :]
+
+
+def _write_pcm24(path, ints):
+    """A 24-bit PCM WAV of (N, C) ints in [-2**23, 2**23)."""
+    u = ints.astype(np.int64) & 0xFFFFFF
+    packed = np.stack([u & 0xFF, u >> 8 & 0xFF, u >> 16], axis=-1)
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(ints.shape[1])
+        fh.setsampwidth(3)
+        fh.setframerate(16000)
+        fh.writeframes(packed.astype(np.uint8).tobytes())
+
+
+N_FRAMES = 4007
+WAV_WRITERS = {
+    "pcm16": lambda p, r: wavfile.write(p, 16000, r.integers(
+        -2 ** 15, 2 ** 15, size=(N_FRAMES, 3)).astype(np.int16)),
+    "pcm24": lambda p, r: _write_pcm24(p, r.integers(
+        -2 ** 23, 2 ** 23, size=(N_FRAMES, 3))),
+    "pcm32": lambda p, r: wavfile.write(p, 16000, r.integers(
+        -2 ** 31, 2 ** 31, size=(N_FRAMES, 3)).astype(np.int32)),
+    "float32": lambda p, r: wavfile.write(
+        p, 16000, r.standard_normal((N_FRAMES, 3)).astype(np.float32)),
+    "float64": lambda p, r: wavfile.write(
+        p, 16000, r.standard_normal((N_FRAMES, 3))),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(WAV_WRITERS))
+def test_reader_windows_equal_cuts_of_the_whole_file(tmp_path, encoding):
+    path = tmp_path / f"{encoding}.wav"
+    WAV_WRITERS[encoding](path, np.random.default_rng(3))
+    whole = read_wav(path)
+    assert np.array_equal(whole.samples, _scipy_decoded(path))
+    reader = WavReader(path)
+    assert (reader.sample_rate, reader.n_channels, reader.n_samples,
+            reader.channel_ids) == (16000, 3, N_FRAMES, (0, 1, 2))
+    win = 1600
+    # first window, one in the middle, and the tail aligned to the end
+    for start in (0, 1203, N_FRAMES - win):
+        got = slice_segment(reader, start / 16000, win / 16000)
+        want = slice_segment(whole, start / 16000, win / 16000)
+        assert got.channel_ids == want.channel_ids
+        assert np.array_equal(got.samples, want.samples)
+        assert got.samples.strides == want.samples.strides
+    with pytest.raises(RangeError):
+        reader.read(N_FRAMES - win + 1, win)
+
+
+def _handmade_pcm16(kind, data):
+    """Bytes of a PCM16 WAV holding the (N, C) int16 ``data``: a RIFF, a
+    big-endian RIFX or an RF64 file (sizes in its ds64 chunk)."""
+    order = ">" if kind == b"RIFX" else "<"
+    n, c = data.shape
+    payload = data.astype(order + "i2").tobytes()
+    fmt = struct.pack(order + "4sIHHIIHH", b"fmt ", 16, 1, c, 16000,
+                      16000 * 2 * c, 2 * c, 16)
+    if kind == b"RF64":
+        total = 4 + 36 + len(fmt) + 8 + len(payload)
+        ds64 = struct.pack("<4sIQQQI", b"ds64", 28, total, len(payload), n, 0)
+        return (b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + fmt
+                + struct.pack("<4sI", b"data", 0xFFFFFFFF) + payload)
+    return (kind + struct.pack(order + "I", 4 + len(fmt) + 8 + len(payload))
+            + b"WAVE" + fmt + struct.pack(order + "4sI", b"data", len(payload))
+            + payload)
+
+
+@pytest.mark.parametrize("kind", [b"RIFF", b"RIFX", b"RF64"])
+def test_riff_rifx_and_rf64_headers(tmp_path, kind):
+    data = np.random.default_rng(4).integers(-2 ** 15, 2 ** 15, size=(300, 2))
+    path = tmp_path / "h.wav"
+    path.write_bytes(_handmade_pcm16(kind, data.astype(np.int16)))
+    got = read_wav(path).samples
+    assert np.array_equal(got, data.T / 32768.0)
+    assert np.array_equal(got, _scipy_decoded(path))
 
 
 def test_other_wav_warnings_stay_warnings(tmp_path):
