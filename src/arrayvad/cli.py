@@ -325,49 +325,48 @@ def _infer_labels(frontend, model, recording, cfg, mask=None):
     ``FrameLabels``, path p's equal to those of the recording masked to the
     channels mask row p keeps. An ``mvdr`` frontend has no per-channel
     weights to mask, so it beamforms each window's kept channels
-    (``mask_channels``) on their own, with a frame cache per path.
+    (``mask_channels``) on their own, naming their microphones by channel
+    id, with a frame cache per path.
     """
-    def labels(feats):
-        return posteriors(tcn_forward(model, feats))
-
-    if mask is None:
-        cache = FrameCache(frontend)
-
-        def posterior_fn(window):
-            return labels(frontend.features(window, cache=cache).data)
-    elif frontend.kind == "mvdr":
+    if mask is not None and frontend.kind == "mvdr":
+        if mask.shape[1] != frontend.geometry.n_mics:
+            raise ArgumentError(
+                f"wav has {mask.shape[1]} channels, the mvdr geometry "
+                f"{frontend.geometry.n_mics} microphones")
         caches = [FrameCache(frontend) for _ in mask]
+
+        def kept_posteriors(window, cache):
+            frames = frontend.normalise(cache.frames(window))
+            feats = frontend.window_features(
+                frames, channel_ids=window.channel_ids).data
+            return posteriors(tcn_forward(model, feats))
 
         def posterior_fn(window):
             ids = np.asarray(window.channel_ids)
             return np.stack([
-                labels(frontend.features(mask_channels(window, ids[row]),
-                                         cache=cache).data)
+                kept_posteriors(mask_channels(window, ids[row]), cache)
                 for row, cache in zip(mask, caches)])
     else:
         cache = FrameCache(frontend)
 
         def posterior_fn(window):
             feats = frontend.features(window, cache=cache, mask=mask).data
-            return np.stack([labels(feats[:, p]) for p in range(len(mask))])
+            if mask is None:
+                return posteriors(tcn_forward(model, feats))
+            return np.stack([posteriors(tcn_forward(model, feats[:, p]))
+                             for p in range(feats.shape[1])])
 
     window = {k: cfg[k] for k in ("win_s", "hop_s") if k in cfg}
     with no_grad():
         return sliding_infer(posterior_fn, recording, **window)
 
 
-def _check_recording(frontend, recording):
-    """ArgumentError unless ``recording`` suits ``frontend``: the same rate
-    and, for ``mvdr``, one channel per microphone of its geometry (a window
-    names the microphones it holds by channel id)."""
+def _check_rate(frontend, recording):
+    """ArgumentError unless ``recording`` has the frontend's sample rate."""
     if recording.sample_rate != frontend.sample_rate:
         raise ArgumentError(
             f"wav rate {recording.sample_rate} != frontend rate "
             f"{frontend.sample_rate}")
-    if frontend.kind == "mvdr" and recording.n_channels != frontend.geometry.n_mics:
-        raise ArgumentError(
-            f"wav has {recording.n_channels} channels, the mvdr geometry "
-            f"{frontend.geometry.n_mics} microphones")
 
 
 def _score_pair(ref_labels, hyp_labels):
@@ -424,19 +423,19 @@ def _cmd_features(args):
         mag = np.abs(stft(signal).values[0])
         feats = log_compress(mel_project(mag, cfg.get("n_mels", 64),
                                          signal.sample_rate))
+    elif args.checkpoint is not None:
+        frontend, _ = load_model(args.checkpoint)
+        if frontend.kind != variant:
+            raise ArgumentError(
+                f"checkpoint holds a {frontend.kind!r} frontend, config asks "
+                f"for {variant!r}")
+        with no_grad():
+            feats = frontend.features(signal).data
     else:
-        if args.checkpoint is not None:
-            frontend, _ = load_model(args.checkpoint)
-            if frontend.kind != variant:
-                raise ArgumentError(
-                    f"checkpoint holds a {frontend.kind!r} frontend, config "
-                    f"asks for {variant!r}")
-        else:
-            fe_cfg = {k: v for k, v in cfg.items() if k != "variant"}
-            fe_cfg["kind"] = variant
-            fe_cfg.setdefault("sample_rate", signal.sample_rate)
-            frontend = make_frontend(fe_cfg, seed=args.seed)
-        _check_recording(frontend, signal)
+        fe_cfg = {k: v for k, v in cfg.items() if k != "variant"}
+        fe_cfg["kind"] = variant
+        fe_cfg.setdefault("sample_rate", signal.sample_rate)
+        frontend = make_frontend(fe_cfg, seed=args.seed)
         with no_grad():
             feats = frontend.features(signal).data
     out = _out_dir(args)
@@ -545,7 +544,7 @@ def _cmd_infer(args):
     cfg = _load_config(args.config, _INFER_SCHEMA) if args.config else {}
     frontend, model = load_model(args.checkpoint)
     recording = WavReader(args.wav)
-    _check_recording(frontend, recording)
+    _check_rate(frontend, recording)
     labels = _infer_labels(frontend, model, recording, cfg)
     segs = segments_from_labels(labels, cfg.get("file_id", "infer"))
     out = _out_dir(args)
@@ -587,7 +586,7 @@ def _cmd_maskeval(args):
                          "not both")
     frontend, model = load_model(args.checkpoint)
     recording = WavReader(args.wav)
-    _check_recording(frontend, recording)
+    _check_rate(frontend, recording)
     ref = parse_rttm(args.ref)
     ref_labels = labels_from_segments(ref, recording.duration_s)
     if args.keep:

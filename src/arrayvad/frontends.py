@@ -48,9 +48,9 @@ traces them where this module imports them.
 ``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
 its combined row as it is); with a mask, the combination is one
 (T, P, C) @ (T, C, K) product and mel/log one GEMM over the T * P rows.
-``mvdr`` takes no mask; its ``features`` beamforms the microphones that the
-signal's ``channel_ids`` name, so a signal masked to some channels is
-beamformed with those alone. ``combined`` runs the same ``_combine`` of the
+``mvdr`` takes no mask; a channel subset is beamformed on its own, with
+``channel_ids`` naming the geometry's microphones it holds so that the CDR
+mask uses their spacings. ``combined`` runs the same ``_combine`` of the
 normalised parts under ``autodiff.no_grad`` and returns the values and the
 per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
@@ -171,9 +171,8 @@ class Frontend:
         from it instead of being analysed again; the result is the same.
         With a (P, C) boolean channel mask the result is a (T, P, F) stack:
         path p holds the features of the channels that mask row p keeps.
-        Each trainable kind binds ``features = Frontend.features`` in its
-        own class, so tracing (``perfbench``) can wrap and time the kinds
-        apart; ``mvdr`` has its own.
+        Each kind binds ``features = Frontend.features`` in its own class,
+        so tracing (``perfbench``) can wrap and time the kinds apart.
         """
         frames = self.analyse(signal) if cache is None else cache.frames(signal)
         return self.window_features(self.normalise(frames), mask)
@@ -464,6 +463,7 @@ class MvdrFrontend(Frontend):
     filter from the masked covariances, log-mel of the beamformed magnitude."""
 
     kind = "mvdr"
+    features = Frontend.features
 
     def __init__(self, geometry: ArrayGeometry, sample_rate=16000, n_mels=64):
         super().__init__(sample_rate, n_mels, attn_dim=1, seed=0)
@@ -494,19 +494,19 @@ class MvdrFrontend(Frontend):
         mask = cdr_mask(spec, self.geometry, channel_ids)
         return np.abs(mvdr(spec, mask).values), None
 
-    def features(self, signal, cache=None, mask=None) -> ad.Tensor:
-        """Log-mel of the beamformed magnitude of ``signal``, whose
-        ``channel_ids`` name the geometry's microphones it holds: a signal
-        masked to some channels (``mask_channels``) is beamformed with the
-        spacings of those alone. A channel mask does not apply: a fixed
-        beamformer has no per-channel weights to restrict, and a channel
-        subset needs its own CDR mask and MVDR solve."""
+    def window_features(self, inputs, mask=None,
+                        channel_ids=None) -> ad.Tensor:
+        """Log-mel of the beamformed magnitude. ``channel_ids`` names the
+        geometry's microphone behind each channel of ``inputs``, for frames
+        of a signal masked to some channels (``mask_channels``); by default
+        the channels are every microphone in order. A channel mask does not
+        apply: a fixed beamformer has no per-channel weights to restrict,
+        and a channel subset needs its own CDR mask and MVDR solve."""
         if mask is not None:
             raise ArgumentError(
                 "the mvdr frontend has no per-channel weights to mask; "
                 "mask the signal's channels instead")
-        frames = self.analyse(signal) if cache is None else cache.frames(signal)
-        mag, _ = self._combine(frames, signal.channel_ids)
+        mag, _ = self._combine(inputs, channel_ids)
         return self._logmel(ad.Tensor(mag))
 
     def config(self):

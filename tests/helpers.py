@@ -190,7 +190,13 @@ def naive_maskeval(frontend, model, signal, ref_labels, keep_sets, win_s=2.0,
     from arrayvad.signal_io import mask_channels
 
     def posterior_fn(window):
-        return posteriors(tcn_forward(model, frontend.features(window).data))
+        if frontend.kind == "mvdr":  # beamform the kept microphones alone
+            frames = frontend.normalise(frontend.analyse(window))
+            feats = frontend.window_features(
+                frames, channel_ids=window.channel_ids)
+        else:
+            feats = frontend.features(window)
+        return posteriors(tcn_forward(model, feats.data))
 
     rows, posts = [], []
     for keep in keep_sets:

@@ -612,17 +612,21 @@ def _train_argv(frontend, **model):
         "--out", str(d / "out")]
 
 
-def _mvdr_infer_argv(n_mics):
-    """``infer`` with an mvdr checkpoint whose geometry has ``n_mics``
-    microphones, on the 4-channel scene."""
+def _mvdr_argv(command, n_mics):
+    """``infer`` or ``maskeval`` (every channel kept) with an mvdr
+    checkpoint whose geometry has ``n_mics`` microphones, on the 4-channel
+    scene."""
     def build(d, wav, ckpt):
         frontend = make_frontend({"kind": "mvdr", "n_mels": 16, "geometry": {
             "n_mics": n_mics, "radius": 0.05}})
         model = tcn_init(TcnConfig(input_dim=16, bottleneck=4, hidden=4,
                                    layers_per_block=1, blocks=1), seed=0)
         save_model(d / "mvdr.ckpt", frontend, model)
-        return ["infer", "--checkpoint", str(d / "mvdr.ckpt"), "--wav", wav,
+        argv = [command, "--checkpoint", str(d / "mvdr.ckpt"), "--wav", wav,
                 "--out", str(d / "out")]
+        if command == "maskeval":
+            argv += ["--ref", _write(d / "ref.rttm", _rttm(0.0, 0.5))]
+        return argv
     return build
 
 
@@ -669,8 +673,10 @@ FAILURE_CLASSES = {
         lambda t, c: c["model"].update(blocks=1000000000)), 2),
     "data-checkpoint-unknown-tensor": (_infer_argv(
         lambda t, c: t.update({"frontend/bz": np.zeros(4)})), 2),
-    "data-mvdr-geometry-fewer-mics": (_mvdr_infer_argv(3), 2),
-    "data-mvdr-geometry-more-mics": (_mvdr_infer_argv(5), 2),
+    "data-mvdr-geometry-fewer-mics": (_mvdr_argv("infer", 3), 2),
+    "data-mvdr-geometry-more-mics": (_mvdr_argv("infer", 5), 2),
+    "data-mvdr-maskeval-geometry-fewer-mics": (_mvdr_argv("maskeval", 3), 2),
+    "data-mvdr-maskeval-geometry-more-mics": (_mvdr_argv("maskeval", 5), 2),
     "numeric-nan-model-weights": (_infer_argv(_nan_model_tensor), 3),
 }
 
@@ -740,6 +746,30 @@ def test_train_config_with_whole_float_model_field_trains(
     assert main(["train", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "model.ckpt").read_bytes() == \
         (trained_out / "model.ckpt").read_bytes()
+
+
+def test_train_mvdr_trains_the_model_and_refuses_the_invariance_term(
+        train_config, workdir, capsys):
+    # The fixed beamformer trains the TCN on its features; the invariance
+    # term needs per-channel weights to mask, which mvdr does not have.
+    cfg = json.loads(train_config.read_text())
+    cfg["frontend"] = {"kind": "mvdr", "n_mels": 16,
+                       "geometry": {"n_mics": 4, "radius": 0.05}}
+    cfg["train"].update(batch_size=1, steps_per_epoch=1)
+    path = workdir / "train_mvdr.json"
+    path.write_text(json.dumps(cfg))
+    out = workdir / "trained_mvdr"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    frontend, _ = load_model(out / "model.ckpt")
+    assert frontend.kind == "mvdr"
+
+    cfg["invariant"] = {"p": 2, "lambda": 0.5}
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path),
+                 "--out", str(workdir / "trained_mvdr_inv")]) == 2
+    err = capsys.readouterr().err
+    assert "mvdr" in err and "Traceback" not in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
