@@ -217,9 +217,9 @@ def cdr_mask(spec: ComplexSpectrogram, geom: ArrayGeometry,
     """
     if channel_ids is None:
         channel_ids = range(geom.n_mics)
-    channel_ids = list(channel_ids)
     if len(channel_ids) != spec.n_channels:
         raise ArgumentError("geometry and spectrogram disagree on channel count")
+    channel_ids = list(channel_ids)
     if not all(0 <= c < geom.n_mics for c in channel_ids):
         raise ArgumentError(f"channel ids {channel_ids} name microphones "
                             f"outside the {geom.n_mics}-mic geometry")

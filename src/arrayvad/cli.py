@@ -35,6 +35,7 @@ from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
                       write_rttm)
 from .seqmodel import TcnConfig, posteriors, tcn_forward, tcn_init
+# mask_channels is unused here; perfbench/tracing.py wraps it under this name.
 from .signal_io import (WavReader, channel_mask, mask_channels, read_wav,
                         write_wav)
 from .spectral import log_compress, mel_project, stft
@@ -323,38 +324,17 @@ def _infer_labels(frontend, model, recording, cfg, mask=None):
     window is analysed and normalised once, its features come as a
     (T, P, F) stack and the TCN runs once per path; returns a list of P
     ``FrameLabels``, path p's equal to those of the recording masked to the
-    channels mask row p keeps. An ``mvdr`` frontend has no per-channel
-    weights to mask, so it beamforms each window's kept channels
-    (``mask_channels``) on their own, naming their microphones by channel
-    id, with a frame cache per path.
+    channels mask row p keeps. This holds for every kind: ``mvdr``
+    beamforms each path's microphones on their own from the one analysis.
     """
-    if mask is not None and frontend.kind == "mvdr":
-        if mask.shape[1] != frontend.geometry.n_mics:
-            raise ArgumentError(
-                f"wav has {mask.shape[1]} channels, the mvdr geometry "
-                f"{frontend.geometry.n_mics} microphones")
-        caches = [FrameCache(frontend) for _ in mask]
+    cache = FrameCache(frontend)
 
-        def kept_posteriors(window, cache):
-            frames = frontend.normalise(cache.frames(window))
-            feats = frontend.window_features(
-                frames, channel_ids=window.channel_ids).data
+    def posterior_fn(window):
+        feats = frontend.features(window, cache=cache, mask=mask).data
+        if mask is None:
             return posteriors(tcn_forward(model, feats))
-
-        def posterior_fn(window):
-            ids = np.asarray(window.channel_ids)
-            return np.stack([
-                kept_posteriors(mask_channels(window, ids[row]), cache)
-                for row, cache in zip(mask, caches)])
-    else:
-        cache = FrameCache(frontend)
-
-        def posterior_fn(window):
-            feats = frontend.features(window, cache=cache, mask=mask).data
-            if mask is None:
-                return posteriors(tcn_forward(model, feats))
-            return np.stack([posteriors(tcn_forward(model, feats[:, p]))
-                             for p in range(feats.shape[1])])
+        return np.stack([posteriors(tcn_forward(model, feats[:, p]))
+                         for p in range(feats.shape[1])])
 
     window = {k: cfg[k] for k in ("win_s", "hop_s") if k in cfg}
     with no_grad():

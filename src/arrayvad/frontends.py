@@ -26,8 +26,9 @@ as without reuse. Both ``analyse`` and ``normalise`` work on each channel
 alone, so the normalised parts of a signal hold those of every channel
 subset of it: ``window_features(inputs, mask)`` with a (P, C) boolean
 channel mask gives a (T, P, F) stack whose path p equals the features of
-the channels mask row p keeps. Only the attention's two softmaxes, the
-channel sum and mel/log run per path (``combinator.weights_graph``).
+the channels mask row p keeps. For the attention kinds, only the two
+softmaxes, the channel sum and mel/log run per path
+(``combinator.weights_graph``); ``mvdr`` beamforms each path alone.
 Training's reference and masked duplicates and every ``maskeval`` keep set
 share one analysis, one normalisation and one set of projections that way.
 
@@ -48,9 +49,10 @@ traces them where this module imports them.
 ``window_features`` is ``_combine`` followed by mel/log (``analytic`` uses
 its combined row as it is); with a mask, the combination is one
 (T, P, C) @ (T, C, K) product and mel/log one GEMM over the T * P rows.
-``mvdr`` takes no mask; a channel subset is beamformed on its own, with
-``channel_ids`` naming the geometry's microphones it holds so that the CDR
-mask uses their spacings. ``combined`` runs the same ``_combine`` of the
+``mvdr`` takes the mask too, with the mask's width the geometry's
+microphone count: path p beamforms the STFT rows mask row p keeps on their
+own, and the CDR mask takes those microphones' spacings, so every keep set
+shares one analysis. ``combined`` runs the same ``_combine`` of the
 normalised parts under ``autodiff.no_grad`` and returns the values and the
 per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
@@ -485,28 +487,32 @@ class MvdrFrontend(Frontend):
         across channels, so no step here is per channel."""
         return frames
 
-    def _combine(self, inputs, channel_ids=None):
-        """(T, K) beamformed magnitude of the microphones ``channel_ids``
-        names (every microphone by default); a fixed beamformer has no
-        per-channel weights, so the weights are None."""
-        spec = ComplexSpectrogram(np.transpose(inputs[0], (1, 0, 2)),
-                                  self.sample_rate)
-        mask = cdr_mask(spec, self.geometry, channel_ids)
-        return np.abs(mvdr(spec, mask).values), None
+    def _combine(self, inputs, mask=None):
+        """(T, K) beamformed magnitude of every microphone, or with a (P, C)
+        channel mask the (T, P, K) stack whose path p beamforms the
+        microphones mask row p keeps on their own: its CDR mask takes their
+        spacings and its MVDR solve their covariances. A fixed beamformer
+        has no per-channel weights, so the weights are None."""
+        values = inputs[0]
+        if mask is None:
+            subsets = [(values, None)]
+        else:
+            if mask.shape[1] != self.geometry.n_mics:
+                raise ArgumentError(
+                    f"channel mask has {mask.shape[1]} channels, the mvdr "
+                    f"geometry {self.geometry.n_mics} microphones")
+            subsets = [(values[:, row], np.flatnonzero(row)) for row in mask]
+        mags = []
+        for kept, mic_ids in subsets:
+            spec = ComplexSpectrogram(np.transpose(kept, (1, 0, 2)),
+                                      self.sample_rate)
+            speech = cdr_mask(spec, self.geometry, mic_ids)
+            mags.append(np.abs(mvdr(spec, speech).values))
+        return (mags[0] if mask is None else np.stack(mags, axis=1)), None
 
-    def window_features(self, inputs, mask=None,
-                        channel_ids=None) -> ad.Tensor:
-        """Log-mel of the beamformed magnitude. ``channel_ids`` names the
-        geometry's microphone behind each channel of ``inputs``, for frames
-        of a signal masked to some channels (``mask_channels``); by default
-        the channels are every microphone in order. A channel mask does not
-        apply: a fixed beamformer has no per-channel weights to restrict,
-        and a channel subset needs its own CDR mask and MVDR solve."""
-        if mask is not None:
-            raise ArgumentError(
-                "the mvdr frontend has no per-channel weights to mask; "
-                "mask the signal's channels instead")
-        mag, _ = self._combine(inputs, channel_ids)
+    def window_features(self, inputs, mask=None) -> ad.Tensor:
+        """Log-mel of the beamformed magnitude; (T, P, F) with a mask."""
+        mag, _ = self._combine(inputs, mask)
         return self._logmel(ad.Tensor(mag))
 
     def config(self):

@@ -2,23 +2,26 @@
 
 The training objective is a weighted sum of a frame cross-entropy on the
 reference path (all channels) and a channel-count invariance term that
-pulls the frontend features of randomly channel-masked copies of the same
-segment toward the reference features. The masking RNG is a self-contained
-xorshift64* stream (documented below) so duplicate construction is
-bit-reproducible across platforms and independent of numpy's generator
-internals.
+pulls the frontend features of random channel subsets of the same segment
+(the masked duplicates) toward the reference features. The masking RNG is
+a self-contained xorshift64* stream (documented below) so duplicate
+construction is bit-reproducible across platforms and independent of
+numpy's generator internals. A duplicate is a row of a channel mask, not a
+copy of samples.
 
 A training step analyses and normalises each cropped item once
 (``frontend.analyse``, then ``frontend.normalise``). With the invariance
 term, the reference features and every masked duplicate's features come
 from one ``frontend.window_features`` call on those normalised parts with a
 channel mask: row 0 keeps every channel (the reference), row p the channels
-duplicate p kept. Analysis, normalisation and the attention projections
-work on each channel alone, so they run once per item and only the masked
-softmaxes, the channel sum and mel/log run per path. Each path's features
-equal those of the duplicate's own samples to within rounding (about
-1e-15 relative); without the invariance term no mask is passed and the
-step is the plain reference path.
+duplicate p kept (``make_masked_duplicates``). Analysis, normalisation and
+the attention projections work on each channel alone, so they run once per
+item and only the masked softmaxes, the channel sum and mel/log run per
+path. Each path's features equal those of the kept channels' own samples
+to within rounding (about 1e-15 relative); without the invariance term no
+mask is passed and the step is the plain reference path. The invariance
+term needs frontend weights to train, so a frontend without any (``mvdr``)
+refuses it.
 
 Masking stream
 --------------
@@ -47,6 +50,7 @@ from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .errors import ArgumentError, NumericError
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
+# mask_channels is unused here; perfbench/tracing.py wraps it under this name.
 from .signal_io import (MultichannelSignal, channel_mask, mask_channels,
                         slice_segment)
 from .spectral import FRAME_RATE
@@ -225,8 +229,9 @@ def duplicate_stream(cfg: InvariantConfig, step, p) -> Xorshift64Star:
 
 
 def make_masked_duplicates(signal: MultichannelSignal, cfg: InvariantConfig,
-                           step=0) -> List[MultichannelSignal]:
-    """P channel-masked copies of ``signal``.
+                           step=0) -> np.ndarray:
+    """(P, C) boolean channel mask of ``signal``: row p keeps the channels
+    of duplicate p.
 
     Per duplicate: the kept-channel count is uniform on
     {min_keep, ..., C}, then a uniform subset of that size survives. Each
@@ -238,7 +243,7 @@ def make_masked_duplicates(signal: MultichannelSignal, cfg: InvariantConfig,
     if cfg.min_keep > n_ch:
         raise ArgumentError(
             f"min_keep {cfg.min_keep} exceeds channel count {n_ch}")
-    out = []
+    rows = []
     for p in range(cfg.p):
         rng = duplicate_stream(cfg, step, p)
         n_keep = cfg.min_keep + rng.below(n_ch - cfg.min_keep + 1)
@@ -246,8 +251,8 @@ def make_masked_duplicates(signal: MultichannelSignal, cfg: InvariantConfig,
         for i in range(n_keep):
             j = i + rng.below(n_ch - i)
             pool[i], pool[j] = pool[j], pool[i]
-        out.append(mask_channels(signal, sorted(pool[:n_keep])))
-    return out
+        rows.append(channel_mask(signal, pool[:n_keep]))
+    return np.stack(rows)
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -348,11 +353,11 @@ def _validation_f1(frontend, model, items):
     return osd_metrics(ref, hyp).f1
 
 
-def _duplicate_mask(signal, duplicates):
-    """(1 + P, C) channel mask of ``signal``: row 0 keeps every channel (the
-    reference path), row p the channels that duplicate p kept."""
-    rows = [channel_mask(signal, d.channel_ids) for d in duplicates]
-    return np.stack([np.ones(signal.n_channels, dtype=bool)] + rows)
+def _duplicate_mask(duplicates):
+    """(1 + P, C) channel mask: row 0 keeps every channel (the reference
+    path), row p the channels that duplicate p kept."""
+    return np.vstack([np.ones((1, duplicates.shape[1]), dtype=bool),
+                      duplicates])
 
 
 def _mean(terms):
@@ -397,6 +402,10 @@ def train(frontend, model: ModelParams, train_items, val_items,
         raise ArgumentError("validation dataset is empty")
 
     use_inv = icfg is not None and icfg.lam < 1.0
+    if use_inv and not frontend.params:
+        raise ArgumentError(
+            f"the invariance term trains frontend weights, and the "
+            f"{frontend.kind} frontend has none")
     all_params = {"frontend/" + k: t for k, t in frontend.params.items()}
     all_params.update({"model/" + k: t for k, t in model.tensors.items()})
     state = AdamState.for_params(all_params)
@@ -424,7 +433,7 @@ def train(frontend, model: ModelParams, train_items, val_items,
                             signal, icfg,
                             step=step * tcfg.batch_size + offset)
                         paths = frontend.window_features(
-                            inputs, _duplicate_mask(signal, dups))
+                            inputs, _duplicate_mask(dups))
                         feats = paths[:, 0]
                         inv_terms.append(invariant_loss(feats, [
                             paths[:, p] for p in range(1, len(dups) + 1)]))

@@ -143,6 +143,7 @@ def naive_dual_steps(frontend, model, items, tcfg, icfg):
     no validation. Returns [{"step", "epoch", "ce", "loss", "inv"}, ...]."""
     from arrayvad import autodiff as ad
     from arrayvad.seqmodel import tcn_forward
+    from arrayvad.signal_io import mask_channels
     from arrayvad.trainer import (AdamState, _aligned_labels, _crop_item,
                                   adam_step, cross_entropy, dual_loss,
                                   invariant_loss, make_masked_duplicates)
@@ -162,8 +163,10 @@ def naive_dual_steps(frontend, model, items, tcfg, icfg):
             feats = frontend.features(signal)
             logits = tcn_forward(model, feats)
             ce = cross_entropy(logits, _aligned_labels(labels, logits.shape[0]))
-            dups = make_masked_duplicates(
-                signal, icfg, step=step * tcfg.batch_size + offset)
+            ids = np.asarray(signal.channel_ids)
+            dups = [mask_channels(signal, ids[row])
+                    for row in make_masked_duplicates(
+                        signal, icfg, step=step * tcfg.batch_size + offset)]
             inv = invariant_loss(feats, [frontend.features(d) for d in dups])
             ce_total = ce if ce_total is None else ce_total + ce
             inv_total = inv if inv_total is None else inv_total + inv
@@ -179,24 +182,37 @@ def naive_dual_steps(frontend, model, items, tcfg, icfg):
 # -- naive channel-masking evaluation -------------------------------------------
 
 
+def naive_mvdr_features(signal, geometry, n_mels):
+    """Log-mel of the MVDR output of ``signal``'s channels alone: STFT, the
+    CDR mask of the microphones their channel ids name, MVDR, log-mel."""
+    from arrayvad.beamform import cdr_mask, mvdr
+    from arrayvad.spectral import LOG_EPS, mel_filterbank, stft
+
+    spec = stft(signal)
+    mag = np.abs(mvdr(spec, cdr_mask(spec, geometry, signal.channel_ids)).values)
+    bank = mel_filterbank(n_mels, spec.n_bins, signal.sample_rate)
+    return np.log(mag @ bank + LOG_EPS)
+
+
 def naive_maskeval(frontend, model, signal, ref_labels, keep_sets, win_s=2.0,
                    hop_s=0.5):
     """``maskeval`` rows from a per-keep-set loop: each keep set's masked
     copy of ``signal`` goes through a plain window loop that analyses every
-    window from its own samples. Returns (rows, [posteriors per keep set])."""
+    window from its own samples; ``mvdr`` features come from
+    ``naive_mvdr_features``, not from the frontend. Returns
+    (rows, [posteriors per keep set])."""
     from arrayvad.cli import _score_pair
     from arrayvad.segeval import sliding_infer
     from arrayvad.seqmodel import posteriors, tcn_forward
     from arrayvad.signal_io import mask_channels
 
     def posterior_fn(window):
-        if frontend.kind == "mvdr":  # beamform the kept microphones alone
-            frames = frontend.normalise(frontend.analyse(window))
-            feats = frontend.window_features(
-                frames, channel_ids=window.channel_ids)
+        if frontend.kind == "mvdr":
+            feats = naive_mvdr_features(window, frontend.geometry,
+                                        frontend.n_mels)
         else:
-            feats = frontend.features(window)
-        return posteriors(tcn_forward(model, feats.data))
+            feats = frontend.features(window).data
+        return posteriors(tcn_forward(model, feats))
 
     rows, posts = [], []
     for keep in keep_sets:

@@ -612,10 +612,10 @@ def _train_argv(frontend, **model):
         "--out", str(d / "out")]
 
 
-def _mvdr_argv(command, n_mics):
-    """``infer`` or ``maskeval`` (every channel kept) with an mvdr
-    checkpoint whose geometry has ``n_mics`` microphones, on the 4-channel
-    scene."""
+def _mvdr_argv(command, n_mics, keep=None):
+    """``infer`` or ``maskeval`` (every channel kept, or ``--keep keep``)
+    with an mvdr checkpoint whose geometry has ``n_mics`` microphones, on the
+    4-channel scene."""
     def build(d, wav, ckpt):
         frontend = make_frontend({"kind": "mvdr", "n_mels": 16, "geometry": {
             "n_mics": n_mics, "radius": 0.05}})
@@ -626,6 +626,8 @@ def _mvdr_argv(command, n_mics):
                 "--out", str(d / "out")]
         if command == "maskeval":
             argv += ["--ref", _write(d / "ref.rttm", _rttm(0.0, 0.5))]
+        if keep is not None:
+            argv += ["--keep", keep]
         return argv
     return build
 
@@ -675,8 +677,11 @@ FAILURE_CLASSES = {
         lambda t, c: t.update({"frontend/bz": np.zeros(4)})), 2),
     "data-mvdr-geometry-fewer-mics": (_mvdr_argv("infer", 3), 2),
     "data-mvdr-geometry-more-mics": (_mvdr_argv("infer", 5), 2),
+    "data-mvdr-geometry-huge-mics": (_mvdr_argv("infer", 10 ** 12), 2),
     "data-mvdr-maskeval-geometry-fewer-mics": (_mvdr_argv("maskeval", 3), 2),
     "data-mvdr-maskeval-geometry-more-mics": (_mvdr_argv("maskeval", 5), 2),
+    "data-mvdr-maskeval-one-mic-keep": (_mvdr_argv("maskeval", 4, keep="2"),
+                                        2),
     "numeric-nan-model-weights": (_infer_argv(_nan_model_tensor), 3),
 }
 

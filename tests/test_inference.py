@@ -24,7 +24,7 @@ from arrayvad.signal_io import (MultichannelSignal, WavReader, channel_mask,
                                 mask_channels, read_wav, write_wav)
 from arrayvad.spectral import frame_count
 
-from helpers import naive_maskeval
+from helpers import naive_maskeval, naive_mvdr_features
 
 RATE = 16000
 
@@ -173,9 +173,9 @@ CONFIG_IDS = ["sacc", "analytic", "ecsacc", "ecsacc-real_imag", "icsacc",
 
 @pytest.mark.parametrize("cfg", FRONTEND_CONFIGS, ids=CONFIG_IDS)
 def test_maskeval_rows_equal_per_keep_set_loop(cfg, tmp_path, capsys):
-    # One sliding pass with a channel mask serves every keep set (mvdr
-    # masks each window's channels instead); rows match a loop that
-    # analyses each keep set's masked signal window by window.
+    # One sliding pass with a channel mask serves every keep set; rows match
+    # a loop that analyses each keep set's masked signal window by window
+    # (for mvdr, with a beamformer built apart from the frontend).
     write_wav(_signal(4, 9000, seed=7), tmp_path / "scene.wav")
     signal = read_wav(tmp_path / "scene.wav")
     (tmp_path / "ref.rttm").write_text(
@@ -208,11 +208,23 @@ def test_maskeval_rows_equal_per_keep_set_loop(cfg, tmp_path, capsys):
         assert np.max(np.abs(labels.posteriors - want)) <= 1e-12
 
 
-def test_mvdr_takes_no_channel_mask():
-    frontend = _frontend(FRONTEND_CONFIGS[-1], 3)
-    with pytest.raises(ArgumentError):
-        frontend.features(_signal(3, 4000, seed=1),
-                          mask=np.ones((1, 3), dtype=bool))
+def test_mvdr_masked_paths_equal_each_keep_sets_own_beamformer():
+    # Path p beamforms the STFT rows mask row p keeps on their own, as
+    # STFT, CDR mask, MVDR and log-mel of the masked signal would. Mel/log
+    # runs as one GEMM over the T * P rows, which a BLAS may round apart
+    # from a T-row GEMM, so the check allows 1e-12 relative.
+    frontend = _frontend(FRONTEND_CONFIGS[-1], 4)
+    signal = _signal(4, 6000, seed=1)
+    keep_sets = [[0, 1, 2, 3], [1, 3], [0, 2, 3]]
+    mask = np.stack([channel_mask(signal, keep) for keep in keep_sets])
+    paths = frontend.features(signal, mask=mask).data
+    assert paths.shape[1] == len(keep_sets)
+    for p, keep in enumerate(keep_sets):
+        want = naive_mvdr_features(mask_channels(signal, keep),
+                                   frontend.geometry, frontend.n_mels)
+        assert np.max(np.abs(paths[:, p] - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ArgumentError):  # one mask column per microphone
+        frontend.features(signal, mask=mask[:, :3])
 
 
 def test_sliding_infer_averages_each_path_as_alone():

@@ -182,31 +182,44 @@ def make_wide_signal(channels=8, n=64, seed=0):
     return MultichannelSignal(0.1 * rng.normal(size=(channels, n)), 16000)
 
 
+def _drawn_subsets(sig, cfg, step):
+    """Each duplicate's kept channel ids, drawn from its own stream: a
+    uniform count, then a partial Fisher-Yates shuffle of the ids."""
+    n_ch = sig.n_channels
+    subsets = []
+    for p in range(cfg.p):
+        rng = duplicate_stream(cfg, step, p)
+        n_keep = cfg.min_keep + rng.below(n_ch - cfg.min_keep + 1)
+        pool = list(sig.channel_ids)
+        for i in range(n_keep):
+            j = i + rng.below(n_ch - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        subsets.append(set(pool[:n_keep]))
+    return subsets
+
+
 def test_masked_duplicates_basics():
     sig = make_wide_signal()
     cfg = InvariantConfig(p=2, rng_seed=5)
-    dups = make_masked_duplicates(sig, cfg, step=0)
-    assert len(dups) == 2
-    for dup in dups:
-        assert 2 <= dup.n_channels <= 8
-        kept = list(dup.channel_ids)
-        assert kept == sorted(kept)
-        for row, cid in zip(dup.samples, kept):
-            assert (row == sig.samples[cid]).all()
+    # rows mark channels by id, so they follow ids out of row order too
+    for channel_ids in (None, (3, 7, 0, 5, 1, 6, 2, 4)):
+        sig = MultichannelSignal(sig.samples, sig.sample_rate, channel_ids)
+        ids = np.asarray(sig.channel_ids)
+        dups = make_masked_duplicates(sig, cfg, step=0)
+        assert dups.shape == (2, 8) and dups.dtype == bool
+        for row, kept in zip(dups, _drawn_subsets(sig, cfg, 0)):
+            assert 2 <= row.sum() <= 8
+            assert set(ids[row].tolist()) == kept
     again = make_masked_duplicates(sig, cfg, step=0)
-    for a, b in zip(dups, again):
-        assert (a.samples == b.samples).all()
+    assert np.array_equal(dups, again)
     other = make_masked_duplicates(sig, cfg, step=1)
-    assert any(a.samples.shape != b.samples.shape
-               or not (a.samples == b.samples).all()
-               for a, b in zip(dups, other))
+    assert not np.array_equal(dups, other)
 
 
 def test_masked_duplicates_two_channels_keep_both():
     sig = make_wide_signal(channels=2)
     for step in range(20):
-        for dup in make_masked_duplicates(sig, InvariantConfig(p=2), step):
-            assert dup.n_channels == 2
+        assert make_masked_duplicates(sig, InvariantConfig(p=2), step).all()
 
 
 def test_masked_duplicate_count_distribution_uniform():
@@ -214,8 +227,7 @@ def test_masked_duplicate_count_distribution_uniform():
     cfg = InvariantConfig(p=1, rng_seed=11)
     counts = np.zeros(9, dtype=int)
     for step in range(10000):
-        dup = make_masked_duplicates(sig, cfg, step)[0]
-        counts[dup.n_channels] += 1
+        counts[make_masked_duplicates(sig, cfg, step)[0].sum()] += 1
     observed = counts[2:9]
     expected = 10000.0 / 7.0
     chi2 = ((observed - expected) ** 2 / expected).sum()
@@ -443,12 +455,13 @@ def test_channel_rows_follow_the_duplicate_channel_order():
     fe = analyse_once_frontend("sacc", 8)
     sig = six_channel_signal(channel_ids=(4, 0, 5, 2, 1, 3))
     inputs = fe.normalise(fe.analyse(sig))
+    ids = np.asarray(sig.channel_ids)
     for step in range(4):
         dups = make_masked_duplicates(sig, InvariantConfig(p=2), step)
-        paths = fe.window_features(
-            inputs, keep_mask(sig, [d.channel_ids for d in dups]))
-        for p, dup in enumerate(dups):
-            assert_close(paths.data[:, p], fe.features(dup).data)
+        paths = fe.window_features(inputs, dups)
+        for p, row in enumerate(dups):
+            want = fe.features(mask_channels(sig, ids[row])).data
+            assert_close(paths.data[:, p], want)
 
 
 def _values(part):
