@@ -8,9 +8,12 @@ whole track. The padding exceeds the largest delay, so the circular shift
 moves only zeros back to the front and no block boundary exists anywhere.
 
 Sources are synthetic: band-limited modulated noise, or AR(2)-filtered
-noise with a single speech-like resonance. Noise is none, spatially white,
-or a diffuse-field approximation (36 independent plane waves from uniform
-azimuths). Noise level is set exactly against the clean source sum.
+noise with a single speech-like resonance. The AR(2) recursion runs as a
+plain loop in the operation order of scipy's direct-form-II-transposed
+``lfilter``, so it renders the same bits without importing scipy. Noise is
+none, spatially white, or a diffuse-field approximation (36 independent
+plane waves from uniform azimuths). Noise level is set exactly against the
+clean source sum.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .beamform import ArrayGeometry, plane_wave_delays
-from .errors import ArgumentError
+from .errors import ArgumentError, check_size
 from .segeval import FrameLabels, Segment, SegmentSet, labels_from_segments
 from .signal_io import MultichannelSignal
 from .spectral import FRAME_RATE
@@ -81,14 +83,16 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ArgumentError("scene duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ArgumentError("scene duration must be positive and finite")
         if self.noise not in NOISE_KINDS:
             raise ArgumentError(f"unknown noise kind {self.noise!r}, know {NOISE_KINDS}")
         if self.noise != "none" and not np.isfinite(self.snr_db):
             raise ArgumentError("snr_db must be finite when noise is enabled")
         if self.sample_rate <= 0:
             raise ArgumentError("sample_rate must be positive")
+        check_size(self.geometry.n_mics * self.n_samples,
+                   "the scene (microphones x samples)")
         sources = tuple(self.sources)
         for src in sources:
             if src.onset >= self.duration_s:
@@ -97,6 +101,10 @@ class SceneSpec:
                     f"({self.duration_s} s)"
                 )
         object.__setattr__(self, "sources", sources)
+
+    @property
+    def n_samples(self):
+        return int(round(self.duration_s * self.sample_rate))
 
     def to_dict(self):
         return {
@@ -150,9 +158,16 @@ def _ar2(rng, n, rate):
     f0 = rng.uniform(300.0, 800.0)
     rho = 0.97
     theta = 2.0 * np.pi * f0 / rate
-    a1, a2 = 2.0 * rho * np.cos(theta), -rho * rho
-    x = lfilter([1.0], [1.0, -a1, -a2], rng.normal(size=n))
-    return _unit_rms(x)
+    a1, a2 = float(2.0 * rho * np.cos(theta)), -rho * rho
+    # y[n] = x[n] + (a2 y[n-2] + a1 y[n-1]), summed in this order, is
+    # lfilter([1], [1, -a1, -a2], x) bit for bit; the list is overwritten
+    # in place, which is faster than appending to a new one.
+    y = rng.normal(size=n).tolist()
+    y1 = y2 = 0.0
+    for i, xn in enumerate(y):
+        y1, y2 = xn + (a2 * y2 + a1 * y1), y1
+        y[i] = y1
+    return _unit_rms(np.array(y))
 
 
 _SOURCE_FNS = {"bandnoise": _bandnoise, "ar2": _ar2}
@@ -231,7 +246,7 @@ def synth_scene(spec: SceneSpec):
     clip, which moves absolute level but neither SNR nor ground truth.
     """
     rate = spec.sample_rate
-    n = int(round(spec.duration_s * rate))
+    n = spec.n_samples
     n_ch = spec.geometry.n_mics
     clean = np.zeros((n_ch, n))
     for index in range(len(spec.sources)):

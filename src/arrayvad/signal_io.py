@@ -9,6 +9,11 @@ once and reads any range of sample frames from the file on demand, so a
 caller that works window by window (``segeval.sliding_infer`` through
 ``slice_segment``) holds one window in memory, not the recording.
 ``read_wav`` is the reader's whole range.
+
+``write_wav`` writes the canonical 44-byte RIFF/fmt/data header of a
+PCM16 file and then the little-endian samples, the bytes scipy's
+``wavfile.write`` gives the same int16 data. Neither direction imports
+scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ArgumentError, FormatError, RangeError, UnsupportedCodecError
 
@@ -27,6 +31,14 @@ MAX_CHANNELS = 64
 
 _PCM16_SCALE = 32768.0
 _PCM32_SCALE = 2147483648.0
+# Largest value of a RIFF size field: the data of a plain RIFF file and
+# its 36 header bytes after the size field must fit in it.
+_RIFF_MAX = 0xFFFFFFFF
+
+
+class WavFileWarning(UserWarning):
+    """A WAV file holds something the reader skips, such as an unknown
+    chunk before the data."""
 
 
 @dataclass(frozen=True)
@@ -169,8 +181,10 @@ class WavReader:
     left-justified in 32 bits), IEEE float is taken as-is. Other encodings
     raise UnsupportedCodecError; broken headers raise FormatError, and so
     does a data chunk that ends before the length its header declares,
-    before any sample is read. A chunk other than fmt, data, fact, LIST,
-    JUNK or Fake before the data is skipped with a ``WavFileWarning``.
+    before any sample is read. A float sample that is NaN or infinite is a
+    FormatError too, naming the file and the frames read. A chunk other
+    than fmt, data, fact, LIST, JUNK or Fake before the data is skipped
+    with a ``WavFileWarning``.
     """
 
     def __init__(self, path):
@@ -201,7 +215,7 @@ class WavReader:
                     skip -= len(head)
                 elif chunk not in _QUIET_CHUNKS:
                     warnings.warn(f"WAV chunk {chunk!r} not understood, "
-                                  "skipping it", wavfile.WavFileWarning,
+                                  "skipping it", WavFileWarning,
                                   stacklevel=2)
                 fh.seek(skip, os.SEEK_CUR)
             if fmt is None:
@@ -249,6 +263,9 @@ class WavReader:
                                                               copy=False)
         if self._scale is not None:
             samples /= self._scale
+        elif not np.isfinite(samples).all():
+            raise FormatError(f"{self.path} holds a non-finite sample in "
+                              f"frames [{start}, {start + count})")
         return MultichannelSignal(samples.T, self.sample_rate)
 
 
@@ -258,19 +275,42 @@ def read_wav(path) -> MultichannelSignal:
     return WavReader(path).read()
 
 
+def _pcm16_header(n_channels, sample_rate, n_frames):
+    """The 44-byte RIFF header of a PCM16 WAV file of ``n_frames`` frames.
+
+    ArgumentError when the data would not fit the 32-bit size fields (scipy
+    switches to RF64 there) or the byte rate would not fit its field.
+    """
+    block_align = 2 * n_channels
+    data_bytes = block_align * n_frames
+    if 36 + data_bytes > _RIFF_MAX:
+        raise ArgumentError(f"refusing to write {data_bytes} bytes of samples: "
+                            f"a WAV file holds at most {_RIFF_MAX - 36}")
+    if block_align * sample_rate > _RIFF_MAX:
+        raise ArgumentError(f"sample rate {sample_rate} is too high for a "
+                            f"{n_channels}-channel PCM16 WAV file")
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data_bytes, b"WAVE",
+                       b"fmt ", 16, _WAVE_FORMAT_PCM, n_channels, sample_rate,
+                       block_align * sample_rate, block_align, 16,
+                       b"data", data_bytes)
+
+
 def write_wav(signal: MultichannelSignal, path):
     """Write a 16-bit PCM WAV file.
 
     Samples clip to [-1, 1] and round to the nearest step of 1/32768.
+    Non-finite samples, and data a RIFF header cannot describe, raise
+    ArgumentError before the file is opened.
     """
     if not np.isfinite(signal.samples).all():
         raise ArgumentError("refusing to write non-finite samples")
-    data = signal.samples.T
-    if data.shape[1] == 1:
-        data = data[:, 0]
-    ints = np.round(np.clip(data, -1.0, 1.0) * _PCM16_SCALE)
-    out = np.clip(ints, -32768, 32767).astype(np.int16)
-    wavfile.write(path, signal.sample_rate, out)
+    header = _pcm16_header(signal.n_channels, signal.sample_rate,
+                           signal.n_samples)
+    ints = np.round(np.clip(signal.samples.T, -1.0, 1.0) * _PCM16_SCALE)
+    out = np.clip(ints, -32768, 32767).astype("<i2", order="C")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(out.data)
 
 
 def _checked_keep(signal: MultichannelSignal, keep):

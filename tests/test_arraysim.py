@@ -6,21 +6,23 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import correlate
+from scipy.signal import correlate, lfilter
 
 from arrayvad.arraysim import (
     CLASS_PRIOR,
     SceneSpec,
     SourceSpec,
     ToySegment,
+    _ar2,
     _delay_multichannel,
     _scene_segments,
     _toy_scene,
+    _unit_rms,
     synth_scene,
     toy_dataset,
 )
 from arrayvad.beamform import ArrayGeometry, plane_wave_delays
-from arrayvad.errors import ArgumentError
+from arrayvad.errors import MAX_ELEMENTS, ArgumentError
 from arrayvad.segeval import labels_from_segments
 
 RATE = 16000
@@ -166,6 +168,38 @@ def test_ar2_source_renders():
     assert (active ** 2).mean() > 100 * max((quiet ** 2).mean(), 1e-20)
 
 
+def _ar2_by_lfilter(rng, n, rate):
+    """The AR(2) source with scipy's all-pole filter: the oracle for the
+    plain recursion in ``_ar2``."""
+    f0 = rng.uniform(300.0, 800.0)
+    theta = 2.0 * np.pi * f0 / rate
+    a1, a2 = 2.0 * 0.97 * np.cos(theta), -0.97 * 0.97
+    return _unit_rms(lfilter([1.0], [1.0, -a1, -a2], rng.normal(size=n)))
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000])
+def test_ar2_recursion_equals_lfilter_bitwise(rate):
+    lengths = np.random.default_rng(rate).integers(4, 20000, size=100)
+    for seed, n in enumerate([1, 2, 3, *lengths]):
+        ours = _ar2(np.random.default_rng((seed, rate)), int(n), rate)
+        oracle = _ar2_by_lfilter(np.random.default_rng((seed, rate)), int(n), rate)
+        assert ours.dtype == oracle.dtype and ours.shape == oracle.shape
+        assert ours.tobytes() == oracle.tobytes(), (seed, n)
+
+
+def test_scene_size_is_bounded():
+    # microphones x samples at the limit is accepted, one sample more is not
+    rate = 1 << 10
+    at_limit = base_scene(geometry=make_geom(n_mics=64), sample_rate=rate,
+                          duration_s=MAX_ELEMENTS / 64 / rate)
+    assert at_limit.geometry.n_mics * at_limit.n_samples == MAX_ELEMENTS
+    with pytest.raises(ArgumentError, match="microphones x samples"):
+        base_scene(geometry=make_geom(n_mics=64), sample_rate=rate,
+                   duration_s=(MAX_ELEMENTS / 64 + 1) / rate)
+    with pytest.raises(ArgumentError, match="microphones x samples"):
+        base_scene(geometry=make_geom(n_mics=10 ** 9))
+
+
 def test_scene_spec_validation():
     with pytest.raises(ArgumentError):
         SourceSpec(azimuth=-0.1, onset=0.0, duration=1.0)
@@ -179,8 +213,9 @@ def test_scene_spec_validation():
         base_scene(noise="white", snr_db=float("inf"))
     with pytest.raises(ArgumentError):
         base_scene(sources=(SourceSpec(azimuth=0.1, onset=3.0, duration=0.5),))
-    with pytest.raises(ArgumentError):
-        base_scene(duration_s=0.0)
+    for duration in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ArgumentError):
+            base_scene(duration_s=duration)
 
 
 def test_scene_spec_json_roundtrip():

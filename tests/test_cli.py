@@ -1,7 +1,8 @@
 """End-to-end checks of the command-line pipelines.
 
 Commands run in-process through cli.main so exit codes and stdout/stderr
-can be asserted cheaply; one subprocess test covers the module entry point.
+can be asserted cheaply; subprocess tests cover the module entry point and
+what the commands import.
 """
 
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from arrayvad import cli
 from arrayvad.autodiff import no_grad
@@ -637,6 +639,23 @@ def _nan_model_tensor(tensors, config):
     tensors[name][...] = np.nan
 
 
+def _nan_float_wav_argv(d, wav, ckpt):
+    """``infer`` on the scene as a float32 WAV with one NaN sample."""
+    samples = read_wav(wav).samples.T.astype(np.float32)
+    samples[1000, 2] = np.nan
+    wavfile.write(d / "nan.wav", 16000, samples)
+    return ["infer", "--checkpoint", ckpt, "--wav", str(d / "nan.wav"),
+            "--out", str(d / "out")]
+
+
+def _huge_scene_argv(d, wav, ckpt):
+    """``simulate`` of a one-second scene with a billion microphones."""
+    cfg = {"geometry": {"n_mics": 1000000000, "radius": 0.05},
+           "duration_s": 1.0}
+    return ["simulate", "--config", _write(d / "scene.json", json.dumps(cfg)),
+            "--out", str(d / "out")]
+
+
 _HUGE_KERNEL = {"kind": "analytic", "kernel_len": 100000, "attn_dim": 4,
                 "sample_rate": 16000}
 
@@ -650,6 +669,8 @@ FAILURE_CLASSES = {
     "data-missing-wav": (lambda d, wav, ckpt: [
         "infer", "--checkpoint", ckpt, "--wav", str(d / "missing.wav"),
         "--out", str(d / "out")], 2),
+    "data-float-wav-nan-sample": (_nan_float_wav_argv, 2),
+    "data-simulate-huge-scene": (_huge_scene_argv, 2),
     "data-rttm-bad-field": (_score_argv(_rttm("zero", 1.0)), 2),
     "data-rttm-day-long-span": (_score_argv(_rttm(0.0, 1e12)), 2),
     "data-rttm-overflowing-end": (_score_argv(_rttm(1e308, 1e308)), 2),
@@ -811,6 +832,29 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["simulate", "--help"]) == 0
     capsys.readouterr()
+
+
+_SCIPY_AFTER_COMMANDS = """\
+import json, sys
+import arrayvad.arraysim, arrayvad.cli, arrayvad.trainer
+codes = [arrayvad.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_import_no_scipy(scene_config, workdir, untrained_ckpt):
+    # simulate renders an AR(2) source and writes PCM16; infer reads the
+    # WAV back. Neither, nor importing the trainer, may load scipy.
+    out = workdir / "no_scipy"
+    argvs = [["simulate", "--config", str(scene_config), "--out", str(out)],
+             ["infer", "--checkpoint", str(untrained_ckpt),
+              "--wav", str(out / "scene.wav"), "--out", str(out)]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER_COMMANDS, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 def test_module_entry_point(scene_out):

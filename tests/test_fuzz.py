@@ -88,7 +88,7 @@ def _read_windows(path):
             reader.read(start, 16)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@pytest.mark.filterwarnings("ignore::arrayvad.signal_io.WavFileWarning")
 @FUZZ
 @given(data=st.data())
 def test_mutated_wavs_raise_only_package_errors(tmp_path, wav_seed, data):

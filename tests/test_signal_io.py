@@ -12,7 +12,9 @@ from scipy.io import wavfile
 from arrayvad.errors import ArgumentError, FormatError, RangeError, UnsupportedCodecError
 from arrayvad.signal_io import (
     MultichannelSignal,
+    WavFileWarning,
     WavReader,
+    _pcm16_header,
     mask_channels,
     read_wav,
     slice_segment,
@@ -182,7 +184,7 @@ def test_riff_rifx_and_rf64_headers(tmp_path, kind):
 
 
 def test_other_wav_warnings_stay_warnings(tmp_path):
-    # An unknown chunk before the data: scipy skips it with a warning.
+    # An unknown chunk before the data: the reader skips it with a warning.
     path = tmp_path / "a.wav"
     sig = make_signal(c=2, n=100)
     write_wav(sig, path)
@@ -192,9 +194,61 @@ def test_other_wav_warnings_stay_warnings(tmp_path):
     riff_size = struct.unpack("<I", raw[4:8])[0] + len(chunk)
     path.write_bytes(raw[:4] + struct.pack("<I", riff_size) + raw[8:at]
                      + chunk + raw[at:])
-    with pytest.warns(wavfile.WavFileWarning):
+    with pytest.warns(WavFileWarning):
         back = read_wav(path)
     assert back.samples.shape == (2, 100)
+
+
+@pytest.mark.parametrize("encoding", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_samples_are_format_errors(tmp_path, encoding, bad):
+    data = RNG.standard_normal((300, 2)).astype(encoding)
+    data[250, 1] = bad
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, 16000, data)
+    reader = WavReader(path)
+    assert np.array_equal(reader.read(0, 250).samples, data[:250].T)
+    with pytest.raises(FormatError, match=r"bad\.wav .*frames \[200, 260\)"):
+        reader.read(200, 60)
+    with pytest.raises(FormatError, match="non-finite"):
+        read_wav(path)
+
+
+def _scipy_written(path, rate, samples):
+    """``samples`` as scipy writes them to PCM16 after ``write_wav``'s
+    rounding and clipping: the oracle for the writer's bytes."""
+    data = samples.T if samples.shape[0] > 1 else samples[0]
+    ints = np.round(np.clip(data, -1.0, 1.0) * 32768.0)
+    wavfile.write(path, rate, np.clip(ints, -32768, 32767).astype(np.int16))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("channels", [1, 2, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 1001])
+@pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000])
+def test_writer_bytes_equal_scipy(tmp_path, channels, n, rate):
+    samples = 1.5 * RNG.standard_normal((channels, n))
+    extremes = [-7.0, -1.0, -1.0 + 2.0**-16, -0.0, 2.0**-16, 1.0 - 2.0**-16,
+                1.0, 7.0]
+    flat = samples.reshape(-1)
+    flat[:len(extremes)] = extremes[:flat.size]
+    write_wav(MultichannelSignal(samples, rate), tmp_path / "ours.wav")
+    assert (tmp_path / "ours.wav").read_bytes() == _scipy_written(
+        tmp_path / "scipy.wav", rate, samples)
+
+
+def test_writer_refuses_what_a_riff_header_cannot_hold():
+    header = _pcm16_header(8, 16000, 123)
+    assert len(header) == 44
+    assert struct.unpack("<I", header[4:8])[0] == 36 + 16 * 123
+    # the largest data whose file size still fits the 32-bit RIFF field
+    frames = (0xFFFFFFFF - 36) // 16
+    assert struct.unpack("<I", _pcm16_header(8, 16000, frames)[40:])[0] == \
+        16 * frames
+    with pytest.raises(ArgumentError, match="at most"):
+        _pcm16_header(8, 16000, frames + 1)
+    with pytest.raises(ArgumentError, match="sample rate"):
+        _pcm16_header(8, 2 ** 28, 1)
 
 
 def test_unsupported_codec(tmp_path):
