@@ -341,12 +341,17 @@ def _infer_labels(frontend, model, recording, cfg, mask=None):
         return sliding_infer(posterior_fn, recording, **window)
 
 
-def _check_rate(frontend, recording):
-    """ArgumentError unless ``recording`` has the frontend's sample rate."""
+def _open_recording(path, frontend):
+    """A ``WavReader`` of ``path``; ArgumentError unless the file holds
+    samples at the frontend's sample rate."""
+    recording = WavReader(path)
     if recording.sample_rate != frontend.sample_rate:
         raise ArgumentError(
             f"wav rate {recording.sample_rate} != frontend rate "
             f"{frontend.sample_rate}")
+    if recording.n_samples == 0:
+        raise ArgumentError(f"{path} holds no sample frames")
+    return recording
 
 
 def _score_pair(ref_labels, hyp_labels):
@@ -523,8 +528,7 @@ def _cmd_train(args):
 def _cmd_infer(args):
     cfg = _load_config(args.config, _INFER_SCHEMA) if args.config else {}
     frontend, model = load_model(args.checkpoint)
-    recording = WavReader(args.wav)
-    _check_rate(frontend, recording)
+    recording = _open_recording(args.wav, frontend)
     labels = _infer_labels(frontend, model, recording, cfg)
     segs = segments_from_labels(labels, cfg.get("file_id", "infer"))
     out = _out_dir(args)
@@ -565,8 +569,7 @@ def _cmd_maskeval(args):
         raise UsageError("give keep sets either via --keep or the config, "
                          "not both")
     frontend, model = load_model(args.checkpoint)
-    recording = WavReader(args.wav)
-    _check_rate(frontend, recording)
+    recording = _open_recording(args.wav, frontend)
     ref = parse_rttm(args.ref)
     ref_labels = labels_from_segments(ref, recording.duration_s)
     if args.keep:
@@ -588,8 +591,7 @@ def _cmd_maskeval(args):
         print(f"C={row['n_channels']:<2}  {kept:<20} "
               f"{row['vad']['false_alarm']:>7.2f} {row['vad']['miss']:>7.2f} "
               f"{row['vad']['ser']:>7.2f} {row['osd']['f1']:>7.2f}")
-    if args.out is not None:
-        _write_json(_out_dir(args) / "maskeval.json", {"rows": rows})
+    _write_json(_out_dir(args) / "maskeval.json", {"rows": rows})
 
 
 # -- argument parsing ---------------------------------------------------------

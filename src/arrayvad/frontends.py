@@ -20,9 +20,10 @@ attention, MVDR statistics, channel combination and mel/log.
 Every part is (T, C, K), one row per frame of the ``spectral.FRAME_RATE``
 grid that the STFT and the analytic bank share, and C-contiguous
 (frame-major), so the stacked-row GEMMs of the attention read it without a
-copy. Frames shared by overlapping windows can be analysed once
-(``FrameCache``) while the per-window steps, and so the output, stay exactly
-as without reuse. Both ``analyse`` and ``normalise`` work on each channel
+copy. Frames shared by overlapping windows of one recording can be
+analysed once (``FrameCache``, which finds them from each window's start
+sample) while the per-window steps, and so the output, stay exactly as
+without reuse. Both ``analyse`` and ``normalise`` work on each channel
 alone, so the normalised parts of a signal hold those of every channel
 subset of it: ``window_features(inputs, mask)`` with a (P, C) boolean
 channel mask gives a (T, P, F) stack whose path p equals the features of
@@ -538,58 +539,41 @@ class FrameCache:
     length. ``frames(window)`` gives the same parts as
     ``frontend.analyse(window)``, but carries over the frames the previous
     window already analysed and runs only the others through ``analyse``.
-    A window off the previous window's frame grid (a tail window aligned to
-    the signal end, or every window when the hop is not a multiple of the
-    frame hop) is analysed in full.
 
-    Overlap is found by content: the window continues the previous one from
-    the first previous frame whose samples equal its own first frame, if
-    every sample the two share is equal too. A frame depends only on its
-    own samples, so reuse never changes a value, whatever order the windows
-    come in. The cache holds one window: its samples (a reference, not a
-    copy) and its analysed frames; frames before the window's start are
-    dropped. It keeps values only, so use it under ``autodiff.no_grad``.
+    Reuse goes by position: all windows must come from one recording
+    (``cli._infer_labels`` builds one cache per recording), and
+    ``window.start`` says where each lies in it. A window that starts a
+    whole number of frame hops inside the previous window's frames, with as
+    many channels, reuses them from there on; a frame depends only on its
+    own samples, so they are what its own analysis gives. Any other window
+    (before the previous one or past its frames, or off its frame grid, as
+    a tail window aligned to the recording's end may be) is analysed in
+    full. The cache holds one window's start and analysed frames and no
+    samples. It keeps values only, so use it under ``autodiff.no_grad``.
     """
 
     def __init__(self, frontend):
         self.frontend = frontend
-        self._samples = None
-        self._frames = None
-
-    def _first_shared_frame(self, samples):
-        """Index of the previous window's frame that ``samples`` starts on."""
-        prev = self._samples
-        if prev is None or prev.shape[0] != samples.shape[0]:
-            return None
-        fe = self.frontend
-        # Candidates from the first channel; the overlap check covers all.
-        heads = frame_signal(prev[:1], fe.frame_len, fe.frame_hop)[0]
-        same_head = (heads == samples[0, :fe.frame_len]).all(axis=1)
-        for first in np.flatnonzero(same_head):
-            lo = first * fe.frame_hop
-            n = min(prev.shape[1] - lo, samples.shape[1])
-            if np.array_equal(prev[:, lo:lo + n], samples[:, :n]):
-                return int(first)
-        return None
+        self._start, self._frames = 0, None
 
     def frames(self, window: MultichannelSignal):
         """The parts of ``frontend.analyse(window)``, as numpy arrays."""
         fe = self.frontend
         n_frames = frame_count(window.n_samples, fe.frame_len, fe.frame_hop)
-        first = self._first_shared_frame(window.samples)
-        if first is None:
+        first, off_grid = divmod(window.start - self._start, fe.frame_hop)
+        prev = self._frames
+        if (prev is None or off_grid or not 0 <= first < len(prev[0])
+                or prev[0].shape[1] != window.n_channels):
             parts = [_values(p) for p in fe.analyse(window)]
         else:
-            parts = [p[first:first + n_frames] for p in self._frames]
-            n_kept = parts[0].shape[0]
+            parts = [p[first:first + n_frames] for p in prev]
+            n_kept = len(parts[0])
             if n_kept < n_frames:
                 lo = n_kept * fe.frame_hop
                 hi = (n_frames - 1) * fe.frame_hop + fe.frame_len
-                rest = MultichannelSignal(window.samples[:, lo:hi],
-                                          window.sample_rate, window.channel_ids)
-                parts = [np.concatenate([kept, _values(new)])
-                         for kept, new in zip(parts, fe.analyse(rest))]
-        self._samples, self._frames = window.samples, parts
+                parts = [np.concatenate([kept, _values(new)]) for kept, new
+                         in zip(parts, fe.analyse(window.read(lo, hi - lo)))]
+        self._start, self._frames = window.start, parts
         return tuple(parts)
 
 

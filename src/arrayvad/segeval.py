@@ -196,22 +196,27 @@ def sliding_infer(posterior_fn, signal, win_s=2.0, hop_s=0.5):
     ``signal`` is a ``MultichannelSignal`` or a ``signal_io.WavReader``.
     Each window is cut by ``slice_segment`` when its turn comes, so with a
     reader only the window's samples are read and held, and memory does
-    not grow with the recording.
+    not grow with the recording. Each window's ``start`` says where it lies
+    in the recording, so a ``frontends.FrameCache`` in posterior_fn can
+    reuse the frames that overlapping windows share.
 
     posterior_fn maps a MultichannelSignal window to (frames, 3) posteriors
     on the FRAME_RATE grid, or to a (P, frames, 3) stack of P paths (for
     example P channel subsets of the window). Windows advance by hop_s; a
-    final window aligned to the signal end covers any tail. Overlapping
+    final window aligned to the signal end covers any tail. A window or hop
+    longer than the signal counts as the signal's length. Overlapping
     frames average their posteriors (arithmetic mean over the windows that
     cover them); classes are the argmax, ties resolved toward the lower
     class. Returns FrameLabels, or a list of P FrameLabels for stacks; each
     path is averaged exactly as it would be alone.
     """
-    if win_s <= 0 or hop_s <= 0:
+    if not (win_s > 0 and hop_s > 0):
         raise ArgumentError("window and hop must be positive")
     rate = signal.sample_rate
-    win_n = min(int(round(win_s * rate)), signal.n_samples)
-    hop_n = max(int(round(hop_s * rate)), 1)
+    # Clamped to the recording before rounding, so a huge float stays finite;
+    # a longer window or hop would give the same windows.
+    win_n = int(round(min(win_s * rate, signal.n_samples)))
+    hop_n = max(int(round(min(hop_s * rate, signal.n_samples))), 1)
     last_start = signal.n_samples - win_n
     starts = list(range(0, last_start + 1, hop_n))
     if starts[-1] < last_start:

@@ -48,11 +48,14 @@ class MultichannelSignal:
     samples: (C, N) float64.
     sample_rate: Hz.
     channel_ids: the original index of each row; stays stable under masking.
+    start: the index of the first sample in the recording it was read from
+        (0 for a whole recording); cuts add it up, masking keeps it.
     """
 
     samples: np.ndarray
     sample_rate: int
     channel_ids: tuple = field(default=None)
+    start: int = 0
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
@@ -69,9 +72,12 @@ class MultichannelSignal:
             ids = tuple(int(i) for i in ids)
         if len(ids) != s.shape[0] or len(set(ids)) != len(ids):
             raise ArgumentError("channel_ids must be distinct and match the channel count")
+        if self.start < 0:
+            raise ArgumentError(f"start must be >= 0, got {self.start}")
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         object.__setattr__(self, "channel_ids", ids)
+        object.__setattr__(self, "start", int(self.start))
 
     @property
     def n_channels(self):
@@ -89,7 +95,8 @@ class MultichannelSignal:
         """Samples [start, start + count) as a view, the call
         ``WavReader.read`` answers from its file."""
         return MultichannelSignal(self.samples[:, start:start + count],
-                                  self.sample_rate, self.channel_ids)
+                                  self.sample_rate, self.channel_ids,
+                                  self.start + start)
 
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -266,7 +273,7 @@ class WavReader:
         elif not np.isfinite(samples).all():
             raise FormatError(f"{self.path} holds a non-finite sample in "
                               f"frames [{start}, {start + count})")
-        return MultichannelSignal(samples.T, self.sample_rate)
+        return MultichannelSignal(samples.T, self.sample_rate, start=start)
 
 
 def read_wav(path) -> MultichannelSignal:
@@ -343,9 +350,8 @@ def mask_channels(signal: MultichannelSignal, keep) -> MultichannelSignal:
     order = sorted(_checked_keep(signal, keep))
     present = {cid: row for row, cid in enumerate(signal.channel_ids)}
     rows = [present[k] for k in order]
-    return MultichannelSignal(
-        signal.samples[rows], signal.sample_rate, channel_ids=tuple(order)
-    )
+    return MultichannelSignal(signal.samples[rows], signal.sample_rate,
+                              tuple(order), signal.start)
 
 
 def slice_segment(signal, start_s, duration_s) -> MultichannelSignal:

@@ -23,7 +23,7 @@ from arrayvad.cli import main
 from arrayvad.frontends import make_frontend
 from arrayvad.segeval import parse_rttm
 from arrayvad.seqmodel import TcnConfig, tcn_init
-from arrayvad.signal_io import read_wav
+from arrayvad.signal_io import MultichannelSignal, read_wav, write_wav
 
 
 def read_features(path):
@@ -634,6 +634,26 @@ def _mvdr_argv(command, n_mics, keep=None):
     return build
 
 
+def _window_argv(command, **window):
+    """``infer`` or ``maskeval`` of the scene with a config of ``window``."""
+    def build(d, wav, ckpt):
+        argv = [command, "--checkpoint", ckpt, "--wav", wav, "--config",
+                _write(d / "window.json", json.dumps(window)),
+                "--out", str(d / "out")]
+        if command == "maskeval":
+            argv += ["--ref", _write(d / "ref.rttm", _rttm(0.0, 0.5))]
+        return argv
+    return build
+
+
+def _empty_wav_argv(command):
+    """``infer`` or ``maskeval`` of a 4-channel WAV of no sample frames."""
+    def build(d, wav, ckpt):
+        write_wav(MultichannelSignal(np.zeros((4, 0)), 16000), d / "empty.wav")
+        return _window_argv(command)(d, str(d / "empty.wav"), ckpt)
+    return build
+
+
 def _nan_model_tensor(tensors, config):
     name = next(n for n in sorted(tensors) if n.startswith("model/"))
     tensors[name][...] = np.nan
@@ -661,8 +681,13 @@ _HUGE_KERNEL = {"kind": "analytic", "kernel_len": 100000, "attn_dim": 4,
 
 # One row per failure class: the argv a row builds from (its own directory,
 # the scene WAV, a small sacc checkpoint) and the documented exit code, 1 for
-# usage, 2 for data and formats, 3 for numeric failures.
+# usage, 2 for data and formats, 3 for numeric failures; 0 for input that
+# once ended in a traceback and now runs.
 FAILURE_CLASSES = {
+    "ok-infer-huge-hop": (_window_argv("infer", hop_s=1e305), 0),
+    "ok-infer-huge-win": (_window_argv("infer", win_s=1e305), 0),
+    "data-infer-wav-without-samples": (_empty_wav_argv("infer"), 2),
+    "data-maskeval-wav-without-samples": (_empty_wav_argv("maskeval"), 2),
     "usage-unknown-command": (lambda d, wav, ckpt: ["not-a-command"], 1),
     "usage-unknown-config-key": (
         _features_argv({"variant": "sacc", "x": 1}), 1),
@@ -718,6 +743,35 @@ def test_failure_classes_map_to_exit_codes_without_traceback(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["infer", "maskeval"])
+def test_wav_without_samples_is_named_in_the_error(workdir, untrained_ckpt,
+                                                   capsys, command):
+    d = workdir / f"empty_{command}"
+    d.mkdir()
+    argv = _empty_wav_argv(command)(d, None, str(untrained_ckpt))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(d / "empty.wav") in err and "duration_s" not in err
+
+
+@pytest.mark.parametrize("command, output", [("infer", "hyp.rttm"),
+                                             ("maskeval", "maskeval.json")])
+@pytest.mark.parametrize("key", ["win_s", "hop_s"])
+def test_window_or_hop_past_the_recording_runs_as_its_length(
+        scene_out, workdir, untrained_ckpt, capsys, command, output, key):
+    outputs = []
+    for value in (1e305, 3.0):  # the scene is 3 s long
+        d = workdir / f"long_{command}_{key}_{value}"
+        d.mkdir()
+        argv = _window_argv(command, **{key: value})(
+            d, str(scene_out / "scene.wav"), str(untrained_ckpt))
+        assert main(argv) == 0
+        outputs.append((d / "out" / output).read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_checkpoint_naming_three_classes_still_loads(scene_out, workdir,

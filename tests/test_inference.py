@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arrayvad import cli
+from arrayvad.autodiff import Tensor
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.checkpoint import save_model
 from arrayvad.errors import ArgumentError
@@ -134,6 +135,54 @@ def test_frame_cache_holds_one_window_and_analyses_new_frames_only(
     else:
         want = n_windows * per_window
     assert sum(analysed) == want
+
+
+# (start sample, kept channels) of each window, in the order they run: 4000
+# samples long (23 frames), so a start of 800 is 5 frame hops in. The
+# backward order first steps back by more than a window.
+WINDOW_ORDERS = {
+    "forward": [(0, None), (800, None), (1600, None)],
+    "backward": [(4800, None), (800, None), (0, None)],
+    "repeated": [(800, None), (800, None), (1600, None)],
+    "jump-past": [(0, None), (4800, None), (5600, None)],
+    "channel-count": [(0, None), (800, [0, 2]), (1600, None)],
+}
+# Frames each order analyses: 23 per window analysed in full, 5 for a window
+# one 800-sample hop past the previous one, 0 for a repeat.
+WINDOW_ORDER_ANALYSED = {"forward": 23 + 5 + 5, "backward": 3 * 23,
+                         "repeated": 23 + 0 + 5, "jump-past": 23 + 23 + 5,
+                         "channel-count": 3 * 23}
+
+
+@pytest.mark.parametrize("order", sorted(WINDOW_ORDERS))
+@pytest.mark.parametrize("cfg", [FRONTEND_CONFIGS[0], FRONTEND_CONFIGS[1]],
+                         ids=["sacc", "analytic"])
+def test_frame_cache_equals_analyse_in_any_window_order(cfg, order):
+    # Reuse goes by window.start: a window before, on or past the previous
+    # one, or with other channels, still gets exactly its own analysis.
+    signal = _signal(3, RATE, seed=4)
+    frontend = _frontend(cfg, 3)
+    analyse = frontend.analyse
+    analysed = []
+
+    def counting_analyse(sig):
+        analysed.append(frame_count(sig.n_samples, frontend.frame_len,
+                                    frontend.frame_hop))
+        return analyse(sig)
+
+    frontend.analyse = counting_analyse
+    cache = FrameCache(frontend)
+    for start, keep in WINDOW_ORDERS[order]:
+        window = signal.read(start, 4000)
+        if keep is not None:
+            window = mask_channels(window, keep)
+        got = cache.frames(window)
+        want = [part.data if isinstance(part, Tensor) else part
+                for part in analyse(window)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert sum(analysed) == WINDOW_ORDER_ANALYSED[order]
 
 
 @pytest.mark.parametrize("first, count", [(0, 1), (3, 2), (5, 17), (20, 9)])

@@ -285,6 +285,44 @@ def test_sliding_shift_by_one_hop():
     assert (shifted.labels[250:-250] == base.labels[200:-300]).all()
 
 
+@pytest.mark.parametrize("huge", ["win_s", "hop_s"])
+def test_sliding_window_or_hop_past_the_signal_counts_as_its_length(huge):
+    # 1e305 s times the rate overflows a float; it must give the windows and
+    # posteriors of a window or hop as long as the signal.
+    rng = np.random.default_rng(4)
+    sig = MultichannelSignal(rng.normal(size=(2, 5 * 16000 + 77)), 16000)
+    runs = []
+
+    def run(**window):
+        starts = []
+
+        def fn(w):
+            starts.append((w.start, w.n_samples))
+            frames = int(round(w.n_samples / w.sample_rate * 100))
+            level = np.abs(w.samples[0, :frames * 160]).reshape(frames, 160)
+            return np.stack([level.mean(1), level.max(1), level.min(1)], 1)
+
+        runs.append((sliding_infer(fn, sig, **window), starts))
+
+    run(**{huge: 1e305})
+    run(**{huge: sig.duration_s})
+    (got, got_starts), (want, want_starts) = runs
+    assert got_starts == want_starts
+    assert np.array_equal(got.posteriors, want.posteriors)
+    if huge == "win_s":
+        assert got_starts == [(0, sig.n_samples)]
+    else:
+        assert got_starts == [(0, 32000), (sig.n_samples - 32000, 32000)]
+
+
+@pytest.mark.parametrize("window", [{"win_s": 0.0}, {"hop_s": -1.0},
+                                    {"win_s": float("nan")},
+                                    {"hop_s": float("nan")}])
+def test_sliding_rejects_a_window_or_hop_that_is_not_positive(window):
+    with pytest.raises(ArgumentError):
+        sliding_infer(lambda w: np.zeros((1, 3)), silent_signal(2.0), **window)
+
+
 def test_sliding_rejects_bad_posterior_shape():
     def fn(window):
         return np.zeros((10, 2))

@@ -148,6 +148,7 @@ def test_reader_windows_equal_cuts_of_the_whole_file(tmp_path, encoding):
     for start in (0, 1203, N_FRAMES - win):
         got = slice_segment(reader, start / 16000, win / 16000)
         want = slice_segment(whole, start / 16000, win / 16000)
+        assert got.start == want.start == start
         assert got.channel_ids == want.channel_ids
         assert np.array_equal(got.samples, want.samples)
         assert got.samples.strides == want.samples.strides
@@ -273,6 +274,8 @@ def test_signal_validation():
         MultichannelSignal(np.zeros((2, 10)), 16000, channel_ids=(0, 0))
     with pytest.raises(ArgumentError):
         MultichannelSignal(np.zeros((65, 4)), 16000)
+    with pytest.raises(ArgumentError):
+        MultichannelSignal(np.zeros((2, 10)), 16000, start=-1)
 
 
 def test_mask_keeps_original_ids_in_ascending_order():
@@ -309,6 +312,8 @@ def test_slice_sample_alignment():
     cut = slice_segment(sig, 1.0, 0.5)
     assert cut.n_samples == 8000
     assert cut.samples[0, 0] == sig.samples[0, 16000]
+    # a cut of a cut starts where the two offsets add up to
+    assert cut.start == 16000 and cut.read(100, 10).start == 16100
 
 
 def test_slice_out_of_range():
@@ -334,5 +339,6 @@ def test_mask_and_slice_commute(keep, start, dur):
         return
     a = slice_segment(mask_channels(sig, keep), start / 10.0, dur / 10.0)
     b = mask_channels(slice_segment(sig, start / 10.0, dur / 10.0), keep)
+    assert a.start == b.start == start * 10
     assert a.channel_ids == b.channel_ids
     assert np.array_equal(a.samples, b.samples)
