@@ -31,6 +31,11 @@ Design points that matter for the rest of the package:
   constant spectrum routes the gradient to the weights only.
 * Graph replay order is the construction order, so gradients are bitwise
   reproducible run to run.
+* A gradient lives only as long as the sweep needs it: ``backward`` drops
+  each op node's ``grad`` right after routing it to the parents, so after
+  the sweep only leaves (parameters) keep ``grad``. Nothing else holds a
+  graph once the caller drops its loss, so a training step's graph, with
+  its forward values, dies with the step (``trainer._step``).
 * Inside ``no_grad()`` nothing is recorded: every op returns a constant,
   which is how the read-only forward passes (inference, validation, feature
   dumps) skip the tape that no ``backward`` would read.
@@ -533,7 +538,15 @@ def _topo_order(root):
 
 
 def backward(loss):
-    """Run the reverse sweep from scalar ``loss``, filling ``grad`` fields.
+    """Run the reverse sweep from scalar ``loss``, filling the ``grad`` of
+    every leaf it reaches.
+
+    An op node's gradient is released (``grad`` back to None) as soon as
+    its ``_backward`` has routed it to the parents: in reverse topological
+    order every consumer has added its share by then, and no gradient
+    aliases another (``_accum`` copies on first touch, ``getitem`` adds into
+    the parent's own array). So the sweep holds only the gradients of the
+    frontier, not one per node, and after it only leaves keep ``grad``.
 
     Raises NumericError if the forward value is not finite; nothing is
     propagated in that case.
@@ -547,16 +560,22 @@ def backward(loss):
         node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = None
 
 
 def grad(loss, params):
     """Gradients of ``loss`` for a name -> Tensor mapping.
 
-    Parameters not reached by the graph get zero arrays, so optimizer updates
-    stay total over the parameter set.
+    Every parameter's ``grad`` is reset before the sweep, so parameters the
+    graph does not reach get zero arrays, whatever an earlier sweep left,
+    and optimizer updates stay total over the parameter set. The arrays
+    returned are the parameters' ``grad`` fields; op nodes keep none.
     """
+    for p in params.values():
+        p.grad = None
     backward(loss)
     out = {}
     for name, p in params.items():

@@ -23,6 +23,13 @@ mask is passed and the step is the plain reference path. The invariance
 term needs frontend weights to train, so a frontend without any (``mvdr``)
 refuses it.
 
+A step is one ``_step`` call: the batch's forward pass and one
+``autodiff.grad`` sweep, returning the losses as floats and the gradients as
+numpy arrays. Only ``_step``'s locals reach the step's graph, so the graph
+and its forward values are freed when it returns, before Adam and the next
+step's forward pass; and the sweep frees each op node's gradient once it has
+passed it on. Training memory is one step's tape.
+
 Masking stream
 --------------
 For duplicate ``p`` of step ``step`` under seed ``s``, the generator state
@@ -47,7 +54,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, check_size
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
 # mask_channels is unused here; perfbench/tracing.py wraps it under this name.
@@ -109,6 +116,7 @@ class TrainConfig:
             raise ArgumentError("counts in TrainConfig must be >= 1")
         if self.segment_s <= 0 or self.lr <= 0:
             raise ArgumentError("segment_s and lr must be positive")
+        check_size(self.batch_size, f"a batch of batch_size {self.batch_size}")
 
     @classmethod
     def from_dict(cls, d):
@@ -376,21 +384,85 @@ def _log_record(result, log, record):
         log.flush()
 
 
+def _step(frontend, model, params, items, segment_s, icfg, rng, step):
+    """Forward and backward pass of one training step over ``items``.
+
+    Crops each item with ``rng`` in order; with ``icfg`` it draws the
+    item's masked duplicates (stream ``step * len(items) + offset``) and
+    takes the reference and duplicate features from one ``window_features``
+    call. Backpropagates the batch mean loss once. Returns the losses as plain floats, ``{"ce",
+    "loss"}`` plus ``"inv"`` with ``icfg``, and the numpy gradient of every
+    tensor of ``params`` by name. Nothing returned is a ``Tensor``, so the
+    step's graph, forward values included, is freed when it returns.
+    """
+    ce_terms, inv_terms = [], []
+    for offset, item in enumerate(items):
+        signal, frame_labels = _crop_item(item, segment_s, rng)
+        inputs = frontend.normalise(frontend.analyse(signal))
+        if icfg is not None:
+            dups = make_masked_duplicates(
+                signal, icfg, step=step * len(items) + offset)
+            paths = frontend.window_features(inputs, _duplicate_mask(dups))
+            feats = paths[:, 0]
+            inv_terms.append(invariant_loss(feats, [
+                paths[:, p] for p in range(1, len(dups) + 1)]))
+        else:
+            feats = frontend.window_features(inputs)
+        logits = tcn_forward(model, feats)
+        ce_terms.append(cross_entropy(
+            logits, _aligned_labels(frame_labels, logits.shape[0])))
+    ce_mean = _mean(ce_terms)
+    if icfg is None:
+        loss = ce_mean
+    else:
+        inv_mean = _mean(inv_terms)
+        loss = dual_loss(ce_mean, inv_mean, icfg.lam)
+    losses = {"ce": float(ce_mean.data), "loss": float(loss.data)}
+    if icfg is not None:
+        losses["inv"] = float(inv_mean.data)
+    try:
+        grads = ad.grad(loss, params)
+    except NumericError as exc:
+        raise NumericError(
+            f"training diverged at step {step}: {exc}") from exc
+    return losses, grads
+
+
+def _check_step_size(frontend, items, segment_s, icfg):
+    """ArgumentError when the widest tensor of a step with masked
+    duplicates, about frames x (1 + p) x max(K, C^2), is over
+    ``MAX_ELEMENTS``: each path's combined rows are K wide and its attention
+    logits C x C. Frames are counted from the cropped length with one spare,
+    an upper bound. Runs before any duplicate is drawn."""
+    n_frames = n_ch = 0
+    for item in items:
+        sig = item.signal
+        n = min(sig.n_samples, int(round(segment_s * sig.sample_rate)))
+        n_frames = max(n_frames, n // frontend.frame_hop + 1)
+        n_ch = max(n_ch, sig.n_channels)
+    width = max(frontend.stft_cfg.n_bins, frontend.feature_dim, n_ch * n_ch)
+    check_size(n_frames * (1 + icfg.p) * width,
+               f"a step's {1 + icfg.p} paths (invariant p {icfg.p}) of "
+               f"{n_frames} frames")
+
+
 def train(frontend, model: ModelParams, train_items, val_items,
           tcfg: TrainConfig, icfg: Optional[InvariantConfig] = None,
           log_path=None) -> TrainResult:
     """Optimize frontend+model on labeled segments; keep the best-F1 state.
 
-    Per step: sample a batch, crop each item to a segment_s window when it
-    is longer, run the frontend and classifier per segment, average the
-    cross-entropy (reference path only), optionally add the invariance term
-    over channel-masked duplicates, backprop once, update with Adam. Each
-    segment is analysed and normalised once; the reference and its
-    duplicates take their features from one masked ``window_features``
-    call on those parts (``_duplicate_mask``). Per epoch: validation OSD
-    F1; stop after ``patience`` epochs without a new best and restore the
-    best snapshot before returning. Each history record goes to
-    ``log_path`` (NDJSON) as soon as it exists.
+    Per step (``_step``): sample a batch, crop each item to a segment_s
+    window when it is longer, run the frontend and classifier per segment,
+    average the cross-entropy (reference path only), optionally add the
+    invariance term over channel-masked duplicates, backprop once; then
+    update with Adam. Each segment is analysed and normalised once; the
+    reference and its duplicates take their features from one masked
+    ``window_features`` call on those parts (``_duplicate_mask``). A step's
+    graph lives only inside ``_step``, which hands back plain floats and
+    numpy gradients, so memory holds one step's tape at a time. Per epoch:
+    validation OSD F1; stop after ``patience`` epochs without a new best
+    and restore the best snapshot before returning. Each history record
+    goes to ``log_path`` (NDJSON) as soon as it exists.
     With lam = 1 the duplicate branch is skipped outright, which leaves
     gradients identical to a plain cross-entropy run.
     """
@@ -401,11 +473,14 @@ def train(frontend, model: ModelParams, train_items, val_items,
     if not val_items:
         raise ArgumentError("validation dataset is empty")
 
-    use_inv = icfg is not None and icfg.lam < 1.0
-    if use_inv and not frontend.params:
-        raise ArgumentError(
-            f"the invariance term trains frontend weights, and the "
-            f"{frontend.kind} frontend has none")
+    if icfg is not None and icfg.lam >= 1.0:
+        icfg = None
+    if icfg is not None:
+        if not frontend.params:
+            raise ArgumentError(
+                f"the invariance term trains frontend weights, and the "
+                f"{frontend.kind} frontend has none")
+        _check_step_size(frontend, train_items, tcfg.segment_s, icfg)
     all_params = {"frontend/" + k: t for k, t in frontend.params.items()}
     all_params.update({"model/" + k: t for k, t in model.tensors.items()})
     state = AdamState.for_params(all_params)
@@ -421,44 +496,13 @@ def train(frontend, model: ModelParams, train_items, val_items,
         for epoch in range(tcfg.max_epochs):
             for _ in range(tcfg.steps_per_epoch):
                 batch = rng.integers(0, len(train_items), size=tcfg.batch_size)
-                for tensor in all_params.values():
-                    tensor.grad = None
-                ce_terms, inv_terms = [], []
-                for offset, item_index in enumerate(batch):
-                    item = train_items[int(item_index)]
-                    signal, frame_labels = _crop_item(item, tcfg.segment_s, rng)
-                    inputs = frontend.normalise(frontend.analyse(signal))
-                    if use_inv:
-                        dups = make_masked_duplicates(
-                            signal, icfg,
-                            step=step * tcfg.batch_size + offset)
-                        paths = frontend.window_features(
-                            inputs, _duplicate_mask(dups))
-                        feats = paths[:, 0]
-                        inv_terms.append(invariant_loss(feats, [
-                            paths[:, p] for p in range(1, len(dups) + 1)]))
-                    else:
-                        feats = frontend.window_features(inputs)
-                    logits = tcn_forward(model, feats)
-                    ce_terms.append(cross_entropy(
-                        logits, _aligned_labels(frame_labels, logits.shape[0])))
-                ce_mean = _mean(ce_terms)
-                if use_inv:
-                    inv_mean = _mean(inv_terms)
-                    loss = dual_loss(ce_mean, inv_mean, icfg.lam)
-                else:
-                    loss = ce_mean
-                try:
-                    grads = ad.grad(loss, all_params)
-                except NumericError as exc:
-                    raise NumericError(
-                        f"training diverged at step {step}: {exc}") from exc
+                losses, grads = _step(
+                    frontend, model, all_params,
+                    [train_items[int(i)] for i in batch], tcfg.segment_s,
+                    icfg, rng, step)
                 adam_step(all_params, grads, state, tcfg.lr)
-                record = {"step": step, "epoch": epoch,
-                          "ce": float(ce_mean.data), "loss": float(loss.data)}
-                if use_inv:
-                    record["inv"] = float(inv_mean.data)
-                _log_record(result, log, record)
+                _log_record(result, log,
+                            {"step": step, "epoch": epoch, **losses})
                 step += 1
 
             f1 = _validation_f1(frontend, model, val_items)

@@ -155,8 +155,6 @@ def naive_dual_steps(frontend, model, items, tcfg, icfg):
     records = []
     for step in range(tcfg.steps_per_epoch):
         batch = rng.integers(0, len(items), size=tcfg.batch_size)
-        for tensor in params.values():
-            tensor.grad = None
         ce_total = inv_total = None
         for offset, index in enumerate(batch):
             signal, labels = _crop_item(items[int(index)], tcfg.segment_s, rng)

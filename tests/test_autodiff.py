@@ -339,6 +339,44 @@ def test_unreached_parameter_gets_zeros():
     assert np.allclose(g["a"], 2.0)
 
 
+def test_successive_grads_give_zeros_to_a_parameter_no_longer_reached():
+    a = ad.parameter(np.ones(3))
+    b = ad.parameter(np.ones(3))
+    first = ad.grad((a * 2.0).sum() + b.sum(), {"a": a, "b": b})
+    assert np.array_equal(first["b"], np.ones(3))
+    second = ad.grad((a * 3.0).sum(), {"a": a, "b": b})
+    assert np.array_equal(second["a"], np.full(3, 3.0))
+    assert np.array_equal(second["b"], np.zeros(3))
+
+
+def _fanout_graph():
+    """Leaves a, b and a loss whose gradients are exact in float64: a feeds
+    a product used twice, a basic-key slice and a fancy-key pick."""
+    a = ad.parameter(np.array([1.0, 2.0, 3.0]))
+    b = ad.parameter(np.array([4.0, 5.0, 6.0]))
+    c = a * b
+    loss = ((c + c).sum() + (a[:2] * 3.0).sum()
+            + a[np.array([2, 2])].sum())
+    want = {"a": 2.0 * b.data + np.array([3.0, 3.0, 2.0]),
+            "b": 2.0 * a.data}
+    return a, b, loss, want
+
+
+@pytest.mark.parametrize("sweep", ["grad", "backward"])
+def test_after_the_sweep_only_leaves_keep_a_gradient(sweep):
+    a, b, loss, want = _fanout_graph()
+    if sweep == "grad":
+        got = ad.grad(loss, {"a": a, "b": b})
+        assert got["a"] is a.grad and got["b"] is b.grad
+    else:
+        ad.backward(loss)
+    ops = [n for n in ad._topo_order(loss) if n._backward is not None]
+    assert len(ops) == 10 and loss in ops
+    assert all(n.grad is None for n in ops)
+    assert np.array_equal(a.grad, want["a"])
+    assert np.array_equal(b.grad, want["b"])
+
+
 def test_every_influencing_parameter_reached():
     shapes = {"a": (2, 3), "b": (3, 2), "c": (2, 2)}
     params = {k: ad.parameter(RNG.normal(size=s)) for k, s in shapes.items()}

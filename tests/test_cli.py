@@ -601,14 +601,16 @@ def _infer_argv(mutate):
         "--wav", wav, "--out", str(d / "out")]
 
 
-def _train_argv(frontend, **model):
+def _train_argv(frontend, train=None, invariant=None, **model):
     template = {"geometry": {"n_mics": 4, "radius": 0.05}, "duration_s": 0.64}
     cfg = {"frontend": frontend,
            "model": {"bottleneck": 4, "hidden": 4, "layers_per_block": 1,
                      "blocks": 1, **model},
            "train": {"batch_size": 1, "steps_per_epoch": 1, "max_epochs": 1,
-                     "segment_s": 0.64},
+                     "segment_s": 0.64, **(train or {})},
            "data": {"template": template, "n_train": 1, "n_val": 1}}
+    if invariant is not None:
+        cfg["invariant"] = invariant
     return lambda d, wav, ckpt: [
         "train", "--config", _write(d / "train.json", json.dumps(cfg)),
         "--out", str(d / "out")]
@@ -679,6 +681,11 @@ def _huge_scene_argv(d, wav, ckpt):
 _HUGE_KERNEL = {"kind": "analytic", "kernel_len": 100000, "attn_dim": 4,
                 "sample_rate": 16000}
 
+_HUGE_BATCH = _train_argv({"kind": "sacc", "attn_dim": 4},
+                          train={"batch_size": 10 ** 12})
+_HUGE_P = _train_argv({"kind": "sacc", "attn_dim": 4},
+                      invariant={"p": 10 ** 15})
+
 # One row per failure class: the argv a row builds from (its own directory,
 # the scene WAV, a small sacc checkpoint) and the documented exit code, 1 for
 # usage, 2 for data and formats, 3 for numeric failures; 0 for input that
@@ -715,6 +722,8 @@ FAILURE_CLASSES = {
         {"kind": "sacc", "attn_dim": 4}, hidden=1000000000), 2),
     "data-train-huge-tcn-dilation": (_train_argv(
         {"kind": "sacc", "attn_dim": 4}, layers_per_block=200), 2),
+    "data-train-huge-batch-size": (_HUGE_BATCH, 2),
+    "data-train-huge-duplicate-count": (_HUGE_P, 2),
     "data-checkpoint-huge-attn-dim": (_infer_argv(
         lambda t, c: c["frontend"].update(attn_dim=1000000000)), 2),
     "data-checkpoint-huge-tcn-blocks": (_infer_argv(
@@ -743,6 +752,19 @@ def test_failure_classes_map_to_exit_codes_without_traceback(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("build, field", [(_HUGE_BATCH, "batch_size"),
+                                          (_HUGE_P, "invariant p")],
+                         ids=["batch_size", "p"])
+def test_absurd_train_sizes_name_their_field(workdir, capsys, build, field):
+    d = workdir / f"absurd_{field.replace(' ', '_')}"
+    d.mkdir()
+    capsys.readouterr()
+    assert main(build(d, None, None)) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (d / "out" / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "maskeval"])
