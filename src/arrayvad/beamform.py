@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ArgumentError, NumericError, config_int
+from .errors import (AliasingError, ArgumentError, NumericError, check_size,
+                     config_int)
 from .spectral import ComplexSpectrogram
 
 DIAGONAL_LOADING = 1e-6
@@ -334,6 +335,9 @@ def srp_phat(spec: ComplexSpectrogram, geom: ArrayGeometry, candidate_radius=2.0
     cross-sums plus a theta-independent baseline, which keeps the map
     nonnegative without an extra pass over frames.
     """
+    n_angles = config_int(n_angles, "n_angles")
+    check_size(n_angles * spec.n_bins,
+               f"an SRP map of n_angles {n_angles} angles x {spec.n_bins} bins")
     if geom.n_mics != spec.n_channels:
         raise ArgumentError("geometry and spectrogram disagree on channel count")
     if geom.n_mics < 2:

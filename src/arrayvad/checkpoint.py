@@ -157,13 +157,19 @@ def read_checkpoint(path):
 # -- model + frontend bundles -------------------------------------------------
 
 
+def named_tensors(frontend: Frontend, model: ModelParams):
+    """Every trainable tensor of a frontend and its model by checkpoint name:
+    ``frontend/<param>`` and ``model/<tensor>``. Saving, loading, Adam and
+    the best-epoch snapshot all read this one table."""
+    named = {"frontend/" + name: t for name, t in frontend.params.items()}
+    named.update(("model/" + name, t) for name, t in model.tensors.items())
+    return named
+
+
 def save_model(path, frontend: Frontend, model: ModelParams):
     """Bundle frontend weights, model weights, and both configs in one file."""
-    tensors = {}
-    for name, arr in frontend.state_arrays().items():
-        tensors["frontend/" + name] = arr
-    for name, arr in model.state_arrays().items():
-        tensors["model/" + name] = arr
+    tensors = {name: t.data
+               for name, t in named_tensors(frontend, model).items()}
     config = {
         "frontend": frontend.config(),
         "model": model.config.to_dict(),
@@ -190,12 +196,13 @@ def _legacy_bias(name, known):
 def load_model(path):
     """Rebuild (frontend, model) from a ``save_model`` checkpoint.
 
-    Every tensor must be a ``frontend/<param>`` or ``model/<tensor>`` of the
-    rebuilt bundle, else FormatError, and none of those may be missing. The
-    one exception is a legacy attention bias: files written before banks
-    lost their key and value biases hold ``frontend/<prefix>bk`` and
-    ``frontend/<prefix>bv`` next to a known ``frontend/<prefix>wq``. Those
-    biases cannot change an output, so they are dropped.
+    The file must hold exactly the rebuilt bundle's ``named_tensors``, each
+    of its shape; an unknown, missing or wrongly shaped tensor is a
+    FormatError that names it. The one exception is a legacy attention
+    bias: files written before banks lost their key and value biases hold
+    ``frontend/<prefix>bk`` and ``frontend/<prefix>bv`` next to a known
+    ``frontend/<prefix>wq``. Those biases cannot change an output, so they
+    are dropped.
     """
     tensors, config = read_checkpoint(path)
     if (not isinstance(config, dict) or "frontend" not in config
@@ -208,27 +215,20 @@ def load_model(path):
     with _config_section("model_seed"):
         model = tcn_init(model_cfg,
                          seed=config_int(config.get("model_seed", 0), "model_seed"))
-    known = {"frontend/" + name for name in frontend.params}
-    known.update("model/" + name for name in model.tensors)
-    unknown = sorted(name for name in set(tensors) - known
-                     if not _legacy_bias(name, known))
-    if unknown:
-        raise FormatError(
-            f"checkpoint holds tensors that a {frontend.kind!r} frontend and "
-            f"its model do not have: {unknown}")
-    frontend.load_state({name[len("frontend/"):]: arr
-                         for name, arr in tensors.items()
-                         if name.startswith("frontend/")})
-    saved = {name[len("model/"):]: arr for name, arr in tensors.items()
-             if name.startswith("model/")}
-    missing = set(model.tensors) - set(saved)
-    if missing:
-        raise FormatError(f"checkpoint missing model tensors: {sorted(missing)}")
-    for name, tensor in model.tensors.items():
-        arr = saved[name]
+    named = named_tensors(frontend, model)
+    for name in sorted(set(tensors) | set(named)):
+        if name not in named:
+            if _legacy_bias(name, named):
+                continue
+            raise FormatError(
+                f"checkpoint holds tensor {name}, which a {frontend.kind!r} "
+                f"frontend and its model do not have")
+        if name not in tensors:
+            raise FormatError(f"checkpoint is missing tensor {name}")
+        arr, tensor = tensors[name], named[name]
         if arr.shape != tensor.data.shape:
             raise FormatError(
-                f"model tensor {name} has shape {arr.shape}, expected "
+                f"checkpoint tensor {name} has shape {arr.shape}, expected "
                 f"{tensor.data.shape}")
         tensor.data[...] = arr
     return frontend, model

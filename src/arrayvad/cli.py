@@ -29,7 +29,8 @@ from .arraysim import SceneSpec, synth_scene, toy_dataset
 from .autodiff import no_grad
 from .beamform import ArrayGeometry, srp_phat, time_avg_beampattern
 from .checkpoint import load_model, save_model
-from .errors import ArgumentError, ArrayVadError, NumericError, config_int
+from .errors import (ArgumentError, ArrayVadError, NumericError, check_size,
+                     config_int)
 from .frontends import FRONTEND_KINDS, FrameCache, make_frontend
 from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
@@ -441,7 +442,11 @@ def _cmd_beampattern(args):
         raise ArgumentError(
             f"frontend kind {frontend.kind!r} does not produce per-frame "
             "channel weights")
-    n_angles = cfg.get("n_angles", 360)
+    # The widest arrays are the (angles, mics) steering phases and the
+    # (angles, frames) responses of each frequency.
+    n_angles = config_int(cfg.get("n_angles", 360), "n_angles")
+    check_size(n_angles * max(len(cfg["freqs"]), geom.n_mics, weights.shape[1]),
+               f"a beampattern of n_angles {n_angles} angles")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     columns = []
     for freq in cfg["freqs"]:

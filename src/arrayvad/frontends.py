@@ -59,8 +59,9 @@ per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
 
 ``make_frontend`` builds any variant from a JSON-able config dict; the
-same dict comes back from ``config()`` so checkpoints can rebuild the
-exact frontend before loading weights.
+same dict comes back from ``config()``, so ``checkpoint.load_model`` can
+rebuild the exact frontend and then write the saved weights into its
+``params`` through ``checkpoint.named_tensors``.
 """
 
 from __future__ import annotations
@@ -122,26 +123,6 @@ class Frontend:
                    f"a {self.n_mels}-band mel filterbank")
         self.params = {}
 
-    # -- weights in/out -------------------------------------------------------
-
-    def state_arrays(self):
-        return {name: np.array(t.data) for name, t in self.params.items()}
-
-    def load_state(self, arrays):
-        missing = set(self.params) - set(arrays)
-        if missing:
-            raise ArgumentError(f"missing frontend tensors: {sorted(missing)}")
-        for name, tensor in self.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.data.shape:
-                raise ArgumentError(
-                    f"shape mismatch for {name}: {arr.shape} vs "
-                    f"{tensor.data.shape}")
-            tensor.data[...] = arr
-
-    def n_parameters(self):
-        return sum(t.data.size for t in self.params.values())
-
     # -- shared helpers -------------------------------------------------------
 
     def _check_signal(self, signal: MultichannelSignal):
@@ -154,6 +135,11 @@ class Frontend:
         """STFT values of ``signal``, frame-major (T, C, K)."""
         self._check_signal(signal)
         return np.transpose(stft(signal).values, (1, 0, 2))
+
+    @property
+    def feature_dim(self):
+        """Width F of a feature row: ``n_mels`` for the log-mel kinds."""
+        return self.n_mels
 
     @property
     def frame_len(self):
@@ -212,8 +198,7 @@ class Frontend:
             "attn_dim": self.attn_dim,
         }
 
-    # subclasses: analyse(), normalise(), _combine(), window_features(),
-    # feature_dim
+    # subclasses: analyse(), normalise(), _combine(), window_features()
 
 
 class SaccStftFrontend(Frontend):
@@ -225,10 +210,6 @@ class SaccStftFrontend(Frontend):
     def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0):
         super().__init__(sample_rate, n_mels, attn_dim, seed)
         self.params = _attn_tensors(self.stft_cfg.n_bins, self.attn_dim, self.seed)
-
-    @property
-    def feature_dim(self):
-        return self.n_mels
 
     def analyse(self, signal):
         """(magnitude, log-magnitude), each (T, C, K)."""
@@ -354,10 +335,6 @@ class _ComplexSaccFrontend(Frontend):
             raise ArgumentError(f"unknown parts layout {parts!r}")
         self.parts = parts
 
-    @property
-    def feature_dim(self):
-        return self.n_mels
-
     def analyse(self, signal):
         """The STFT's real and imaginary parts side by side, (T, C, 2K), as
         the combination multiplies them; for ``mag_phase`` also the
@@ -475,10 +452,6 @@ class MvdrFrontend(Frontend):
         self.geometry = geometry
         self.params = {}
 
-    @property
-    def feature_dim(self):
-        return self.n_mels
-
     def analyse(self, signal):
         """(STFT values,), (T, C, K) complex; MVDR statistics are per window."""
         return (self._stft(signal),)
@@ -581,8 +554,9 @@ def make_frontend(config: dict, seed=None) -> Frontend:
     """Build a frontend from its config dict.
 
     ``seed`` overrides the config's seed when given; cfgs saved by
-    ``config()`` omit the seed, so pass one for fresh inits and rely on
-    ``load_state`` when restoring trained weights.
+    ``config()`` omit the seed, so pass one for fresh inits. Trained
+    weights come back through ``checkpoint.load_model``, which overwrites
+    the fresh ``params``.
     """
     if not isinstance(config, dict):
         raise ArgumentError("frontend config must be a dict")

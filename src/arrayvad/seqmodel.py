@@ -107,13 +107,6 @@ class ModelParams:
     config: TcnConfig
     seed: int
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Detached float64 copies keyed by tensor name, for checkpointing."""
-        return {name: np.array(t.data) for name, t in self.tensors.items()}
-
 
 def _conv_layer_names(cfg):
     for bi in range(cfg.blocks):

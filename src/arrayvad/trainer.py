@@ -9,17 +9,17 @@ construction is bit-reproducible across platforms and independent of
 numpy's generator internals. A duplicate is a row of a channel mask, not a
 copy of samples.
 
-A training step analyses and normalises each cropped item once
-(``frontend.analyse``, then ``frontend.normalise``). With the invariance
-term, the reference features and every masked duplicate's features come
-from one ``frontend.window_features`` call on those normalised parts with a
-channel mask: row 0 keeps every channel (the reference), row p the channels
-duplicate p kept (``make_masked_duplicates``). Analysis, normalisation and
-the attention projections work on each channel alone, so they run once per
-item and only the masked softmaxes, the channel sum and mel/log run per
-path. Each path's features equal those of the kept channels' own samples
-to within rounding (about 1e-15 relative); without the invariance term no
-mask is passed and the step is the plain reference path. The invariance
+A training step takes each cropped item's features from one
+``frontend.features`` call, which analyses and normalises the item once.
+With the invariance term, that call takes a channel mask and returns the
+reference features and every masked duplicate's features together: row 0
+keeps every channel (the reference), row p the channels duplicate p kept
+(``make_masked_duplicates``). Analysis, normalisation and the attention
+projections work on each channel alone, so they run once per item and only
+the masked softmaxes, the channel sum and mel/log run per path. Each
+path's features equal those of the kept channels' own samples to within
+rounding (about 1e-15 relative); without the invariance term no mask is
+passed and the step is the plain reference path. The invariance
 term needs frontend weights to train, so a frontend without any (``mvdr``)
 refuses it.
 
@@ -54,6 +54,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
+from .checkpoint import named_tensors
 from .errors import ArgumentError, NumericError, check_size
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
@@ -133,6 +134,14 @@ class TrainConfig:
 # -- losses -------------------------------------------------------------------
 
 
+def _mean(terms):
+    """Sum of ``terms`` left to right, times 1 / their count."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total * (1.0 / len(terms))
+
+
 def cross_entropy(logits, labels) -> Tensor:
     """Mean over frames of -log softmax(logits)[label].
 
@@ -167,7 +176,7 @@ def invariant_loss(x_ref, masked_feats) -> Tensor:
     if not masked_feats:
         raise ArgumentError("need at least one masked feature map")
     ref_norm = tsqrt(tsum(x_ref * x_ref)) + _EPS_NORM
-    total = None
+    terms = []
     for xp in masked_feats:
         xp = as_tensor(xp)
         if xp.shape != x_ref.shape:
@@ -176,9 +185,8 @@ def invariant_loss(x_ref, masked_feats) -> Tensor:
                 f"{x_ref.shape}")
         dup_norm = tsqrt(tsum(xp * xp)) + _EPS_NORM
         diff = x_ref - xp
-        term = tsqrt(tsum(diff * diff)) / (ref_norm * dup_norm)
-        total = term if total is None else total + term
-    return total * (1.0 / len(masked_feats))
+        terms.append(tsqrt(tsum(diff * diff)) / (ref_norm * dup_norm))
+    return _mean(terms)
 
 
 def dual_loss(ce, inv, lam):
@@ -368,13 +376,6 @@ def _duplicate_mask(duplicates):
                       duplicates])
 
 
-def _mean(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
-
-
 def _log_record(result, log, record):
     """Append ``record`` to the history and, with a log file, write and
     flush it at once, so the log keeps every record up to a failure."""
@@ -389,25 +390,25 @@ def _step(frontend, model, params, items, segment_s, icfg, rng, step):
 
     Crops each item with ``rng`` in order; with ``icfg`` it draws the
     item's masked duplicates (stream ``step * len(items) + offset``) and
-    takes the reference and duplicate features from one ``window_features``
-    call. Backpropagates the batch mean loss once. Returns the losses as plain floats, ``{"ce",
-    "loss"}`` plus ``"inv"`` with ``icfg``, and the numpy gradient of every
-    tensor of ``params`` by name. Nothing returned is a ``Tensor``, so the
-    step's graph, forward values included, is freed when it returns.
+    takes the reference and duplicate features from one masked
+    ``frontend.features`` call. Backpropagates the batch mean loss once.
+    Returns the losses as plain floats, ``{"ce", "loss"}`` plus ``"inv"``
+    with ``icfg``, and the numpy gradient of every tensor of ``params`` by
+    name. Nothing returned is a ``Tensor``, so the step's graph, forward
+    values included, is freed when it returns.
     """
     ce_terms, inv_terms = [], []
     for offset, item in enumerate(items):
         signal, frame_labels = _crop_item(item, segment_s, rng)
-        inputs = frontend.normalise(frontend.analyse(signal))
         if icfg is not None:
             dups = make_masked_duplicates(
                 signal, icfg, step=step * len(items) + offset)
-            paths = frontend.window_features(inputs, _duplicate_mask(dups))
+            paths = frontend.features(signal, mask=_duplicate_mask(dups))
             feats = paths[:, 0]
             inv_terms.append(invariant_loss(feats, [
                 paths[:, p] for p in range(1, len(dups) + 1)]))
         else:
-            feats = frontend.window_features(inputs)
+            feats = frontend.features(signal)
         logits = tcn_forward(model, feats)
         ce_terms.append(cross_entropy(
             logits, _aligned_labels(frame_labels, logits.shape[0])))
@@ -457,11 +458,13 @@ def train(frontend, model: ModelParams, train_items, val_items,
     invariance term over channel-masked duplicates, backprop once; then
     update with Adam. Each segment is analysed and normalised once; the
     reference and its duplicates take their features from one masked
-    ``window_features`` call on those parts (``_duplicate_mask``). A step's
-    graph lives only inside ``_step``, which hands back plain floats and
-    numpy gradients, so memory holds one step's tape at a time. Per epoch:
+    ``frontend.features`` call (``_duplicate_mask``). A step's graph lives
+    only inside ``_step``, which hands back plain floats and numpy
+    gradients, so memory holds one step's tape at a time. Per epoch:
     validation OSD F1; stop after ``patience`` epochs without a new best
-    and restore the best snapshot before returning. Each history record
+    and restore the best snapshot before returning. The trained tensors,
+    Adam's keys and the snapshot are those of
+    ``checkpoint.named_tensors(frontend, model)``. Each history record
     goes to ``log_path`` (NDJSON) as soon as it exists.
     With lam = 1 the duplicate branch is skipped outright, which leaves
     gradients identical to a plain cross-entropy run.
@@ -481,8 +484,7 @@ def train(frontend, model: ModelParams, train_items, val_items,
                 f"the invariance term trains frontend weights, and the "
                 f"{frontend.kind} frontend has none")
         _check_step_size(frontend, train_items, tcfg.segment_s, icfg)
-    all_params = {"frontend/" + k: t for k, t in frontend.params.items()}
-    all_params.update({"model/" + k: t for k, t in model.tensors.items()})
+    all_params = named_tensors(frontend, model)
     state = AdamState.for_params(all_params)
     rng = np.random.default_rng(tcfg.seed)
 
@@ -510,7 +512,8 @@ def train(frontend, model: ModelParams, train_items, val_items,
             if f1 > result.best_f1:
                 result.best_f1 = f1
                 result.best_epoch = epoch
-                best_snapshot = (frontend.state_arrays(), model.state_arrays())
+                best_snapshot = {name: t.data.copy()
+                                 for name, t in all_params.items()}
                 stale_epochs = 0
             else:
                 stale_epochs += 1
@@ -518,9 +521,7 @@ def train(frontend, model: ModelParams, train_items, val_items,
                     break
 
     if best_snapshot is not None:
-        fe_state, model_state = best_snapshot
-        frontend.load_state(fe_state)
-        for name, tensor in model.tensors.items():
-            tensor.data[...] = model_state[name]
+        for name, tensor in all_params.items():
+            tensor.data[...] = best_snapshot[name]
 
     return result

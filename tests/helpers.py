@@ -142,14 +142,14 @@ def naive_dual_steps(frontend, model, items, tcfg, icfg):
     ``frontend.features``. Same draws, losses and Adam updates as ``train``;
     no validation. Returns [{"step", "epoch", "ce", "loss", "inv"}, ...]."""
     from arrayvad import autodiff as ad
+    from arrayvad.checkpoint import named_tensors
     from arrayvad.seqmodel import tcn_forward
     from arrayvad.signal_io import mask_channels
     from arrayvad.trainer import (AdamState, _aligned_labels, _crop_item,
                                   adam_step, cross_entropy, dual_loss,
                                   invariant_loss, make_masked_duplicates)
 
-    params = {"frontend/" + k: t for k, t in frontend.params.items()}
-    params.update({"model/" + k: t for k, t in model.tensors.items()})
+    params = named_tensors(frontend, model)
     state = AdamState.for_params(params)
     rng = np.random.default_rng(tcfg.seed)
     records = []

@@ -1,5 +1,6 @@
 """Checkpoint container tests: exact round trips, canonical bytes."""
 
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.checkpoint import (
     load_model,
+    named_tensors,
     read_checkpoint,
     save_model,
     write_checkpoint,
@@ -170,6 +172,47 @@ def test_unknown_tensor_names_raise_format_error(tmp_path, name):
     write_checkpoint(path, tensors, config)
     with pytest.raises(FormatError, match=name):
         load_model(path)
+
+
+@pytest.mark.parametrize("fault", ["missing", "misshapen"])
+@pytest.mark.parametrize("side", ["frontend", "model"])
+def test_missing_or_misshapen_tensors_are_refused_by_name(tmp_path, side,
+                                                          fault):
+    path = tmp_path / "analytic.ckpt"
+    tensors, config = _analytic_bundle(path)
+    name = next(n for n in sorted(tensors) if n.startswith(side + "/"))
+    if fault == "missing":
+        del tensors[name]
+    else:
+        tensors[name] = np.zeros(tensors[name].shape + (1,))
+    write_checkpoint(path, tensors, config)
+    with pytest.raises(FormatError, match=re.escape(name)):
+        load_model(path)
+
+
+_BUNDLE_CONFIGS = {
+    "sacc": {"kind": "sacc", "attn_dim": 4},
+    "analytic": {"kind": "analytic", "n_filters": 4, "kernel_len": 32,
+                 "attn_dim": 4},
+    "ecsacc": {"kind": "ecsacc", "attn_dim": 4},
+    "icsacc": {"kind": "icsacc", "attn_dim": 4, "parts": "real_imag"},
+    "mvdr": {"kind": "mvdr", "n_mels": 8,
+             "geometry": {"n_mics": 4, "radius": 0.05}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUNDLE_CONFIGS))
+def test_save_load_save_is_byte_identical(tmp_path, kind):
+    frontend = make_frontend(_BUNDLE_CONFIGS[kind], seed=5)
+    model = tcn_init(TcnConfig(input_dim=frontend.feature_dim, bottleneck=4,
+                               hidden=4, layers_per_block=1, blocks=1), seed=6)
+    # drift every weight so the reload cannot pass by re-initializing
+    for tensor in named_tensors(frontend, model).values():
+        tensor.data += 0.125
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_model(first, frontend, model)
+    save_model(second, *load_model(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["sacc", "ecsacc", "icsacc"])

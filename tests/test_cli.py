@@ -656,6 +656,23 @@ def _empty_wav_argv(command):
     return build
 
 
+def _angles_argv(command, n_angles):
+    """``srp`` or ``beampattern`` of the 4-mic scene at ``n_angles``."""
+    def build(d, wav, ckpt):
+        cfg = {"geometry": {"n_mics": 4, "radius": 0.05}, "n_angles": n_angles}
+        argv = [command, "--wav", wav, "--out", str(d / "out")]
+        if command == "beampattern":
+            cfg["freqs"] = [600.0]
+            argv += ["--checkpoint", ckpt]
+        return argv + ["--config", _write(d / "angles.json", json.dumps(cfg))]
+    return build
+
+
+def _misshapen_model_tensor(tensors, config):
+    name = next(n for n in sorted(tensors) if n.startswith("model/"))
+    tensors[name] = np.zeros(tensors[name].shape + (1,))
+
+
 def _nan_model_tensor(tensors, config):
     name = next(n for n in sorted(tensors) if n.startswith("model/"))
     tensors[name][...] = np.nan
@@ -693,6 +710,9 @@ _HUGE_P = _train_argv({"kind": "sacc", "attn_dim": 4},
 FAILURE_CLASSES = {
     "ok-infer-huge-hop": (_window_argv("infer", hop_s=1e305), 0),
     "ok-infer-huge-win": (_window_argv("infer", win_s=1e305), 0),
+    "data-srp-huge-n-angles": (_angles_argv("srp", 10 ** 15), 2),
+    "data-beampattern-huge-n-angles": (_angles_argv("beampattern", 10 ** 15),
+                                       2),
     "data-infer-wav-without-samples": (_empty_wav_argv("infer"), 2),
     "data-maskeval-wav-without-samples": (_empty_wav_argv("maskeval"), 2),
     "usage-unknown-command": (lambda d, wav, ckpt: ["not-a-command"], 1),
@@ -730,6 +750,8 @@ FAILURE_CLASSES = {
         lambda t, c: c["model"].update(blocks=1000000000)), 2),
     "data-checkpoint-unknown-tensor": (_infer_argv(
         lambda t, c: t.update({"frontend/bz": np.zeros(4)})), 2),
+    "data-checkpoint-wrong-shape-tensor": (
+        _infer_argv(_misshapen_model_tensor), 2),
     "data-mvdr-geometry-fewer-mics": (_mvdr_argv("infer", 3), 2),
     "data-mvdr-geometry-more-mics": (_mvdr_argv("infer", 5), 2),
     "data-mvdr-geometry-huge-mics": (_mvdr_argv("infer", 10 ** 12), 2),
@@ -765,6 +787,26 @@ def test_absurd_train_sizes_name_their_field(workdir, capsys, build, field):
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
     assert not (d / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, output", [("srp", "srp.csv"),
+                                             ("beampattern", "beampattern.csv")])
+def test_n_angles_is_bounded_named_and_taken_whole(
+        scene_out, workdir, untrained_ckpt, capsys, command, output):
+    d = workdir / f"angles_{command}"
+    d.mkdir()
+    wav, ckpt = str(scene_out / "scene.wav"), str(untrained_ckpt)
+    capsys.readouterr()
+    assert main(_angles_argv(command, 10 ** 15)(d, wav, ckpt)) == 2
+    err = capsys.readouterr().err
+    assert "n_angles" in err and "Traceback" not in err
+    csvs = []
+    for n_angles in (36, 36.0):
+        run = d / str(n_angles)
+        run.mkdir()
+        assert main(_angles_argv(command, n_angles)(run, wav, ckpt)) == 0
+        csvs.append((run / "out" / output).read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize("command", ["infer", "maskeval"])

@@ -12,8 +12,11 @@ from arrayvad.combinator import (
     combine_real_graph,
     weights_graph,
 )
-from arrayvad.errors import ArgumentError
+from arrayvad.checkpoint import (load_model, read_checkpoint, save_model,
+                                 write_checkpoint)
+from arrayvad.errors import ArgumentError, FormatError
 from arrayvad.frontends import make_frontend
+from arrayvad.seqmodel import TcnConfig, tcn_init
 from arrayvad.signal_io import MultichannelSignal
 from arrayvad.spectral import mel_project, stft
 
@@ -173,11 +176,23 @@ def test_combined_magnitude_stays_within_channel_envelope():
     assert np.all(out >= mag.min(axis=0) - 1e-12)
 
 
-def test_attention_width_mismatch_rejected():
+def _checkpoint_with_wq(path, fe, wq):
+    """Save ``fe`` with a small model to ``path``, its bank's query map
+    replaced by ``wq``."""
+    model = tcn_init(TcnConfig(input_dim=fe.feature_dim, bottleneck=2,
+                               hidden=2, layers_per_block=1, blocks=1), seed=0)
+    save_model(path, fe, model)
+    tensors, config = read_checkpoint(path)
+    tensors["frontend/wq"] = wq
+    write_checkpoint(path, tensors, config)
+
+
+def test_attention_width_mismatch_rejected(tmp_path):
     fe = make_frontend({"kind": "sacc", "attn_dim": 4}, seed=0)
     wide = attention_init(fe.stft_cfg.n_bins + 1, 4, seed=1)
-    with pytest.raises(ArgumentError):
-        fe.load_state(wide)
+    _checkpoint_with_wq(tmp_path / "wide.ckpt", fe, wide["wq"])
+    with pytest.raises(FormatError, match="frontend/wq"):
+        load_model(tmp_path / "wide.ckpt")
 
 
 # -- EcSACC -------------------------------------------------------------------
@@ -254,12 +269,13 @@ def test_icsacc_parameter_count_below_two_banks():
         assert 2 * bank - single == d
 
 
-def test_icsacc_rejects_wrong_width():
+def test_icsacc_rejects_wrong_width(tmp_path):
     # the single bank reads both parts side by side: 2 * n_bins wide
     fe = make_frontend({"kind": "icsacc", "attn_dim": 3}, seed=95)
     narrow = attention_init(fe.stft_cfg.n_bins, 3, seed=96)
-    with pytest.raises(ArgumentError):
-        fe.load_state(narrow)
+    _checkpoint_with_wq(tmp_path / "narrow.ckpt", fe, narrow["wq"])
+    with pytest.raises(FormatError, match="frontend/wq"):
+        load_model(tmp_path / "narrow.ckpt")
 
 
 # -- SACC and features --------------------------------------------------------

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from arrayvad.autodiff import Tensor, backward, grad, softmax, tsum
+from arrayvad.beamform import ArrayGeometry
+from arrayvad.checkpoint import named_tensors
 from arrayvad.errors import ArgumentError, NumericError
+from arrayvad.frontends import MvdrFrontend, make_frontend
 from arrayvad.seqmodel import (
     TcnConfig,
     causal_conv1d,
@@ -55,7 +58,14 @@ def test_init_bounds_and_norm_identity():
 
 
 def test_parameter_count_formula_matches_enumeration():
-    assert tcn_init(TcnConfig(input_dim=64), 0).n_parameters() == 727491
+    # An mvdr frontend trains nothing, so its table is the model's tensors.
+    model = tcn_init(TcnConfig(input_dim=64), 0)
+    fixed = MvdrFrontend(ArrayGeometry.uniform_circular(4, 0.05))
+    table = named_tensors(fixed, model)
+    assert sum(t.data.size for t in table.values()) == 727491
+    # A default sacc bank adds 2 * 257 * 256 + 257 + 256 attention weights.
+    sacc = named_tensors(make_frontend({"kind": "sacc"}), model)
+    assert sum(t.data.size for t in sacc.values()) == 727491 + 132097
 
 
 def test_forward_shape_and_determinism():

@@ -11,6 +11,7 @@ from arrayvad import autodiff as ad
 from arrayvad.arraysim import SceneSpec, toy_dataset
 from arrayvad.autodiff import Tensor, backward, parameter, tsum
 from arrayvad.beamform import ArrayGeometry
+from arrayvad.checkpoint import named_tensors
 from arrayvad.errors import ArgumentError, NumericError
 from arrayvad.frontends import FrameCache, make_frontend
 from arrayvad.seqmodel import TcnConfig, tcn_init
@@ -627,8 +628,7 @@ def _holds_tensor(value):
 @pytest.mark.parametrize("icfg", [None, DUAL_ICFG], ids=["ce", "dual"])
 def test_step_returns_floats_and_numpy_gradients_only(icfg):
     fe, model = analyse_once_setup("ecsacc", {"parts": "mag_phase"})
-    params = {"frontend/" + k: t for k, t in fe.params.items()}
-    params.update({"model/" + k: t for k, t in model.tensors.items()})
+    params = named_tensors(fe, model)
     items = six_mic_items(2, seed=6)
     out = _step(fe, model, params, items, 0.64, icfg,
                 np.random.default_rng(0), step=0)
