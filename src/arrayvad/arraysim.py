@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamform import ArrayGeometry, plane_wave_delays
-from .errors import ArgumentError, check_size
+from .errors import ArgumentError, check_size, from_config
 from .segeval import FrameLabels, Segment, SegmentSet, labels_from_segments
 from .signal_io import MultichannelSignal
 from .spectral import FRAME_RATE
@@ -57,17 +57,6 @@ class SourceSpec:
             raise ArgumentError(f"unknown source tag {self.tag!r}, know {SOURCE_TAGS}")
         if not np.isfinite(self.level_db):
             raise ArgumentError("source level must be finite")
-
-    def to_dict(self):
-        return {"azimuth": self.azimuth, "onset": self.onset,
-                "duration": self.duration, "tag": self.tag,
-                "level_db": self.level_db}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(azimuth=float(d["azimuth"]), onset=float(d["onset"]),
-                   duration=float(d["duration"]), tag=d.get("tag", "bandnoise"),
-                   level_db=float(d.get("level_db", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -106,28 +95,12 @@ class SceneSpec:
     def n_samples(self):
         return int(round(self.duration_s * self.sample_rate))
 
-    def to_dict(self):
-        return {
-            "geometry": self.geometry.to_dict(),
-            "duration_s": self.duration_s,
-            "sources": [s.to_dict() for s in self.sources],
-            "noise": self.noise,
-            "snr_db": self.snr_db,
-            "sample_rate": self.sample_rate,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            geometry=ArrayGeometry.from_dict(d["geometry"]),
-            duration_s=float(d["duration_s"]),
-            sources=tuple(SourceSpec.from_dict(s) for s in d.get("sources", ())),
-            noise=d.get("noise", "none"),
-            snr_db=float(d.get("snr_db", 20.0)),
-            sample_rate=int(d.get("sample_rate", 16000)),
-            seed=int(d.get("seed", 0)),
-        )
+        """The spec of a config dict; ``dataclasses.asdict`` is the inverse."""
+        return from_config(
+            cls, d, geometry=ArrayGeometry.from_dict,
+            sources=lambda sources: [from_config(SourceSpec, s) for s in sources])
 
 
 # -- source waveforms ---------------------------------------------------------

@@ -21,9 +21,8 @@ Design points that matter for the rest of the package:
   (1, K, M) stack, which keeps one GEMM per leading index in the forward
   pass. The stack's gradient is again one rows^T @ g GEMM.
 * ``getitem`` backward adds into the parent's gradient in place when its
-  key selects each element at most once (basic keys, or one 1-D array of
-  distinct indices, as a channel-row selection is); other fancy keys
-  scatter with ``np.add.at``.
+  key is basic (slices, ints, Ellipsis); an array key scatters with
+  ``np.add.at``.
 * Two primitives make subgradient choices at non-differentiable points:
   ``sqrt`` and ``complex_abs`` return gradient 0 at 0. These keep training
   finite on silent frames.
@@ -302,26 +301,17 @@ def transpose(a, axes):
 
 
 def _selects_each_once(key):
-    """True when ``key`` can select no element twice: it holds only slices,
-    ints and Ellipsis, plus at most one 1-D array of distinct non-negative
-    integers."""
-    arrays = 0
-    for k in key if isinstance(key, tuple) else (key,):
-        if isinstance(k, slice) or k is Ellipsis or (
-                isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
-            continue
-        k = np.asarray(k)
-        if (k.ndim != 1 or k.dtype.kind not in "iu" or arrays
-                or (k.size and k.min() < 0) or np.unique(k).size != k.size):
-            return False
-        arrays += 1
-    return True
+    """True when ``key`` is basic, holding only slices, ints and Ellipsis,
+    so it can select no element twice."""
+    return all(isinstance(k, slice) or k is Ellipsis or (
+        isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in (key if isinstance(key, tuple) else (key,)))
 
 
 def getitem(a, key):
     """``a[key]``. Backward adds the gradient into ``a.grad[key]`` in place
-    when the key selects each element at most once, and scatters it with
-    ``np.add.at`` otherwise, since a fancy key may repeat an index.
+    for a basic key and scatters it with ``np.add.at`` for an array key,
+    which may repeat an index.
     """
     a = as_tensor(a)
     in_place = _selects_each_once(key)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AliasingError, ArgumentError, NumericError, check_size,
-                     config_int)
+                     config_int, from_config)
 from .spectral import ComplexSpectrogram
 
 DIAGONAL_LOADING = 1e-6
@@ -58,8 +58,10 @@ class ArrayGeometry:
             raise ArgumentError("speed_of_sound must be positive")
 
     @classmethod
-    def uniform_circular(cls, n_mics, radius, speed_of_sound=343.0):
-        return cls(n_mics, radius, speed_of_sound)
+    def uniform_circular(cls, n_mics, radius):
+        """``n_mics`` microphones on a circle of ``radius`` meters, at the
+        default speed of sound."""
+        return cls(n_mics, radius)
 
     @property
     def mic_angles(self):
@@ -74,17 +76,9 @@ class ArrayGeometry:
             [self.radius * np.cos(a), self.radius * np.sin(a), np.zeros_like(a)], axis=1
         )
 
-    def to_dict(self):
-        return {
-            "n_mics": self.n_mics,
-            "radius": self.radius,
-            "speed_of_sound": self.speed_of_sound,
-        }
-
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n_mics"], float(d["radius"]),
-                   float(d.get("speed_of_sound", 343.0)))
+        return from_config(cls, d)
 
 
 def aliasing_limit_hz(geom: ArrayGeometry) -> float:
@@ -145,8 +139,9 @@ def time_avg_beampattern(weights, geom: ArrayGeometry, freq,
     if w.ndim != 2 or w.shape[0] != geom.n_mics:
         raise ArgumentError(f"weights must be (C, T) with C={geom.n_mics}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    responses = _steering_phases(geom, freq, thetas) @ w  # (Theta, T)
-    return responses.mean(axis=1)
+    # The response is linear in the weights, so the frame mean moves onto
+    # them: (Theta, C) @ (C,) instead of a (Theta, T) response.
+    return _steering_phases(geom, freq, thetas) @ w.mean(axis=1)
 
 
 # -- coherent-to-diffuse ratio masking ----------------------------------------
@@ -161,7 +156,7 @@ def _bin_freqs(spec: ComplexSpectrogram):
     return np.linspace(0.0, spec.sample_rate / 2.0, spec.n_bins)
 
 
-def diffuse_coherence(freqs, distance, speed_of_sound=343.0) -> np.ndarray:
+def diffuse_coherence(freqs, distance, speed_of_sound) -> np.ndarray:
     """Spherically isotropic diffuse-field coherence sinc(2 f d / v)."""
     return np.sinc(2.0 * np.asarray(freqs) * distance / speed_of_sound)
 

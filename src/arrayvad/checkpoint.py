@@ -18,6 +18,7 @@ arrays are byte-identical regardless of insertion order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -172,7 +173,7 @@ def save_model(path, frontend: Frontend, model: ModelParams):
                for name, t in named_tensors(frontend, model).items()}
     config = {
         "frontend": frontend.config(),
-        "model": model.config.to_dict(),
+        "model": dataclasses.asdict(model.config),
         "model_seed": model.seed,
     }
     write_checkpoint(path, tensors, config)

@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -385,7 +386,7 @@ def _cmd_simulate(args):
     out = _out_dir(args)
     write_wav(signal, out / "scene.wav")
     write_rttm(truth, out / "scene.rttm")
-    _write_json(out / "scene.json", spec.to_dict())
+    _write_json(out / "scene.json", dataclasses.asdict(spec))
     _say(f"simulate: {signal.n_channels} ch x {signal.duration_s:.2f} s, "
          f"{len(truth.segments)} segments -> {out}")
 
@@ -435,6 +436,11 @@ def _cmd_features(args):
 def _cmd_beampattern(args):
     cfg = _load_config(args.config, _BEAMPATTERN_SCHEMA)
     geom = ArrayGeometry.from_dict(cfg["geometry"])
+    # The widest arrays are the (angles, mics) steering phases of each
+    # frequency and the (angles, freqs) table.
+    n_angles = config_int(cfg.get("n_angles", 360), "n_angles")
+    check_size(n_angles * max(len(cfg["freqs"]), geom.n_mics),
+               f"a beampattern of n_angles {n_angles} angles")
     frontend, _ = load_model(args.checkpoint)
     signal = read_wav(args.wav)
     _, weights = frontend.combined(signal)
@@ -442,11 +448,6 @@ def _cmd_beampattern(args):
         raise ArgumentError(
             f"frontend kind {frontend.kind!r} does not produce per-frame "
             "channel weights")
-    # The widest arrays are the (angles, mics) steering phases and the
-    # (angles, frames) responses of each frequency.
-    n_angles = config_int(cfg.get("n_angles", 360), "n_angles")
-    check_size(n_angles * max(len(cfg["freqs"]), geom.n_mics, weights.shape[1]),
-               f"a beampattern of n_angles {n_angles} angles")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     columns = []
     for freq in cfg["freqs"]:

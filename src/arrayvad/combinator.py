@@ -47,6 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ArgumentError, check_size
+from .spectral import MVN_EPS
 
 
 def attention_init(feat_dim, attn_dim, seed=0):
@@ -185,4 +186,4 @@ def mvn_graph(x):
     mean = x.sum(axis=0, keepdims=True) * (1.0 / n)
     centered = x - mean
     var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
-    return centered / (var.sqrt() + 1e-6)
+    return centered / (var.sqrt() + MVN_EPS)

@@ -3,10 +3,12 @@
 Every error raised on purpose by this package derives from ArrayVadError so
 callers can catch one base class. The CLI maps these onto process exit codes
 (see cli.py): usage problems exit 1, data and format problems exit 2, numeric
-failures exit 3.
+failures exit 3. The config helpers below raise ArgumentError too.
 """
 
+import dataclasses
 import numbers
+import typing
 
 # Most float64 values one part of a model may hold (512 MiB): an attention
 # map, a filterbank, the TCN's weights. Size fields of configs and
@@ -73,3 +75,32 @@ def check_size(count, what):
         raise ArgumentError(
             f"{what} would hold {count} values, over the limit of "
             f"{MAX_ELEMENTS}")
+
+
+def from_config(cls, d, keys=None, **convert):
+    """Dataclass ``cls`` built from the config dict ``d``.
+
+    Only the keys ``d`` holds are passed, so each default lives in its
+    field alone. A key is a field's name, or ``keys[name]`` where the dict
+    spells field ``name`` otherwise; any other key is an ArgumentError that
+    names it. A value goes through ``convert[name]`` when given, else by the
+    field's annotation: ``config_int`` for ``int``, ``float`` for ``float``,
+    as it is otherwise.
+    """
+    keys = keys or {}
+    names = {keys.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ArgumentError(f"unknown {cls.__name__} keys: {unknown}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in d.items():
+        name = names[key]
+        if name in convert:
+            value = convert[name](value)
+        elif types[name] is int:
+            value = config_int(value, key)
+        elif types[name] is float:
+            value = float(value)
+        kwargs[name] = value
+    return cls(**kwargs)

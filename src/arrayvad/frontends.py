@@ -58,13 +58,20 @@ normalised parts under ``autodiff.no_grad`` and returns the values and the
 per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
 
-``make_frontend`` builds any variant from a JSON-able config dict; the
-same dict comes back from ``config()``, so ``checkpoint.load_model`` can
-rebuild the exact frontend and then write the saved weights into its
-``params`` through ``checkpoint.named_tensors``.
+``make_frontend`` builds any variant from a JSON-able config dict: it
+looks the kind up in one kind -> class table, from which
+``FRONTEND_KINDS`` comes too, and passes the rest of the dict to the
+constructor. ``config()`` is the one base method that reads the
+constructor's parameters (all but ``seed``) back off the instance, so the
+same dict comes back and ``checkpoint.load_model`` can rebuild the exact
+frontend and then write the saved weights into its ``params`` through
+``checkpoint.named_tensors``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import numpy as np
 
@@ -91,8 +98,6 @@ from .spectral import (
     mvn,
     stft,
 )
-
-FRONTEND_KINDS = ("sacc", "analytic", "ecsacc", "icsacc", "mvdr")
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,12 +196,17 @@ class Frontend:
         return ad.tlog(combined_mag @ self._mel_tensor() + LOG_EPS)
 
     def config(self):
-        return {
-            "kind": self.kind,
-            "sample_rate": self.sample_rate,
-            "n_mels": self.n_mels,
-            "attn_dim": self.attn_dim,
-        }
+        """``kind`` and every constructor parameter but ``seed``, read off
+        the instance; a dataclass value (the ``mvdr`` geometry) as its
+        ``dataclasses.asdict``. ``make_frontend`` rebuilds the frontend
+        from it."""
+        out = {"kind": self.kind}
+        for name in inspect.signature(type(self)).parameters:
+            if name != "seed":
+                value = getattr(self, name)
+                out[name] = (dataclasses.asdict(value)
+                             if dataclasses.is_dataclass(value) else value)
+        return out
 
     # subclasses: analyse(), normalise(), _combine(), window_features()
 
@@ -314,15 +324,6 @@ class AnalyticSaccFrontend(Frontend):
         f = self.n_filters
         return row.data[:, :f] + 1j * row.data[:, f:]
 
-    def config(self):
-        return {
-            "kind": self.kind,
-            "sample_rate": self.sample_rate,
-            "n_filters": self.n_filters,
-            "kernel_len": self.kernel_len,
-            "attn_dim": self.attn_dim,
-        }
-
 
 class _ComplexSaccFrontend(Frontend):
     """What ``ecsacc`` and ``icsacc`` share: STFT parts in either layout, a
@@ -374,11 +375,6 @@ class _ComplexSaccFrontend(Frontend):
             w_re, w_im = a, b
         reim = ad.Tensor(inputs[0])
         return combine_mag_phase_graph(w_re, w_im, reim), (w_re, w_im)
-
-    def config(self):
-        out = super().config()
-        out["parts"] = self.parts
-        return out
 
 
 class EcSaccFrontend(_ComplexSaccFrontend):
@@ -440,17 +436,20 @@ class IcSaccFrontend(_ComplexSaccFrontend):
 
 class MvdrFrontend(Frontend):
     """Fixed (non-trainable) beamforming front end: CDR speech mask, MVDR
-    filter from the masked covariances, log-mel of the beamformed magnitude."""
+    filter from the masked covariances, log-mel of the beamformed magnitude.
+    ``geometry`` is an ArrayGeometry or its config dict; a fixed beamformer
+    has no weights, so ``seed`` has nothing to draw."""
 
     kind = "mvdr"
     features = Frontend.features
 
-    def __init__(self, geometry: ArrayGeometry, sample_rate=16000, n_mels=64):
-        super().__init__(sample_rate, n_mels, attn_dim=1, seed=0)
+    def __init__(self, geometry, sample_rate=16000, n_mels=64, seed=0):
+        super().__init__(sample_rate, n_mels, attn_dim=1, seed=seed)
+        if isinstance(geometry, dict):
+            geometry = ArrayGeometry.from_dict(geometry)
         if not isinstance(geometry, ArrayGeometry):
             raise ArgumentError("mvdr frontend needs an ArrayGeometry")
         self.geometry = geometry
-        self.params = {}
 
     def analyse(self, signal):
         """(STFT values,), (T, C, K) complex; MVDR statistics are per window."""
@@ -489,20 +488,18 @@ class MvdrFrontend(Frontend):
         mag, _ = self._combine(inputs, mask)
         return self._logmel(ad.Tensor(mag))
 
-    def config(self):
-        return {
-            "kind": self.kind,
-            "sample_rate": self.sample_rate,
-            "n_mels": self.n_mels,
-            "geometry": self.geometry.to_dict(),
-        }
-
 
 def _values(part):
     """``part`` as numpy; a (re, im) pair of tensors becomes complex."""
     if isinstance(part, tuple):
         return part[0].data + 1j * part[1].data
     return part.data if isinstance(part, ad.Tensor) else part
+
+
+_FRONTEND_CLASSES = {cls.kind: cls for cls in (
+    SaccStftFrontend, AnalyticSaccFrontend, EcSaccFrontend, IcSaccFrontend,
+    MvdrFrontend)}
+FRONTEND_KINDS = tuple(_FRONTEND_CLASSES)
 
 
 class FrameCache:
@@ -551,37 +548,25 @@ class FrameCache:
 
 
 def make_frontend(config: dict, seed=None) -> Frontend:
-    """Build a frontend from its config dict.
+    """Build a frontend from its config dict: ``kind`` picks the class and
+    the other keys are its constructor's arguments.
 
     ``seed`` overrides the config's seed when given; cfgs saved by
     ``config()`` omit the seed, so pass one for fresh inits. Trained
     weights come back through ``checkpoint.load_model``, which overwrites
-    the fresh ``params``.
+    the fresh ``params``. An argument the constructor does not take, or
+    one it lacks, is an ArgumentError.
     """
     if not isinstance(config, dict):
         raise ArgumentError("frontend config must be a dict")
     cfg = dict(config)
     kind = cfg.pop("kind", None)
-    if kind not in FRONTEND_KINDS:
+    if kind not in _FRONTEND_CLASSES:
         raise ArgumentError(
             f"unknown frontend kind {kind!r}; expected one of {FRONTEND_KINDS}")
     if seed is not None:
         cfg["seed"] = config_int(seed, "seed")
     try:
-        if kind == "sacc":
-            return SaccStftFrontend(**cfg)
-        if kind == "analytic":
-            return AnalyticSaccFrontend(**cfg)
-        if kind == "ecsacc":
-            return EcSaccFrontend(**cfg)
-        if kind == "icsacc":
-            return IcSaccFrontend(**cfg)
-        geom = cfg.pop("geometry", None)
-        if isinstance(geom, dict):
-            geom = ArrayGeometry.from_dict(geom)
-        if geom is None:
-            raise ArgumentError("mvdr frontend config needs a geometry")
-        cfg.pop("seed", None)
-        return MvdrFrontend(geom, **cfg)
+        return _FRONTEND_CLASSES[kind](**cfg)
     except TypeError as exc:
         raise ArgumentError(f"bad frontend config: {exc}") from exc

@@ -34,7 +34,7 @@ from .autodiff import (
     tmean,
     tsqrt,
 )
-from .errors import ArgumentError, NumericError, check_size, config_int
+from .errors import ArgumentError, NumericError, check_size, from_config
 from .segeval import N_CLASSES
 
 _NORM_EPS = 1e-5
@@ -72,16 +72,6 @@ class TcnConfig:
         check_size((self.kernel - 1) * dilation * width,
                    "the TCN's causal padding")
 
-    def to_dict(self):
-        return {
-            "input_dim": self.input_dim,
-            "bottleneck": self.bottleneck,
-            "hidden": self.hidden,
-            "layers_per_block": self.layers_per_block,
-            "blocks": self.blocks,
-            "kernel": self.kernel,
-        }
-
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
@@ -89,7 +79,7 @@ class TcnConfig:
         legacy = d.pop("n_classes", N_CLASSES)
         if legacy != N_CLASSES:
             raise ArgumentError(f"n_classes must be {N_CLASSES}, got {legacy!r}")
-        return cls(**{k: config_int(v, k) for k, v in d.items()})
+        return from_config(cls, d)
 
 
 def receptive_field(cfg: TcnConfig) -> int:

@@ -55,7 +55,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .checkpoint import named_tensors
-from .errors import ArgumentError, NumericError, check_size
+from .errors import ArgumentError, NumericError, check_size, from_config
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
 # mask_channels is unused here; perfbench/tracing.py wraps it under this name.
@@ -90,9 +90,8 @@ class InvariantConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(p=int(d.get("p", 2)), lam=float(d.get("lambda", 0.7)),
-                   min_keep=int(d.get("min_keep", 2)),
-                   rng_seed=int(d.get("rng_seed", 0)))
+        """A config dict spells ``lam`` as ``lambda``."""
+        return from_config(cls, d, keys={"lam": "lambda"})
 
 
 @dataclass(frozen=True)
@@ -121,14 +120,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {"batch_size": int, "steps_per_epoch": int,
-                 "segment_s": float, "lr": float, "patience": int,
-                 "max_epochs": int, "seed": int}
-        kwargs = {k: known[k](v) for k, v in d.items() if k in known}
-        unknown = set(d) - set(known)
-        if unknown:
-            raise ArgumentError(f"unknown TrainConfig keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return from_config(cls, d)
 
 
 # -- losses -------------------------------------------------------------------
@@ -338,7 +330,9 @@ def _crop_item(item, segment_s, rng):
     ``FRAME_RATE`` grid, so the label slice stays exact.
     """
     labels = np.asarray(item.labels.labels, dtype=np.int64)
-    seg_frames = int(round(segment_s * FRAME_RATE))
+    # Clamped to the item before rounding, so a huge float stays finite; a
+    # longer segment passes the item through whole either way.
+    seg_frames = int(round(min(segment_s * FRAME_RATE, labels.size)))
     if item.signal.duration_s <= segment_s or labels.size <= seg_frames:
         return item.signal, labels
     sr = item.signal.sample_rate
@@ -438,7 +432,7 @@ def _check_step_size(frontend, items, segment_s, icfg):
     n_frames = n_ch = 0
     for item in items:
         sig = item.signal
-        n = min(sig.n_samples, int(round(segment_s * sig.sample_rate)))
+        n = int(round(min(segment_s * sig.sample_rate, sig.n_samples)))
         n_frames = max(n_frames, n // frontend.frame_hop + 1)
         n_ch = max(n_ch, sig.n_channels)
     width = max(frontend.stft_cfg.n_bins, frontend.feature_dim, n_ch * n_ch)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -220,9 +221,29 @@ def test_scene_spec_validation():
 
 def test_scene_spec_json_roundtrip():
     scene = base_scene(noise="diffuse-approx", snr_db=5.0)
-    blob = json.dumps(scene.to_dict())
+    blob = json.dumps(asdict(scene))
     again = SceneSpec.from_dict(json.loads(blob))
     assert again == scene
+
+
+def test_scene_spec_from_dict_takes_field_defaults_and_names_unknown_keys():
+    geom = ArrayGeometry(4, 0.05)
+    spec = SceneSpec.from_dict({
+        "geometry": {"n_mics": 4, "radius": 0.05}, "duration_s": 1,
+        "sources": [{"azimuth": 1, "onset": 0, "duration": 1}]})
+    assert spec == SceneSpec(geometry=geom, duration_s=1.0, sources=(
+        SourceSpec(azimuth=1.0, onset=0.0, duration=1.0),))
+    assert type(spec.duration_s) is float
+    assert type(spec.sources[0].azimuth) is float
+    bad = {"geometry": {"n_mics": 4, "radius": 0.05}, "duration_s": 1.0}
+    for where, extra in (("SceneSpec", {"snr": 5.0}),
+                         ("ArrayGeometry", {"geometry": {
+                             "n_mics": 4, "radius": 0.05, "speed": 340.0}}),
+                         ("SourceSpec", {"sources": [{
+                             "azimuth": 1.0, "onset": 0.0, "duration": 1.0,
+                             "gain": 2.0}]})):
+        with pytest.raises(ArgumentError, match=f"unknown {where} keys"):
+            SceneSpec.from_dict({**bad, **extra})
 
 
 # -- toy dataset --------------------------------------------------------------

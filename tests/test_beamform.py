@@ -5,6 +5,7 @@ ground truth (source direction, per-channel SNR) is known exactly.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_uca_positions_on_circle():
 
 def test_geometry_dict_roundtrip():
     geom = make_geom()
-    again = ArrayGeometry.from_dict(geom.to_dict())
+    again = ArrayGeometry.from_dict(asdict(geom))
     assert again == geom
 
 
@@ -201,6 +202,21 @@ def test_time_avg_alternating_weights_cancel():
     stacked = np.stack([w, -w, w, -w], axis=1)
     avg = time_avg_beampattern(stacked, geom, 600.0, np.linspace(0, 2 * np.pi, 19))
     assert np.allclose(avg, 0.0, atol=1e-12)
+
+
+def test_time_avg_equals_the_mean_of_per_frame_responses():
+    # Averaging the weights before steering is the mean of each frame's
+    # response B_t(theta) = sum_c w_ct * exp(j * w_bar * cos(theta - psi_c)).
+    geom = make_geom()
+    rng = np.random.default_rng(19)
+    w = rng.normal(size=(8, 301)) + 1j * rng.normal(size=(8, 301))
+    thetas = np.linspace(0, 2 * np.pi, 2000, endpoint=False)
+    w_bar = 2 * np.pi * geom.radius * 1200.0 / geom.speed_of_sound
+    psi = np.asarray(geom.mic_angles)
+    phases = np.exp(1j * w_bar * np.cos(thetas[:, None] - psi[None, :]))
+    want = (phases @ w).mean(axis=1)
+    got = time_avg_beampattern(w, geom, 1200.0, thetas)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # -- CDR masking --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import re
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -215,6 +216,40 @@ def test_save_load_save_is_byte_identical(tmp_path, kind):
     assert first.read_bytes() == second.read_bytes()
 
 
+# The embedded frontend config of each _BUNDLE_CONFIGS kind, written out:
+# every constructor parameter but the seed, so a key the generic
+# Frontend.config() adds or drops shows here.
+_EMBEDDED_FRONTEND_CONFIGS = {
+    "sacc": {"kind": "sacc", "sample_rate": 16000, "n_mels": 64,
+             "attn_dim": 4},
+    "analytic": {"kind": "analytic", "sample_rate": 16000, "n_filters": 4,
+                 "kernel_len": 32, "attn_dim": 4},
+    "ecsacc": {"kind": "ecsacc", "sample_rate": 16000, "n_mels": 64,
+               "attn_dim": 4, "parts": "mag_phase"},
+    "icsacc": {"kind": "icsacc", "sample_rate": 16000, "n_mels": 64,
+               "attn_dim": 4, "parts": "real_imag"},
+    "mvdr": {"kind": "mvdr", "sample_rate": 16000, "n_mels": 8,
+             "geometry": {"n_mics": 4, "radius": 0.05,
+                          "speed_of_sound": 343.0}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUNDLE_CONFIGS))
+def test_embedded_config_is_written_out_in_full(tmp_path, kind):
+    frontend = make_frontend(_BUNDLE_CONFIGS[kind], seed=5)
+    model = tcn_init(TcnConfig(input_dim=frontend.feature_dim, bottleneck=4,
+                               hidden=4, layers_per_block=1, blocks=1), seed=6)
+    save_model(tmp_path / "model.ckpt", frontend, model)
+    _, config = read_checkpoint(tmp_path / "model.ckpt")
+    assert config == {
+        "frontend": _EMBEDDED_FRONTEND_CONFIGS[kind],
+        "model": {"input_dim": frontend.feature_dim, "bottleneck": 4,
+                  "hidden": 4, "layers_per_block": 1, "blocks": 1,
+                  "kernel": 3},
+        "model_seed": 6,
+    }
+
+
 @pytest.mark.parametrize("kind", ["sacc", "ecsacc", "icsacc"])
 def test_legacy_attention_biases_are_dropped(tmp_path, kind):
     # Banks written before the key and value biases went hold zero
@@ -271,9 +306,9 @@ def test_whole_float_config_values_load_as_ints(tmp_path):
 def test_geometry_survives_dict_and_checkpoint_round_trips(tmp_path, n_mics,
                                                            radius, speed):
     geom = ArrayGeometry(n_mics, radius, speed)
-    assert ArrayGeometry.from_dict(geom.to_dict()) == geom
+    assert ArrayGeometry.from_dict(asdict(geom)) == geom
     frontend = make_frontend({"kind": "mvdr", "n_mels": 8,
-                              "geometry": geom.to_dict()})
+                              "geometry": asdict(geom)})
     model = tcn_init(TcnConfig(input_dim=8, bottleneck=2, hidden=2,
                                layers_per_block=1, blocks=1), seed=0)
     path = tmp_path / "mvdr.ckpt"

@@ -838,6 +838,39 @@ def test_window_or_hop_past_the_recording_runs_as_its_length(
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("key", ["radius", "n_mics"])
+def test_mvdr_checkpoint_geometry_without_a_required_key_is_refused(
+        scene_out, workdir, capsys, key):
+    d = workdir / f"mvdr_without_{key}"
+    d.mkdir()
+    argv = _mvdr_argv("infer", 4)(d, str(scene_out / "scene.wav"), None)
+    tensors, config = read_checkpoint(d / "mvdr.ckpt")
+    del config["frontend"]["geometry"][key]
+    write_checkpoint(d / "mvdr.ckpt", tensors, config)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint frontend config" in err and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("segment_s, invariant", [
+    (1e307, None), (1e307, {"p": 2, "lambda": 0.5}),
+    (1e306, {"p": 2, "lambda": 0.5})], ids=["1e307", "1e307-inv", "1e306-inv"])
+def test_segment_s_past_the_items_trains_as_their_length(workdir, segment_s,
+                                                         invariant):
+    # The toy items are 0.64 s long; a longer segment takes them whole.
+    logs = []
+    for value in (segment_s, 0.64):
+        d = workdir / f"segment_{segment_s}_{invariant is None}_{value}"
+        d.mkdir()
+        build = _train_argv({"kind": "sacc", "attn_dim": 4},
+                            train={"segment_s": value}, invariant=invariant)
+        assert main(build(d, None, None)) == 0
+        logs.append((d / "out" / "train_log.ndjson").read_bytes())
+    assert logs[0] == logs[1]
+
+
 def test_checkpoint_naming_three_classes_still_loads(scene_out, workdir,
                                                      untrained_ckpt):
     # Checkpoints written while the class count was a model field carry it.

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import wave
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ HOPS_S = [0.05, 0.1, 0.0625, 0.033]
 def _frontend(cfg, n_channels):
     cfg = dict(cfg)
     if cfg["kind"] == "mvdr":
-        cfg["geometry"] = ArrayGeometry.uniform_circular(n_channels, 0.1).to_dict()
+        cfg["geometry"] = asdict(ArrayGeometry.uniform_circular(n_channels, 0.1))
     return make_frontend(cfg, seed=5)
 
 

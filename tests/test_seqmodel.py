@@ -1,5 +1,7 @@
 """TCN classifier tests: init determinism, causality, gradient agreement."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,11 @@ def test_config_validation():
     with pytest.raises(ArgumentError):
         TcnConfig(input_dim=64, kernel=0)
     cfg = TcnConfig(input_dim=64)
-    assert TcnConfig.from_dict(cfg.to_dict()) == cfg
+    assert TcnConfig.from_dict(asdict(cfg)) == cfg
     # Older checkpoints name the class count; only the fixed 3 is read.
-    assert TcnConfig.from_dict({**cfg.to_dict(), "n_classes": 3}) == cfg
+    assert TcnConfig.from_dict({**asdict(cfg), "n_classes": 3}) == cfg
     with pytest.raises(ArgumentError):
-        TcnConfig.from_dict({**cfg.to_dict(), "n_classes": 4})
+        TcnConfig.from_dict({**asdict(cfg), "n_classes": 4})
 
 
 def test_init_is_deterministic():

@@ -251,6 +251,14 @@ def test_masked_duplicates_validation():
         InvariantConfig(lam=1.2)
 
 
+def test_invariant_config_dict_spells_lam_as_lambda():
+    assert InvariantConfig.from_dict({}) == InvariantConfig()
+    assert InvariantConfig.from_dict({"lambda": 0.5, "p": 3.0}) == \
+        InvariantConfig(p=3, lam=0.5)
+    with pytest.raises(ArgumentError, match="'lam'"):
+        InvariantConfig.from_dict({"lam": 0.5})
+
+
 # -- Adam ---------------------------------------------------------------------
 
 
