@@ -33,8 +33,9 @@ Design points that matter for the rest of the package:
 * A gradient lives only as long as the sweep needs it: ``backward`` drops
   each op node's ``grad`` right after routing it to the parents, so after
   the sweep only leaves (parameters) keep ``grad``. Nothing else holds a
-  graph once the caller drops its loss, so a training step's graph, with
-  its forward values, dies with the step (``trainer._step``).
+  graph once the caller drops its loss, so a training item's graph, with
+  its forward values, dies before the next item's forward pass starts
+  (``trainer._item_step``).
 * Inside ``no_grad()`` nothing is recorded: every op returns a constant,
   which is how the read-only forward passes (inference, validation, feature
   dumps) skip the tape that no ``backward`` would read.

@@ -23,12 +23,13 @@ passed and the step is the plain reference path. The invariance
 term needs frontend weights to train, so a frontend without any (``mvdr``)
 refuses it.
 
-A step is one ``_step`` call: the batch's forward pass and one
-``autodiff.grad`` sweep, returning the losses as floats and the gradients as
-numpy arrays. Only ``_step``'s locals reach the step's graph, so the graph
-and its forward values are freed when it returns, before Adam and the next
-step's forward pass; and the sweep frees each op node's gradient once it has
-passed it on. Training memory is one step's tape.
+A step is one ``_step`` call. Each batch item in turn runs its forward pass
+and one ``autodiff.grad`` sweep of its share of the batch mean loss, which
+hand back floats and numpy gradients; the step sums the items' gradients.
+Only ``_item_step``'s locals reach an item's graph, so the graph and its
+forward values are freed before the next item's forward pass starts, and
+the sweep frees each op node's gradient once it has passed it on. Training
+memory is one item's tape, whatever the batch size.
 
 Masking stream
 --------------
@@ -281,7 +282,15 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr) -> AdamState:
-    """One in-place Adam update (b1=0.9, b2=0.999, eps=1e-8 after the sqrt)."""
+    """One in-place Adam update (b1=0.9, b2=0.999, eps=1e-8 after the sqrt).
+
+    The moments and the parameter are updated in place (``out=``), with two
+    scratch arrays per tensor. Each formula keeps its operation order:
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+    """
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
@@ -289,12 +298,16 @@ def adam_step(params, grads, state: AdamState, lr) -> AdamState:
     c1 = 1.0 - _ADAM_B1 ** state.t
     c2 = 1.0 - _ADAM_B2 ** state.t
     for name, tensor in params.items():
-        g = grads[name]
-        state.m[name] = _ADAM_B1 * state.m[name] + (1.0 - _ADAM_B1) * g
-        state.v[name] = _ADAM_B2 * state.v[name] + (1.0 - _ADAM_B2) * g * g
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        a, b = np.empty_like(m), np.empty_like(m)
+        np.multiply(_ADAM_B1, m, out=m)
+        np.add(m, np.multiply(1.0 - _ADAM_B1, g, out=a), out=m)
+        np.multiply(_ADAM_B2, v, out=v)
+        np.multiply(np.multiply(1.0 - _ADAM_B2, g, out=a), g, out=a)
+        np.add(v, a, out=v)
+        np.multiply(lr, np.divide(m, c1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), _ADAM_EPS, out=b)
+        np.subtract(tensor.data, np.divide(a, b, out=a), out=tensor.data)
     return state
 
 
@@ -379,47 +392,78 @@ def _log_record(result, log, record):
         log.flush()
 
 
+def _item_step(frontend, model, params, item, segment_s, icfg, rng, stream,
+               share):
+    """Forward pass and ``autodiff.grad`` sweep of one batch item.
+
+    Crops the item with ``rng``; with ``icfg`` it draws the item's masked
+    duplicates from ``stream`` and takes the reference and duplicate
+    features from one masked ``frontend.features`` call. Sweeps
+    ``dual_loss(ce, inv, lam) * share`` (``ce * share`` without ``icfg``).
+    Returns ``ce`` and ``inv`` as floats (``inv`` None without ``icfg``)
+    and the gradients by name, so the item's graph dies when it returns.
+    """
+    signal, frame_labels = _crop_item(item, segment_s, rng)
+    inv = None
+    if icfg is not None:
+        dups = make_masked_duplicates(signal, icfg, step=stream)
+        paths = frontend.features(signal, mask=_duplicate_mask(dups))
+        feats = paths[:, 0]
+        inv = invariant_loss(feats, [
+            paths[:, p] for p in range(1, len(dups) + 1)])
+    else:
+        feats = frontend.features(signal)
+    logits = tcn_forward(model, feats)
+    ce = cross_entropy(logits, _aligned_labels(frame_labels, logits.shape[0]))
+    loss = ce if icfg is None else dual_loss(ce, inv, icfg.lam)
+    grads = ad.grad(loss * share, params)
+    return float(ce.data), None if inv is None else float(inv.data), grads
+
+
 def _step(frontend, model, params, items, segment_s, icfg, rng, step):
     """Forward and backward pass of one training step over ``items``.
 
-    Crops each item with ``rng`` in order; with ``icfg`` it draws the
-    item's masked duplicates (stream ``step * len(items) + offset``) and
-    takes the reference and duplicate features from one masked
-    ``frontend.features`` call. Backpropagates the batch mean loss once.
-    Returns the losses as plain floats, ``{"ce", "loss"}`` plus ``"inv"``
-    with ``icfg``, and the numpy gradient of every tensor of ``params`` by
-    name. Nothing returned is a ``Tensor``, so the step's graph, forward
-    values included, is freed when it returns.
+    Each item runs its forward pass and its own sweep (``_item_step``,
+    duplicate stream ``step * len(items) + offset``) before the next
+    item's forward pass starts, so a step holds one item's graph at a time.
+    An item sweeps its share of the batch mean loss, ``1 / len(items)`` of
+    its ``dual_loss(ce, inv, lam)``; ``lam * mean(ce) + (1 - lam) *
+    mean(inv)`` is the sum of those shares, so the sum of the items'
+    gradients is the gradient of the batch mean loss. Returns the losses
+    as plain floats, ``{"ce", "loss"}`` plus ``"inv"`` with ``icfg``, the
+    means of the items' values in item order, and the numpy gradient of
+    every tensor of ``params`` by name. Nothing returned is a ``Tensor``.
+
+    A NumericError names the step and the batch item, both counted from 0,
+    and leaves no gradient to apply.
     """
+    share = 1.0 / len(items)
     ce_terms, inv_terms = [], []
+    grads = None
     for offset, item in enumerate(items):
-        signal, frame_labels = _crop_item(item, segment_s, rng)
-        if icfg is not None:
-            dups = make_masked_duplicates(
-                signal, icfg, step=step * len(items) + offset)
-            paths = frontend.features(signal, mask=_duplicate_mask(dups))
-            feats = paths[:, 0]
-            inv_terms.append(invariant_loss(feats, [
-                paths[:, p] for p in range(1, len(dups) + 1)]))
-        else:
-            feats = frontend.features(signal)
-        logits = tcn_forward(model, feats)
-        ce_terms.append(cross_entropy(
-            logits, _aligned_labels(frame_labels, logits.shape[0])))
-    ce_mean = _mean(ce_terms)
+        try:
+            ce, inv, item_grads = _item_step(
+                frontend, model, params, item, segment_s, icfg, rng,
+                step * len(items) + offset, share)
+        except NumericError as exc:
+            raise NumericError(
+                f"training diverged at step {step}, batch item {offset} of "
+                f"{len(items)}: {exc}") from exc
+        ce_terms.append(ce)
+        inv_terms.append(inv)
+        if grads is not None:
+            # Each sweep returns fresh arrays; adding the running sum into
+            # the newest keeps the parameters' ``grad`` fields the returned
+            # arrays, as after one sweep.
+            for name, g in grads.items():
+                item_grads[name] += g
+        grads = item_grads
+    losses = {"ce": _mean(ce_terms)}
     if icfg is None:
-        loss = ce_mean
+        losses["loss"] = losses["ce"]
     else:
-        inv_mean = _mean(inv_terms)
-        loss = dual_loss(ce_mean, inv_mean, icfg.lam)
-    losses = {"ce": float(ce_mean.data), "loss": float(loss.data)}
-    if icfg is not None:
-        losses["inv"] = float(inv_mean.data)
-    try:
-        grads = ad.grad(loss, params)
-    except NumericError as exc:
-        raise NumericError(
-            f"training diverged at step {step}: {exc}") from exc
+        losses["inv"] = _mean(inv_terms)
+        losses["loss"] = dual_loss(losses["ce"], losses["inv"], icfg.lam)
     return losses, grads
 
 
@@ -447,14 +491,16 @@ def train(frontend, model: ModelParams, train_items, val_items,
     """Optimize frontend+model on labeled segments; keep the best-F1 state.
 
     Per step (``_step``): sample a batch, crop each item to a segment_s
-    window when it is longer, run the frontend and classifier per segment,
-    average the cross-entropy (reference path only), optionally add the
-    invariance term over channel-masked duplicates, backprop once; then
-    update with Adam. Each segment is analysed and normalised once; the
-    reference and its duplicates take their features from one masked
-    ``frontend.features`` call (``_duplicate_mask``). A step's graph lives
-    only inside ``_step``, which hands back plain floats and numpy
-    gradients, so memory holds one step's tape at a time. Per epoch:
+    window when it is longer, run the frontend and classifier per segment;
+    the loss is the batch mean cross-entropy (reference path only),
+    optionally mixed with the mean invariance term over channel-masked
+    duplicates. Each item backpropagates its share of that loss before the
+    next item's forward pass, and the summed gradients update with Adam.
+    Each segment is analysed and normalised once; the reference and its
+    duplicates take their features from one masked ``frontend.features``
+    call (``_duplicate_mask``). An item's graph lives only inside
+    ``_item_step``, which hands back plain floats and numpy gradients, so
+    memory holds one item's tape at a time. Per epoch:
     validation OSD F1; stop after ``patience`` epochs without a new best
     and restore the best snapshot before returning. The trained tensors,
     Adam's keys and the snapshot are those of

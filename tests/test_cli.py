@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from arrayvad import autodiff as ad
 from arrayvad import cli
 from arrayvad.autodiff import no_grad
 from arrayvad.checkpoint import (load_model, read_checkpoint, save_model,
                                  write_checkpoint)
 from arrayvad.cli import main
+from arrayvad.errors import NumericError
 from arrayvad.frontends import make_frontend
 from arrayvad.segeval import parse_rttm
 from arrayvad.seqmodel import TcnConfig, tcn_init
@@ -786,6 +788,30 @@ def test_absurd_train_sizes_name_their_field(workdir, capsys, build, field):
     assert main(build(d, None, None)) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+    assert not (d / "out" / "model.ckpt").exists()
+
+
+def test_a_diverging_batch_item_exits_3_naming_step_and_item(
+        workdir, capsys, monkeypatch):
+    real_grad = ad.grad
+    calls = []
+
+    def failing_grad(loss, params):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("injected failure")
+        return real_grad(loss, params)
+
+    monkeypatch.setattr(ad, "grad", failing_grad)
+    d = workdir / "diverging_item"
+    d.mkdir()
+    build = _train_argv({"kind": "sacc", "attn_dim": 4},
+                        train={"batch_size": 2})
+    capsys.readouterr()
+    assert main(build(d, None, None)) == 3
+    err = capsys.readouterr().err
+    assert "step 0, batch item 1 of 2: injected failure" in err
+    assert "Traceback" not in err
     assert not (d / "out" / "model.ckpt").exists()
 
 

@@ -14,7 +14,7 @@ from arrayvad.beamform import ArrayGeometry
 from arrayvad.checkpoint import named_tensors
 from arrayvad.errors import ArgumentError, NumericError
 from arrayvad.frontends import FrameCache, make_frontend
-from arrayvad.seqmodel import TcnConfig, tcn_init
+from arrayvad.seqmodel import TcnConfig, tcn_forward, tcn_init
 from arrayvad.signal_io import (MultichannelSignal, channel_mask,
                                 mask_channels, slice_segment)
 from arrayvad.segeval import FrameLabels
@@ -23,7 +23,10 @@ from arrayvad.trainer import (
     InvariantConfig,
     TrainConfig,
     Xorshift64Star,
+    _aligned_labels,
     _crop_item,
+    _duplicate_mask,
+    _mean,
     _step,
     adam_step,
     cross_entropy,
@@ -294,6 +297,34 @@ def test_adam_constant_grad_step_bound():
         delta = abs(params["w"].data[0] - prev[0])
         assert delta <= 1e-2 * 1.05
         prev = params["w"].data.copy()
+
+
+def test_adam_in_place_equals_the_formula_bitwise():
+    # The formula as written before the update moved into ``out=`` arrays.
+    rng = np.random.default_rng(21)
+    shapes = {"w": (5, 3), "b": (4,), "s": ()}
+    params = make_params({k: rng.normal(size=s) for k, s in shapes.items()})
+    want = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = AdamState.for_params(params)
+    moments = [state.m[k] for k in shapes] + [state.v[k] for k in shapes]
+    for t in range(1, 8):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
+                 for k, s in shapes.items()}
+        held = {k: g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, lr=3e-3)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for k, g in held.items():
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            want[k] -= 3e-3 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+            assert (params[k].data == want[k]).all(), (t, k)
+            assert (state.m[k] == m[k]).all() and (state.v[k] == v[k]).all()
+            assert (grads[k] == g).all()  # the gradients are not scratch
+    # the moments were updated in the arrays ``for_params`` made
+    assert all(a is b for a, b in zip(
+        moments, [state.m[k] for k in shapes] + [state.v[k] for k in shapes]))
 
 
 def test_adam_rejects_nonfinite():
@@ -650,10 +681,95 @@ def test_step_returns_floats_and_numpy_gradients_only(icfg):
         assert type(g) is np.ndarray and g.shape == params[name].shape
 
 
-def _train_peak_bytes(steps):
+def _one_graph_step(frontend, model, params, items, segment_s, icfg, rng,
+                    step):
+    """``_step``'s oracle: the whole batch's forward pass, the batch mean
+    loss and one ``autodiff.grad`` sweep of it."""
+    ce_terms, inv_terms = [], []
+    for offset, item in enumerate(items):
+        signal, labels = _crop_item(item, segment_s, rng)
+        if icfg is not None:
+            dups = make_masked_duplicates(
+                signal, icfg, step=step * len(items) + offset)
+            paths = frontend.features(signal, mask=_duplicate_mask(dups))
+            feats = paths[:, 0]
+            inv_terms.append(invariant_loss(feats, [
+                paths[:, p] for p in range(1, len(dups) + 1)]))
+        else:
+            feats = frontend.features(signal)
+        logits = tcn_forward(model, feats)
+        ce_terms.append(cross_entropy(
+            logits, _aligned_labels(labels, logits.shape[0])))
+    ce_mean = _mean(ce_terms)
+    losses = {"ce": float(ce_mean.data)}
+    loss = ce_mean
+    if icfg is not None:
+        inv_mean = _mean(inv_terms)
+        loss = dual_loss(ce_mean, inv_mean, icfg.lam)
+        losses["inv"] = float(inv_mean.data)
+    losses["loss"] = float(loss.data)
+    return losses, ad.grad(loss, params)
+
+
+@pytest.mark.parametrize("icfg", [None, DUAL_ICFG], ids=["ce", "dual"])
+@pytest.mark.parametrize("kind, kw", [
+    pytest.param("sacc", {}, id="sacc"),
+    pytest.param("analytic", {}, id="analytic"),
+    pytest.param("ecsacc", {"parts": "mag_phase"}, id="ecsacc"),
+    pytest.param("icsacc", {"parts": "mag_phase"}, id="icsacc"),
+])
+def test_per_item_sweeps_equal_one_batch_graph(kind, kw, icfg):
+    items = six_mic_items(3, seed=8)
+    got_fe, got_model = analyse_once_setup(kind, kw)
+    want_fe, want_model = analyse_once_setup(kind, kw)
+    want_params = named_tensors(want_fe, want_model)
+    # a stale gradient on a parameter must not leak into either result
+    for p in named_tensors(got_fe, got_model).values():
+        p.grad = np.full(p.shape, 7.0)
+    got_losses, got = _step(got_fe, got_model,
+                            named_tensors(got_fe, got_model), items, 0.64,
+                            icfg, np.random.default_rng(2), step=1)
+    want_losses, want = _one_graph_step(want_fe, want_model, want_params,
+                                        items, 0.64, icfg,
+                                        np.random.default_rng(2), step=1)
+    assert got_losses == want_losses  # bit for bit
+    assert set(got) == set(want)
+    for name, w in want.items():
+        scale = np.max(np.abs(w))
+        assert np.max(np.abs(got[name] - w)) <= 1e-12 * scale, name
+
+
+def test_a_diverging_batch_item_is_named_and_updates_nothing(monkeypatch):
+    frontend, model = tiny_setup()
+    items = toy_items(4, seed=1)
+    tcfg = TrainConfig(batch_size=2, steps_per_epoch=5, max_epochs=1,
+                       patience=5, seed=0)
+    params = named_tensors(frontend, model)
+    real_grad = ad.grad
+    calls, before = [], {}
+
+    def failing_grad(loss, grad_params):
+        calls.append(None)
+        if len(calls) == 2 * 3 + 2:  # the second item of step 3
+            before.update({k: p.data.copy() for k, p in params.items()})
+            raise NumericError("injected failure")
+        return real_grad(loss, grad_params)
+
+    monkeypatch.setattr(ad, "grad", failing_grad)
+    with pytest.raises(NumericError,
+                       match=r"training diverged at step 3, batch item 1 of "
+                             r"2: injected failure"):
+        train(frontend, model, items[:3], items[3:], tcfg)
+    assert set(before) == set(params)
+    for name, p in params.items():
+        assert (p.data == before[name]).all(), name
+
+
+def _train_peak_bytes(steps, batch=2):
     """tracemalloc peak of an ecsacc dual ``train`` above the memory traced
     when it starts, at the acceptance-criterion-8 config: 8 mics, attn_dim
-    8, TCN 16/16 with 2 x 2 layers, batch 2, 0.64 s segments."""
+    8, TCN 16/16 with 2 x 2 layers, batch ``batch`` (2 there), 0.64 s
+    segments."""
     template = SceneSpec(geometry=ArrayGeometry.uniform_circular(8, 0.1),
                          duration_s=0.64, noise="white", snr_db=15.0)
     items = list(toy_dataset(template, 5, seed=3))
@@ -661,7 +777,7 @@ def _train_peak_bytes(steps):
     model = tcn_init(TcnConfig(input_dim=fe.feature_dim, bottleneck=16,
                                hidden=16, layers_per_block=2, blocks=2),
                      seed=2)
-    tcfg = TrainConfig(batch_size=2, steps_per_epoch=steps, max_epochs=1,
+    tcfg = TrainConfig(batch_size=batch, steps_per_epoch=steps, max_epochs=1,
                        patience=1, lr=3e-3, segment_s=0.64, seed=17)
     icfg = InvariantConfig(p=2, lam=0.7, min_keep=2, rng_seed=17)
     tracemalloc.start()
@@ -678,6 +794,13 @@ def test_training_memory_holds_one_step_graph():
     # first does; a graph kept into the next step's forward pass reads
     # about 1.25x here.
     assert _train_peak_bytes(4) <= 1.05 * _train_peak_bytes(1)
+
+
+def test_step_memory_does_not_grow_with_batch_size():
+    # Each item's graph dies before the next item's forward pass, so a
+    # step peaks at one item's graph whatever the batch; one graph over the
+    # whole batch read about 3.2x here.
+    assert _train_peak_bytes(1, batch=4) <= 1.3 * _train_peak_bytes(1, batch=1)
 
 
 def test_train_rejects_empty_datasets():
