@@ -554,6 +554,158 @@ def test_malformed_text_exits_without_traceback(workdir, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_GEOMETRY = {"n_mics": 4, "radius": 0.05}
+_SOURCE = {"azimuth": 1.0, "onset": 0.1, "duration": 0.5}
+_BASE_CONFIGS = {
+    "simulate": {"geometry": _GEOMETRY, "duration_s": 1.0,
+                 "sources": [_SOURCE]},
+    "features": {"variant": "sacc", "attn_dim": 4},
+    "beampattern": {"geometry": _GEOMETRY, "freqs": [600.0]},
+    "srp": {"geometry": _GEOMETRY},
+    "train": json.loads(_train_config_with_negative_seed("data")),
+    "infer": {},
+    "maskeval": {},
+}
+_BASE_CONFIGS["train"]["data"]["seed"] = 1
+
+
+def _refusal(command, *path, value=None, drop=False):
+    """``command``'s base config with the key at ``path`` set to ``value``,
+    or removed with ``drop``."""
+    cfg = json.loads(json.dumps(_BASE_CONFIGS[command]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return command, cfg
+
+
+# One row per refusal a config's declaration makes: the command, its config,
+# and what the message must hold. Every row exits 1, and each message names
+# the key path in the form "(at data/template)".
+CONFIG_REFUSALS = {
+    "unknown-key-two-levels-deep": (
+        _refusal("train", "data", "template", "typo", value=1),
+        ("(at data/template)", "typo")),
+    "unknown-geometry-key": (
+        _refusal("simulate", "geometry", "speed", value=340.0),
+        ("(at geometry)", "speed")),
+    "string-for-number": (_refusal("train", "train", "lr", value="0.003"),
+                          ("(at train/lr)",)),
+    "bool-for-number": (_refusal("train", "train", "lr", value=True),
+                        ("(at train/lr)",)),
+    "string-for-source-number": (
+        _refusal("simulate", "sources", 0, "azimuth", value="1"),
+        ("(at sources/0/azimuth)",)),
+    "string-for-integer": (
+        _refusal("train", "train", "batch_size", value="2"),
+        ("(at train/batch_size)",)),
+    "bool-for-integer": (_refusal("train", "model", "hidden", value=True),
+                         ("(at model/hidden)",)),
+    "fraction-for-integer": (
+        _refusal("train", "train", "batch_size", value=2.5),
+        ("(at train/batch_size)",)),
+    "fraction-for-frontend-integer": (
+        _refusal("train", "frontend", "attn_dim", value=2.5),
+        ("(at frontend/attn_dim)",)),
+    "number-for-string": (_refusal("infer", "file_id", value=3),
+                          ("(at file_id)",)),
+    "list-for-section": (_refusal("train", "model", value=[8, 8]),
+                         ("(at model)",)),
+    "list-for-geometry": (
+        _refusal("train", "data", "template", "geometry", value=[4, 0.05]),
+        ("(at data/template/geometry)",)),
+    "n-mics-0": (_refusal("simulate", "geometry", "n_mics", value=0),
+                 ("(at geometry/n_mics)",)),
+    "radius-0": (_refusal("simulate", "geometry", "radius", value=0),
+                 ("(at geometry/radius)",)),
+    "speed-of-sound-0": (
+        _refusal("simulate", "geometry", "speed_of_sound", value=0),
+        ("(at geometry/speed_of_sound)",)),
+    "srp-n-angles-3": (_refusal("srp", "n_angles", value=3),
+                       ("(at n_angles)",)),
+    "beampattern-n-angles-3": (_refusal("beampattern", "n_angles", value=3),
+                               ("(at n_angles)",)),
+    "srp-radius-0": (_refusal("srp", "radius", value=0), ("(at radius)",)),
+    "beampattern-empty-freqs": (_refusal("beampattern", "freqs", value=[]),
+                                ("(at freqs)",)),
+    "srp-band-of-1": (_refusal("srp", "band", value=[300.0]),
+                      ("(at band)",)),
+    "srp-band-of-3": (_refusal("srp", "band", value=[300.0, 600.0, 900.0]),
+                      ("(at band)",)),
+    "infer-win-s-0": (_refusal("infer", "win_s", value=0), ("(at win_s)",)),
+    "infer-hop-s-0": (_refusal("infer", "hop_s", value=0), ("(at hop_s)",)),
+    "maskeval-win-s-0": (_refusal("maskeval", "win_s", value=0),
+                         ("(at win_s)",)),
+    "maskeval-hop-s-0": (_refusal("maskeval", "hop_s", value=0),
+                         ("(at hop_s)",)),
+    "infer-empty-file-id": (_refusal("infer", "file_id", value=""),
+                            ("(at file_id)",)),
+    "keep-sets-empty": (_refusal("maskeval", "keep_sets", value=[]),
+                        ("(at keep_sets)",)),
+    "keep-set-empty": (_refusal("maskeval", "keep_sets", value=[[]]),
+                       ("(at keep_sets/0)",)),
+    "keep-set-negative-id": (_refusal("maskeval", "keep_sets", value=[[-1]]),
+                             ("(at keep_sets/0/0)",)),
+    "n-train-0": (_refusal("train", "data", "n_train", value=0),
+                  ("(at data/n_train)",)),
+    "n-val-0": (_refusal("train", "data", "n_val", value=0),
+                ("(at data/n_val)",)),
+    "bad-kind": (_refusal("train", "frontend", "kind", value="wavelet"),
+                 ("(at frontend/kind)",)),
+    "bad-variant": (_refusal("features", "variant", value="wavelet"),
+                    ("(at variant)",)),
+    "bad-parts": (_refusal("train", "frontend", value={
+        "kind": "ecsacc", "attn_dim": 4, "parts": "polar"}),
+        ("(at frontend/parts)",)),
+}
+
+# Each required key missing, in turn: nested ones are named with the path of
+# the object that lacks them.
+for _command, _path in (
+        ("simulate", ("geometry",)), ("simulate", ("duration_s",)),
+        ("simulate", ("geometry", "n_mics")), ("simulate", ("geometry", "radius")),
+        ("simulate", ("sources", 0, "azimuth")),
+        ("simulate", ("sources", 0, "onset")),
+        ("simulate", ("sources", 0, "duration")),
+        ("features", ("variant",)), ("beampattern", ("geometry",)),
+        ("beampattern", ("freqs",)), ("srp", ("geometry",)),
+        ("train", ("frontend",)), ("train", ("data",)),
+        ("train", ("frontend", "kind")), ("train", ("data", "template")),
+        ("train", ("data", "n_train")), ("train", ("data", "n_val")),
+        ("train", ("data", "template", "geometry")),
+        ("train", ("data", "template", "duration_s"))):
+    _where = "/".join(str(key) for key in _path[:-1])
+    CONFIG_REFUSALS[f"missing-{_command}-{'-'.join(map(str, _path))}"] = (
+        _refusal(_command, *_path, drop=True),
+        (f"(at {_where})",) * bool(_where) + (repr(_path[-1]),))
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_config_refusals_exit_1_naming_the_key_path(
+        scene_out, workdir, untrained_ckpt, capsys, case):
+    (command, cfg), needles = CONFIG_REFUSALS[case]
+    d = workdir / f"refusal_{case}"
+    d.mkdir()
+    argv = [command, "--config", _write(d / "config.json", json.dumps(cfg)),
+            "--out", str(d / "out")]
+    if command != "simulate" and command != "train":
+        argv += ["--wav", str(scene_out / "scene.wav")]
+    if command in ("beampattern", "infer", "maskeval"):
+        argv += ["--checkpoint", str(untrained_ckpt)]
+    if command == "maskeval":
+        argv += ["--ref", str(scene_out / "scene.rttm")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, (needle, err)
+
+
 def test_truncated_wav_exits_2_without_traceback(scene_out, workdir,
                                                  untrained_ckpt, capsys):
     raw = (scene_out / "scene.wav").read_bytes()
