@@ -19,12 +19,12 @@ clean source sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beamform import ArrayGeometry, plane_wave_delays
-from .errors import ArgumentError, check_size, from_config
+from .errors import ArgumentError, Seed, check_size, from_config
 from .segeval import FrameLabels, Segment, SegmentSet, labels_from_segments
 from .signal_io import MultichannelSignal
 from .spectral import FRAME_RATE
@@ -65,11 +65,11 @@ class SceneSpec:
 
     geometry: ArrayGeometry
     duration_s: float
-    sources: tuple = field(default_factory=tuple)
+    sources: tuple[SourceSpec, ...] = ()
     noise: str = "none"
     snr_db: float = 20.0
     sample_rate: int = 16000
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
@@ -98,9 +98,7 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, d):
         """The spec of a config dict; ``dataclasses.asdict`` is the inverse."""
-        return from_config(
-            cls, d, geometry=ArrayGeometry.from_dict,
-            sources=lambda sources: [from_config(SourceSpec, s) for s in sources])
+        return from_config(cls, d)
 
 
 # -- source waveforms ---------------------------------------------------------

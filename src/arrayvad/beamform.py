@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AliasingError, ArgumentError, NumericError, check_size,
-                     config_int, from_config)
+from .errors import (AliasingError, ArgumentError, ConfigError, NumericError,
+                     check_size, config_int, from_config)
 from .spectral import ComplexSpectrogram
 
 DIAGONAL_LOADING = 1e-6
@@ -49,13 +49,14 @@ class ArrayGeometry:
     speed_of_sound: float = 343.0
 
     def __post_init__(self):
+        # Bounds of the declaration: a config that breaks one is refused.
         object.__setattr__(self, "n_mics", config_int(self.n_mics, "n_mics"))
         if self.n_mics < 1:
-            raise ArgumentError("n_mics must be >= 1")
-        if self.radius <= 0:
-            raise ArgumentError("radius must be positive")
-        if self.speed_of_sound <= 0:
-            raise ArgumentError("speed_of_sound must be positive")
+            raise ConfigError(f"must be >= 1, got {self.n_mics}", "n_mics")
+        for name in ("radius", "speed_of_sound"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"must be positive, got {value}", name)
 
     @classmethod
     def uniform_circular(cls, n_mics, radius):

@@ -26,8 +26,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError, config_int
+from .errors import (ArgumentError, FormatError, config_int, config_value,
+                     loads_config)
 from .frontends import Frontend, make_frontend
+from .segeval import N_CLASSES
 from .seqmodel import ModelParams, TcnConfig, tcn_init
 
 _MAGIC = 0x4156434B  # "AVCK"
@@ -49,8 +51,8 @@ def _config_from_array(arr: np.ndarray) -> dict:
         raise FormatError("embedded config holds values that are not bytes")
     as_bytes = data.astype(np.uint8).tobytes()
     try:
-        return json.loads(as_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return loads_config(as_bytes.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise FormatError(f"embedded config is not valid JSON: {exc}") from exc
 
 
@@ -203,7 +205,8 @@ def load_model(path):
     bias: files written before banks lost their key and value biases hold
     ``frontend/<prefix>bk`` and ``frontend/<prefix>bv`` next to a known
     ``frontend/<prefix>wq``. Those biases cannot change an output, so they
-    are dropped.
+    are dropped. So is a model config's ``n_classes`` of 3, which files
+    written while the class count was a field hold.
     """
     tensors, config = read_checkpoint(path)
     if (not isinstance(config, dict) or "frontend" not in config
@@ -212,7 +215,12 @@ def load_model(path):
     with _config_section("frontend"):
         frontend = make_frontend(config["frontend"])
     with _config_section("model"):
-        model_cfg = TcnConfig.from_dict(config["model"])
+        model_dict = dict(config_value(config["model"], dict))
+        n_classes = model_dict.pop("n_classes", N_CLASSES)
+        if n_classes != N_CLASSES:
+            raise ArgumentError(
+                f"n_classes must be {N_CLASSES}, got {n_classes!r}")
+        model_cfg = TcnConfig.from_dict(model_dict)
     with _config_section("model_seed"):
         model = tcn_init(model_cfg,
                          seed=config_int(config.get("model_seed", 0), "model_seed"))

@@ -2,9 +2,10 @@
 
 Eight subcommands cover the toolkit end to end: scene simulation, feature
 dumps, beampattern and SRP-PHAT maps, training, inference, RTTM scoring and
-channel-masking evaluation. Configs are JSON files validated against
-per-command schemas; unknown keys are rejected up front so typos fail loudly
-instead of silently using a default.
+channel-masking evaluation. Configs are JSON files, checked against the
+dataclasses they fill (or a short key table) before any work: an unknown
+or missing key, or a value of the wrong type or out of bounds, is a config
+error naming its key path, so typos fail loudly instead of defaulting.
 
 Conventions:
   * human-readable messages go to standard error, results go to files under
@@ -22,17 +23,19 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Literal
 
-import jsonschema
 import numpy as np
 
 from .arraysim import SceneSpec, synth_scene, toy_dataset
 from .autodiff import no_grad
 from .beamform import ArrayGeometry, srp_phat, time_avg_beampattern
 from .checkpoint import load_model, save_model
-from .errors import (ArgumentError, ArrayVadError, NumericError, check_size,
-                     config_int)
-from .frontends import FRONTEND_KINDS, FrameCache, make_frontend
+from .errors import (ArgumentError, ArrayVadError, ConfigError, NumericError,
+                     Seed, check_size, config_dict, config_key, config_value,
+                     loads_config)
+from .frontends import (FRONTEND_KINDS, FrameCache, SaccConfig,
+                        frontend_config, make_frontend)
 from .segeval import (labels_from_segments, osd_metrics, parse_rttm,
                       segments_from_labels, sliding_infer, vad_metrics,
                       write_rttm)
@@ -55,204 +58,6 @@ class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 1."""
 
 
-# -- config schemas -----------------------------------------------------------
-
-_GEOMETRY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "n_mics": {"type": "integer", "minimum": 1},
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-        "speed_of_sound": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["n_mics", "radius"],
-    "additionalProperties": False,
-}
-
-_SOURCE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "azimuth": {"type": "number"},
-        "onset": {"type": "number"},
-        "duration": {"type": "number"},
-        "tag": {"type": "string"},
-        "level_db": {"type": "number"},
-    },
-    "required": ["azimuth", "onset", "duration"],
-    "additionalProperties": False,
-}
-
-_SCENE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "geometry": _GEOMETRY_SCHEMA,
-        "duration_s": {"type": "number"},
-        "sources": {"type": "array", "items": _SOURCE_SCHEMA},
-        "noise": {"type": "string"},
-        "snr_db": {"type": "number"},
-        "sample_rate": {"type": "integer"},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["geometry", "duration_s"],
-    "additionalProperties": False,
-}
-
-# Union of all frontend constructor knobs; which combinations are legal is
-# decided by make_frontend, the schema only guards spelling and types.
-_FRONTEND_PROPERTIES = {
-    "sample_rate": {"type": "integer"},
-    "n_mels": {"type": "integer"},
-    "attn_dim": {"type": "integer"},
-    "seed": {"type": "integer", "minimum": 0},
-    "n_filters": {"type": "integer"},
-    "kernel_len": {"type": "integer"},
-    "parts": {"enum": ["mag_phase", "real_imag"]},
-    "geometry": _GEOMETRY_SCHEMA,
-}
-
-_FRONTEND_SCHEMA = {
-    "type": "object",
-    "properties": {"kind": {"enum": list(FRONTEND_KINDS)}, **_FRONTEND_PROPERTIES},
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_FEATURES_SCHEMA = {
-    "type": "object",
-    "properties": {"variant": {"enum": list(FEATURE_VARIANTS)}, **_FRONTEND_PROPERTIES},
-    "required": ["variant"],
-    "additionalProperties": False,
-}
-
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "input_dim": {"type": "integer"},
-        "bottleneck": {"type": "integer"},
-        "hidden": {"type": "integer"},
-        "layers_per_block": {"type": "integer"},
-        "blocks": {"type": "integer"},
-        "kernel": {"type": "integer"},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-_TRAIN_SECTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "batch_size": {"type": "integer"},
-        "steps_per_epoch": {"type": "integer"},
-        "segment_s": {"type": "number"},
-        "lr": {"type": "number"},
-        "patience": {"type": "integer"},
-        "max_epochs": {"type": "integer"},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-_INVARIANT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "integer"},
-        "lambda": {"type": "number"},
-        "min_keep": {"type": "integer"},
-        "rng_seed": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
-
-# A data template shapes every toy item, but ``toy_dataset`` draws each
-# item's sources and seeds it from ``data.seed``; a template ``seed`` or
-# ``sources`` would be ignored, so the schema refuses them.
-_TEMPLATE_SCHEMA = {
-    **_SCENE_SCHEMA,
-    "properties": {k: v for k, v in _SCENE_SCHEMA["properties"].items()
-                   if k not in ("seed", "sources")},
-}
-
-_DATA_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "template": _TEMPLATE_SCHEMA,
-        "n_train": {"type": "integer", "minimum": 1},
-        "n_val": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["template", "n_train", "n_val"],
-    "additionalProperties": False,
-}
-
-_TRAIN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "frontend": _FRONTEND_SCHEMA,
-        "model": _MODEL_SCHEMA,
-        "train": _TRAIN_SECTION_SCHEMA,
-        "invariant": _INVARIANT_SCHEMA,
-        "data": _DATA_SCHEMA,
-    },
-    "required": ["frontend", "data"],
-    "additionalProperties": False,
-}
-
-_BEAMPATTERN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "geometry": _GEOMETRY_SCHEMA,
-        "freqs": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "n_angles": {"type": "integer", "minimum": 4},
-    },
-    "required": ["geometry", "freqs"],
-    "additionalProperties": False,
-}
-
-_SRP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "geometry": _GEOMETRY_SCHEMA,
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-        "n_angles": {"type": "integer", "minimum": 4},
-        "band": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-    "required": ["geometry"],
-    "additionalProperties": False,
-}
-
-_INFER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "win_s": {"type": "number", "exclusiveMinimum": 0},
-        "hop_s": {"type": "number", "exclusiveMinimum": 0},
-        "file_id": {"type": "string", "minLength": 1},
-    },
-    "additionalProperties": False,
-}
-
-_MASKEVAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "keep_sets": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 1,
-            },
-            "minItems": 1,
-        },
-        "win_s": {"type": "number", "exclusiveMinimum": 0},
-        "hop_s": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-
 # -- small helpers ------------------------------------------------------------
 
 
@@ -260,35 +65,133 @@ def _say(message):
     print(message, file=sys.stderr)
 
 
-def _finite_number(text):
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
-def _finite_int(text):
-    _finite_number(text)
-    return int(text)
-
-
-def _load_config(path, schema):
-    """The validated JSON config at ``path``; numbers whose float value is
-    not finite are refused, integer literals included."""
+def _load_config(path):
+    """The JSON object in the file at ``path``, read by ``loads_config``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=_finite_number,
-                            parse_float=_finite_number, parse_int=_finite_int)
+            cfg = loads_config(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, non-finite
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
-        raise UsageError(f"config {path}: {exc.message} (at {where})") from exc
+    return config_value(cfg, dict)
+
+
+def _require(cfg, key, ok, rule):
+    """ConfigError at ``key`` when ``cfg`` holds it and ``ok(value)`` is
+    false."""
+    if key in cfg and not ok(cfg[key]):
+        raise ConfigError(f"must be {rule}, got {cfg[key]!r}", key)
+
+
+def _features_config(cfg, checkpoint=None):
+    """The variant of a features config and its other keys: ``n_mels`` and
+    ``sample_rate`` for ``stft``, a frontend config's keys otherwise. With
+    a ``checkpoint``, whose config sets the frontend, none apply."""
+    cfg = dict(cfg)
+    if "variant" not in cfg:
+        raise ConfigError("missing required features keys: ['variant']")
+    with config_key("variant"):
+        variant = config_value(cfg.pop("variant"), Literal[FEATURE_VARIANTS])
+    if variant == "stft":
+        if checkpoint is not None:
+            raise UsageError("--checkpoint does not apply to the stft variant")
+        return variant, config_dict(cfg, {"n_mels": int, "sample_rate": int},
+                                    what="stft features")
+    if checkpoint is None:
+        frontend_config({"kind": variant, **cfg})
+    elif cfg:
+        raise ConfigError(f"keys {sorted(cfg)} do not apply with a checkpoint")
+    return variant, cfg
+
+
+def _beampattern_config(cfg):
+    cfg = config_dict(cfg, {"geometry": ArrayGeometry, "freqs": list[float],
+                            "n_angles": int},
+                      required=("geometry", "freqs"), what="beampattern")
+    _require(cfg, "freqs", len, "at least one frequency")
+    _require(cfg, "n_angles", lambda n: n >= 4, ">= 4")
     return cfg
+
+
+def _srp_config(cfg):
+    cfg = config_dict(cfg, {"geometry": ArrayGeometry, "radius": float,
+                            "n_angles": int, "band": list[float]},
+                      required=("geometry",), what="srp")
+    _require(cfg, "radius", lambda r: r > 0, "positive")
+    _require(cfg, "n_angles", lambda n: n >= 4, ">= 4")
+    _require(cfg, "band", lambda band: len(band) == 2, "[low, high]")
+    return cfg
+
+
+def _window_config(cfg, what, **types):
+    """An infer or maskeval config: ``win_s``, ``hop_s`` and ``types``."""
+    cfg = config_dict(cfg, {"win_s": float, "hop_s": float, **types},
+                      what=what)
+    for key in ("win_s", "hop_s"):
+        _require(cfg, key, lambda s: s > 0, "positive")
+    return cfg
+
+
+def _infer_config(cfg):
+    cfg = _window_config(cfg, "infer", file_id=str)
+    _require(cfg, "file_id", len, "a non-empty string")
+    return cfg
+
+
+def _maskeval_config(cfg):
+    cfg = _window_config(cfg, "maskeval", keep_sets=list[list[int]])
+    _require(cfg, "keep_sets", len, "at least one keep set")
+    for i, keep in enumerate(cfg.get("keep_sets", ())):
+        if not keep:
+            raise ConfigError("must name at least one channel", "keep_sets", i)
+        for j, channel in enumerate(keep):
+            if channel < 0:
+                raise ConfigError(f"must be >= 0, got {channel}",
+                                  "keep_sets", i, j)
+    return cfg
+
+
+def _train_setup(cfg, seed=None):
+    """The frontend, model, ``TrainConfig``, ``InvariantConfig`` (or None)
+    and data section (its ``template`` a ``SceneSpec``) of a train config.
+    ``seed`` (``--seed``) overrides the training-loop seed and derives the
+    frontend and model seeds the config leaves out."""
+    cfg = config_dict(cfg, {"frontend": dict, "model": dict, "train": dict,
+                            "invariant": InvariantConfig, "data": dict},
+                      required=("frontend", "data"), what="train config")
+    with config_key("data"):
+        data = config_dict(cfg["data"], {"template": dict, "n_train": int,
+                                         "n_val": int, "seed": Seed},
+                           required=("template", "n_train", "n_val"),
+                           what="data")
+        for key in ("n_train", "n_val"):
+            _require(data, key, lambda n: n >= 1, ">= 1")
+        with config_key("template"):
+            # ``toy_dataset`` draws each item's sources and seeds it from
+            # ``data.seed``; a template's own would be ignored.
+            drawn = sorted({"seed", "sources"} & set(data["template"]))
+            if drawn:
+                raise ConfigError(f"a template takes no {drawn}: data.seed "
+                                  "draws each item's sources and seed")
+            data["template"] = SceneSpec.from_dict(data["template"])
+    fe_cfg = dict(cfg["frontend"])
+    model_cfg = dict(cfg.get("model", {}))
+    train_cfg = dict(cfg.get("train", {}))
+    if seed is not None:
+        train_cfg["seed"] = seed
+        fe_cfg.setdefault("seed", seed + 1)
+        model_cfg.setdefault("seed", seed + 2)
+    with config_key("frontend"):
+        frontend = make_frontend(fe_cfg)
+    with config_key("model"):
+        with config_key("seed"):
+            model_seed = config_value(model_cfg.pop("seed", 0), Seed)
+        model_cfg.setdefault("input_dim", frontend.feature_dim)
+        model = tcn_init(TcnConfig.from_dict(model_cfg), seed=model_seed)
+    with config_key("train"):
+        tcfg = TrainConfig.from_dict(train_cfg)
+    return frontend, model, tcfg, cfg.get("invariant"), data
 
 
 def _out_dir(args):
@@ -378,7 +281,7 @@ def _score_pair(ref_labels, hyp_labels):
 
 
 def _cmd_simulate(args):
-    cfg = _load_config(args.config, _SCENE_SCHEMA)
+    cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = dict(cfg, seed=args.seed)
     spec = SceneSpec.from_dict(cfg)
@@ -392,24 +295,17 @@ def _cmd_simulate(args):
 
 
 def _cmd_features(args):
-    cfg = _load_config(args.config, _FEATURES_SCHEMA)
+    variant, cfg = _features_config(_load_config(args.config), args.checkpoint)
     signal = read_wav(args.wav)
-    variant = cfg["variant"]
     if variant == "stft":
-        if args.checkpoint is not None:
-            raise UsageError("--checkpoint does not apply to the stft variant")
-        for key in cfg:
-            if key not in ("variant", "n_mels", "sample_rate"):
-                raise UsageError(f"config key {key!r} does not apply to the "
-                                 "stft variant")
         if cfg.get("sample_rate", signal.sample_rate) != signal.sample_rate:
             raise ArgumentError(
                 f"config sample_rate {cfg['sample_rate']} != wav rate "
                 f"{signal.sample_rate}")
         # Reference path: log-mel of the first channel, no combination.
         mag = np.abs(stft(signal).values[0])
-        feats = log_compress(mel_project(mag, cfg.get("n_mels", 64),
-                                         signal.sample_rate))
+        feats = log_compress(mel_project(
+            mag, cfg.get("n_mels", SaccConfig.n_mels), signal.sample_rate))
     elif args.checkpoint is not None:
         frontend, _ = load_model(args.checkpoint)
         if frontend.kind != variant:
@@ -419,10 +315,9 @@ def _cmd_features(args):
         with no_grad():
             feats = frontend.features(signal).data
     else:
-        fe_cfg = {k: v for k, v in cfg.items() if k != "variant"}
-        fe_cfg["kind"] = variant
-        fe_cfg.setdefault("sample_rate", signal.sample_rate)
-        frontend = make_frontend(fe_cfg, seed=args.seed)
+        frontend = make_frontend({"kind": variant,
+                                  "sample_rate": signal.sample_rate, **cfg},
+                                 seed=args.seed)
         with no_grad():
             feats = frontend.features(signal).data
     out = _out_dir(args)
@@ -434,11 +329,11 @@ def _cmd_features(args):
 
 
 def _cmd_beampattern(args):
-    cfg = _load_config(args.config, _BEAMPATTERN_SCHEMA)
-    geom = ArrayGeometry.from_dict(cfg["geometry"])
+    cfg = _beampattern_config(_load_config(args.config))
+    geom = cfg["geometry"]
     # The widest arrays are the (angles, mics) steering phases of each
     # frequency and the (angles, freqs) table.
-    n_angles = config_int(cfg.get("n_angles", 360), "n_angles")
+    n_angles = cfg.get("n_angles", 360)
     check_size(n_angles * max(len(cfg["freqs"]), geom.n_mics),
                f"a beampattern of n_angles {n_angles} angles")
     frontend, _ = load_model(args.checkpoint)
@@ -463,12 +358,12 @@ def _cmd_beampattern(args):
 
 
 def _cmd_srp(args):
-    cfg = _load_config(args.config, _SRP_SCHEMA)
-    geom = ArrayGeometry.from_dict(cfg["geometry"])
+    cfg = _srp_config(_load_config(args.config))
     signal = read_wav(args.wav)
     spec = stft(signal)
     band = tuple(cfg["band"]) if "band" in cfg else None
-    srp = srp_phat(spec, geom, candidate_radius=cfg.get("radius", 2.0),
+    srp = srp_phat(spec, cfg["geometry"],
+                   candidate_radius=cfg.get("radius", 2.0),
                    n_angles=cfg.get("n_angles", 360), band=band)
     out = _out_dir(args)
     rows = [[float(np.rad2deg(a)), float(p)]
@@ -483,38 +378,19 @@ def _cmd_srp(args):
 
 
 def _cmd_train(args):
-    cfg = _load_config(args.config, _TRAIN_SCHEMA)
-    fe_cfg = dict(cfg["frontend"])
-    model_cfg = dict(cfg.get("model", {}))
-    train_cfg = dict(cfg.get("train", {}))
-    data_cfg = cfg["data"]
-    template = SceneSpec.from_dict(data_cfg["template"])
-
-    # --seed overrides the training-loop seed and, where the config left the
-    # init seeds unspecified, derives frontend/model seeds from it.
-    if args.seed is not None:
-        train_cfg["seed"] = args.seed
-        fe_cfg.setdefault("seed", args.seed + 1)
-        model_cfg.setdefault("seed", args.seed + 2)
-
-    frontend = make_frontend(fe_cfg)
+    frontend, model, tcfg, icfg, data = _train_setup(
+        _load_config(args.config), args.seed)
+    template = data["template"]
     if frontend.sample_rate != template.sample_rate:
         raise ArgumentError(
             f"frontend sample_rate {frontend.sample_rate} != scene rate "
             f"{template.sample_rate}")
-    model_seed = config_int(model_cfg.pop("seed", 0), "model seed")
-    model_cfg.setdefault("input_dim", frontend.feature_dim)
-    model = tcn_init(TcnConfig.from_dict(model_cfg), seed=model_seed)
-    tcfg = TrainConfig.from_dict(train_cfg)
-    icfg = (InvariantConfig.from_dict(cfg["invariant"])
-            if "invariant" in cfg else None)
 
-    data_seed = data_cfg.get("seed", 0)
-    _say(f"train: rendering {data_cfg['n_train']}+{data_cfg['n_val']} toy "
-         "segments")
-    train_items = list(toy_dataset(template, data_cfg["n_train"], data_seed))
+    data_seed = data.get("seed", 0)
+    _say(f"train: rendering {data['n_train']}+{data['n_val']} toy segments")
+    train_items = list(toy_dataset(template, data["n_train"], data_seed))
     # Validation draws from the stream seeded one past the training data.
-    val_items = list(toy_dataset(template, data_cfg["n_val"], data_seed + 1))
+    val_items = list(toy_dataset(template, data["n_val"], data_seed + 1))
 
     out = _out_dir(args)
     result = train(frontend, model, train_items, val_items, tcfg, icfg,
@@ -532,7 +408,7 @@ def _cmd_train(args):
 
 
 def _cmd_infer(args):
-    cfg = _load_config(args.config, _INFER_SCHEMA) if args.config else {}
+    cfg = _infer_config(_load_config(args.config)) if args.config else {}
     frontend, model = load_model(args.checkpoint)
     recording = _open_recording(args.wav, frontend)
     labels = _infer_labels(frontend, model, recording, cfg)
@@ -570,7 +446,7 @@ def _parse_keep(text):
 
 
 def _cmd_maskeval(args):
-    cfg = _load_config(args.config, _MASKEVAL_SCHEMA) if args.config else {}
+    cfg = _maskeval_config(_load_config(args.config)) if args.config else {}
     if args.keep and "keep_sets" in cfg:
         raise UsageError("give keep sets either via --keep or the config, "
                          "not both")
@@ -682,6 +558,9 @@ def main(argv=None):
         args.func(args)
     except UsageError as exc:
         _say(f"usage error: {exc}")
+        return EXIT_USAGE
+    except ConfigError as exc:
+        _say(f"usage error: config {getattr(args, 'config', None)}: {exc}")
         return EXIT_USAGE
     except NumericError as exc:
         _say(f"numeric failure: {exc}")

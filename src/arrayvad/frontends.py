@@ -58,20 +58,20 @@ normalised parts under ``autodiff.no_grad`` and returns the values and the
 per-channel weights as plain numpy arrays, so the weights the
 ``beampattern`` command analyses are the ones the graph applies.
 
-``make_frontend`` builds any variant from a JSON-able config dict: it
-looks the kind up in one kind -> class table, from which
-``FRONTEND_KINDS`` comes too, and passes the rest of the dict to the
-constructor. ``config()`` is the one base method that reads the
-constructor's parameters (all but ``seed``) back off the instance, so the
-same dict comes back and ``checkpoint.load_model`` can rebuild the exact
-frontend and then write the saved weights into its ``params`` through
-``checkpoint.named_tensors``.
+A kind is built from its config dataclass, each field and default written
+once: ``FrontendConfig`` for every kind, mixins for mel bands and
+attention, and each kind's own fields. ``make_frontend`` builds any kind
+from a JSON-able config dict, whose ``kind`` picks the class in one table
+(and ``FRONTEND_KINDS``); ``config()`` is that dict without the seed, so
+``checkpoint.load_model`` can rebuild the exact frontend and then write
+the saved weights into its ``params`` through ``checkpoint.named_tensors``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -84,7 +84,8 @@ from .combinator import (
     mvn_graph,
     weights_graph,
 )
-from .errors import ArgumentError, check_size, config_int
+from .errors import (ArgumentError, ConfigError, Seed, check_size,
+                     config_key, config_value, from_config)
 from .signal_io import MultichannelSignal
 from .spectral import (
     LOG_EPS,
@@ -102,6 +103,47 @@ from .spectral import (
 TWO_PI = 2.0 * np.pi
 
 
+@dataclass(frozen=True, kw_only=True)
+class FrontendConfig:
+    sample_rate: int = 16000
+    seed: Seed = 0
+
+
+@dataclass(frozen=True, kw_only=True)
+class _MelConfig(FrontendConfig):
+    n_mels: int = 64
+
+    def __post_init__(self):
+        check_size(self.n_mels * StftConfig().n_bins,
+                   f"a {self.n_mels}-band mel filterbank")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _AttentionConfig(FrontendConfig):
+    attn_dim: int = 256
+
+
+@dataclass(frozen=True, kw_only=True)
+class SaccConfig(_MelConfig, _AttentionConfig):
+    """``sacc``."""
+
+
+@dataclass(frozen=True, kw_only=True)
+class ComplexSaccConfig(SaccConfig):
+    parts: Literal["mag_phase", "real_imag"] = "mag_phase"
+
+
+@dataclass(frozen=True, kw_only=True)
+class AnalyticConfig(_AttentionConfig):
+    n_filters: int = 32
+    kernel_len: int = 400
+
+
+@dataclass(frozen=True, kw_only=True)
+class MvdrConfig(_MelConfig):
+    geometry: ArrayGeometry
+
+
 def _attn_tensors(feat_dim, attn_dim, seed, prefix=""):
     init = attention_init(feat_dim, attn_dim, seed)
     return {prefix + name: ad.parameter(arr) for name, arr in init.items()}
@@ -114,18 +156,19 @@ def _subparams(params, prefix):
 
 
 class Frontend:
-    """Base: config plumbing shared by every variant."""
+    """Base: config plumbing shared by every variant. The fields of ``cfg``,
+    a ``config_class``, are attributes of the frontend too."""
 
     kind = None
+    config_class = FrontendConfig
 
-    def __init__(self, sample_rate, n_mels, attn_dim, seed):
-        self.sample_rate = config_int(sample_rate, "sample_rate")
-        self.n_mels = config_int(n_mels, "n_mels")
-        self.attn_dim = config_int(attn_dim, "attn_dim")
-        self.seed = config_int(seed, "seed")
+    def __init__(self, cfg):
+        if not isinstance(cfg, self.config_class):
+            raise ArgumentError(
+                f"expected a {self.config_class.__name__}, got {cfg!r}")
+        self.cfg = cfg
+        vars(self).update(vars(cfg))
         self.stft_cfg = StftConfig()
-        check_size(self.n_mels * self.stft_cfg.n_bins,
-                   f"a {self.n_mels}-band mel filterbank")
         self.params = {}
 
     # -- shared helpers -------------------------------------------------------
@@ -196,16 +239,11 @@ class Frontend:
         return ad.tlog(combined_mag @ self._mel_tensor() + LOG_EPS)
 
     def config(self):
-        """``kind`` and every constructor parameter but ``seed``, read off
-        the instance; a dataclass value (the ``mvdr`` geometry) as its
-        ``dataclasses.asdict``. ``make_frontend`` rebuilds the frontend
-        from it."""
-        out = {"kind": self.kind}
-        for name in inspect.signature(type(self)).parameters:
-            if name != "seed":
-                value = getattr(self, name)
-                out[name] = (dataclasses.asdict(value)
-                             if dataclasses.is_dataclass(value) else value)
+        """``kind`` and every config field but ``seed``, the ``mvdr``
+        geometry as its dict: ``make_frontend`` rebuilds the frontend from
+        it."""
+        out = {"kind": self.kind, **dataclasses.asdict(self.cfg)}
+        del out["seed"]
         return out
 
     # subclasses: analyse(), normalise(), _combine(), window_features()
@@ -215,10 +253,11 @@ class SaccStftFrontend(Frontend):
     """Real simplex weights over per-channel STFT magnitudes, then log-mel."""
 
     kind = "sacc"
+    config_class = SaccConfig
     features = Frontend.features
 
-    def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0):
-        super().__init__(sample_rate, n_mels, attn_dim, seed)
+    def __init__(self, cfg):
+        super().__init__(cfg)
         self.params = _attn_tensors(self.stft_cfg.n_bins, self.attn_dim, self.seed)
 
     def analyse(self, signal):
@@ -251,13 +290,11 @@ class AnalyticSaccFrontend(Frontend):
     the STFT window: the bank materialises an (L, L) Hilbert operator."""
 
     kind = "analytic"
+    config_class = AnalyticConfig
     features = Frontend.features
 
-    def __init__(self, sample_rate=16000, n_filters=32, kernel_len=400,
-                 attn_dim=256, seed=0):
-        super().__init__(sample_rate, n_mels=1, attn_dim=attn_dim, seed=seed)
-        self.n_filters = config_int(n_filters, "n_filters")
-        self.kernel_len = config_int(kernel_len, "kernel_len")
+    def __init__(self, cfg):
+        super().__init__(cfg)
         max_len = self.sample_rate // 10
         if (self.kernel_len < 2 or self.kernel_len % 2
                 or self.kernel_len > max_len or self.n_filters < 1):
@@ -330,11 +367,7 @@ class _ComplexSaccFrontend(Frontend):
     complex channel combination from two weight columns, log-mel of the
     combined magnitude."""
 
-    def __init__(self, sample_rate, n_mels, attn_dim, seed, parts):
-        super().__init__(sample_rate, n_mels, attn_dim, seed)
-        if parts not in ("mag_phase", "real_imag"):
-            raise ArgumentError(f"unknown parts layout {parts!r}")
-        self.parts = parts
+    config_class = ComplexSaccConfig
 
     def analyse(self, signal):
         """The STFT's real and imaginary parts side by side, (T, C, 2K), as
@@ -384,9 +417,8 @@ class EcSaccFrontend(_ComplexSaccFrontend):
     kind = "ecsacc"
     features = Frontend.features
 
-    def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0,
-                 parts="mag_phase"):
-        super().__init__(sample_rate, n_mels, attn_dim, seed, parts)
+    def __init__(self, cfg):
+        super().__init__(cfg)
         k = self.stft_cfg.n_bins
         self.params = {}
         self.params.update(_attn_tensors(k, self.attn_dim, self.seed, "mag/"))
@@ -414,9 +446,8 @@ class IcSaccFrontend(_ComplexSaccFrontend):
     kind = "icsacc"
     features = Frontend.features
 
-    def __init__(self, sample_rate=16000, n_mels=64, attn_dim=256, seed=0,
-                 parts="mag_phase"):
-        super().__init__(sample_rate, n_mels, attn_dim, seed, parts)
+    def __init__(self, cfg):
+        super().__init__(cfg)
         self.params = _attn_tensors(2 * self.stft_cfg.n_bins, self.attn_dim,
                                     self.seed)
 
@@ -437,19 +468,11 @@ class IcSaccFrontend(_ComplexSaccFrontend):
 class MvdrFrontend(Frontend):
     """Fixed (non-trainable) beamforming front end: CDR speech mask, MVDR
     filter from the masked covariances, log-mel of the beamformed magnitude.
-    ``geometry`` is an ArrayGeometry or its config dict; a fixed beamformer
-    has no weights, so ``seed`` has nothing to draw."""
+    A fixed beamformer has no weights, so ``seed`` has nothing to draw."""
 
     kind = "mvdr"
+    config_class = MvdrConfig
     features = Frontend.features
-
-    def __init__(self, geometry, sample_rate=16000, n_mels=64, seed=0):
-        super().__init__(sample_rate, n_mels, attn_dim=1, seed=seed)
-        if isinstance(geometry, dict):
-            geometry = ArrayGeometry.from_dict(geometry)
-        if not isinstance(geometry, ArrayGeometry):
-            raise ArgumentError("mvdr frontend needs an ArrayGeometry")
-        self.geometry = geometry
 
     def analyse(self, signal):
         """(STFT values,), (T, C, K) complex; MVDR statistics are per window."""
@@ -547,26 +570,23 @@ class FrameCache:
         return tuple(parts)
 
 
-def make_frontend(config: dict, seed=None) -> Frontend:
-    """Build a frontend from its config dict: ``kind`` picks the class and
-    the other keys are its constructor's arguments.
-
-    ``seed`` overrides the config's seed when given; cfgs saved by
-    ``config()`` omit the seed, so pass one for fresh inits. Trained
-    weights come back through ``checkpoint.load_model``, which overwrites
-    the fresh ``params``. An argument the constructor does not take, or
-    one it lacks, is an ArgumentError.
-    """
-    if not isinstance(config, dict):
-        raise ArgumentError("frontend config must be a dict")
-    cfg = dict(config)
-    kind = cfg.pop("kind", None)
-    if kind not in _FRONTEND_CLASSES:
-        raise ArgumentError(
-            f"unknown frontend kind {kind!r}; expected one of {FRONTEND_KINDS}")
+def frontend_config(config: dict, seed=None):
+    """The checked config dataclass of the frontend config dict ``config``:
+    ``kind`` picks the kind and the other keys are fields of its config.
+    ``seed`` replaces the config's seed when given."""
+    cfg = dict(config_value(config, dict))
+    if "kind" not in cfg:
+        raise ConfigError("missing required frontend keys: ['kind']")
+    with config_key("kind"):
+        kind = config_value(cfg.pop("kind"), Literal[FRONTEND_KINDS])
     if seed is not None:
-        cfg["seed"] = config_int(seed, "seed")
-    try:
-        return _FRONTEND_CLASSES[kind](**cfg)
-    except TypeError as exc:
-        raise ArgumentError(f"bad frontend config: {exc}") from exc
+        cfg["seed"] = seed
+    return from_config(_FRONTEND_CLASSES[kind].config_class, cfg)
+
+
+def make_frontend(config: dict, seed=None) -> Frontend:
+    """The frontend of a config dict (see ``frontend_config``). Configs
+    saved by ``config()`` omit the seed, so pass one for fresh inits;
+    ``checkpoint.load_model`` overwrites the fresh ``params``."""
+    cfg = frontend_config(config, seed)
+    return _FRONTEND_CLASSES[config["kind"]](cfg)

@@ -74,11 +74,6 @@ class TcnConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        # Checkpoints written while the class count was a field carry it.
-        legacy = d.pop("n_classes", N_CLASSES)
-        if legacy != N_CLASSES:
-            raise ArgumentError(f"n_classes must be {N_CLASSES}, got {legacy!r}")
         return from_config(cls, d)
 
 

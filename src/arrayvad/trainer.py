@@ -49,14 +49,14 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, tsqrt, tsum
 from .checkpoint import named_tensors
-from .errors import ArgumentError, NumericError, check_size, from_config
+from .errors import ArgumentError, NumericError, Seed, check_size, from_config
 from .seqmodel import ModelParams, decisions, posteriors, tcn_forward
 from .segeval import FrameLabels, osd_metrics
 # mask_channels is unused here; perfbench/tracing.py wraps it under this name.
@@ -81,6 +81,9 @@ class InvariantConfig:
     min_keep: int = 2
     rng_seed: int = 0
 
+    # A config dict spells ``lam`` as ``lambda``, a Python keyword.
+    config_keys: ClassVar[dict] = {"lam": "lambda"}
+
     def __post_init__(self):
         if self.p < 1:
             raise ArgumentError("duplicate count p must be >= 1")
@@ -91,8 +94,7 @@ class InvariantConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """A config dict spells ``lam`` as ``lambda``."""
-        return from_config(cls, d, keys={"lam": "lambda"})
+        return from_config(cls, d)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class TrainConfig:
     lr: float = 1e-3
     patience: int = 5
     max_epochs: int = 20
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         if (self.batch_size < 1 or self.steps_per_epoch < 1

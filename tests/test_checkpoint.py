@@ -284,8 +284,25 @@ def test_analytic_checkpoint_with_huge_kernel_is_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("n_classes", [3, 3.0, 4, "3"])
+def test_a_model_config_naming_n_classes_loads_only_if_it_is_3(tmp_path,
+                                                              n_classes):
+    # Files written while the class count was a model field carry it; only
+    # the fixed 3 is read.
+    path = tmp_path / "analytic.ckpt"
+    tensors, config = _analytic_bundle(path)
+    expected = TcnConfig(**config["model"])
+    config["model"]["n_classes"] = n_classes
+    write_checkpoint(path, tensors, config)
+    if n_classes == 3:
+        assert load_model(path)[1].config == expected
+    else:
+        with pytest.raises(FormatError, match="model config.*n_classes"):
+            load_model(path)
+
+
 def test_whole_float_config_values_load_as_ints(tmp_path):
-    # JSON writers may emit 8.0 for 8; jsonschema's integer admits it too.
+    # JSON writers may emit 8.0 for 8, so an integer field takes it.
     path = tmp_path / "analytic.ckpt"
     tensors, config = _analytic_bundle(path)
     config["frontend"]["kernel_len"] = 32.0

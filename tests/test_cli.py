@@ -17,6 +17,7 @@ from scipy.io import wavfile
 
 from arrayvad import autodiff as ad
 from arrayvad import cli
+from arrayvad.arraysim import SceneSpec
 from arrayvad.autodiff import no_grad
 from arrayvad.checkpoint import (load_model, read_checkpoint, save_model,
                                  write_checkpoint)
@@ -248,6 +249,20 @@ def test_features_checkpoint_variant_mismatch(scene_out, workdir,
                  "--wav", str(scene_out / "scene.wav"),
                  "--checkpoint", str(untrained_ckpt),
                  "--out", str(workdir / "feat_bad")]) == 2
+
+
+def test_features_from_checkpoint_takes_the_variant_alone(
+        scene_out, workdir, untrained_ckpt, capsys):
+    # The checkpoint's config sets the frontend; a key beside the variant
+    # would be ignored, so it is refused.
+    cfg_path = workdir / "feat_ck_extra.json"
+    cfg_path.write_text(json.dumps({"variant": "sacc", "attn_dim": 4}))
+    capsys.readouterr()
+    assert main(["features", "--config", str(cfg_path),
+                 "--wav", str(scene_out / "scene.wav"),
+                 "--checkpoint", str(untrained_ckpt),
+                 "--out", str(workdir / "feat_ck_extra")]) == 1
+    assert "attn_dim" in capsys.readouterr().err
 
 
 # -- train / infer ------------------------------------------------------------
@@ -667,7 +682,8 @@ CONFIG_REFUSALS = {
 # the object that lacks them.
 for _command, _path in (
         ("simulate", ("geometry",)), ("simulate", ("duration_s",)),
-        ("simulate", ("geometry", "n_mics")), ("simulate", ("geometry", "radius")),
+        ("simulate", ("geometry", "n_mics")),
+        ("simulate", ("geometry", "radius")),
         ("simulate", ("sources", 0, "azimuth")),
         ("simulate", ("sources", 0, "onset")),
         ("simulate", ("sources", 0, "duration")),
@@ -790,6 +806,18 @@ def _mvdr_argv(command, n_mics, keep=None):
     return build
 
 
+def _mvdr_geometry_argv(**geometry):
+    """``infer`` with a 4-mic mvdr checkpoint whose geometry config holds
+    ``geometry``'s values."""
+    def build(d, wav, ckpt):
+        argv = _mvdr_argv("infer", 4)(d, wav, ckpt)
+        tensors, config = read_checkpoint(d / "mvdr.ckpt")
+        config["frontend"]["geometry"].update(geometry)
+        write_checkpoint(d / "mvdr.ckpt", tensors, config)
+        return argv
+    return build
+
+
 def _window_argv(command, **window):
     """``infer`` or ``maskeval`` of the scene with a config of ``window``."""
     def build(d, wav, ckpt):
@@ -860,7 +888,8 @@ _HUGE_P = _train_argv({"kind": "sacc", "attn_dim": 4},
 # One row per failure class: the argv a row builds from (its own directory,
 # the scene WAV, a small sacc checkpoint) and the documented exit code, 1 for
 # usage, 2 for data and formats, 3 for numeric failures; 0 for input that
-# once ended in a traceback and now runs.
+# once ended in a traceback and now runs. A third item is a phrase the
+# message must hold.
 FAILURE_CLASSES = {
     "ok-infer-huge-hop": (_window_argv("infer", hop_s=1e305), 0),
     "ok-infer-huge-win": (_window_argv("infer", win_s=1e305), 0),
@@ -914,13 +943,23 @@ FAILURE_CLASSES = {
     "data-mvdr-maskeval-one-mic-keep": (_mvdr_argv("maskeval", 4, keep="2"),
                                         2),
     "numeric-nan-model-weights": (_infer_argv(_nan_model_tensor), 3),
+    # An embedded config's numbers follow the rule of a --config file's.
+    "data-mvdr-geometry-string-radius": (_mvdr_geometry_argv(radius="0.05"),
+                                         2, "checkpoint frontend config"),
+    "data-mvdr-geometry-bool-radius": (_mvdr_geometry_argv(radius=True), 2,
+                                       "checkpoint frontend config"),
+    "data-mvdr-geometry-nan-radius": (_mvdr_geometry_argv(radius=np.nan), 2,
+                                      "checkpoint frontend config"),
+    "data-mvdr-geometry-infinite-speed": (
+        _mvdr_geometry_argv(speed_of_sound=np.inf), 2,
+        "checkpoint frontend config"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAILURE_CLASSES))
 def test_failure_classes_map_to_exit_codes_without_traceback(
         scene_out, workdir, untrained_ckpt, capsys, case):
-    build, code = FAILURE_CLASSES[case]
+    build, code, *phrase = FAILURE_CLASSES[case]
     d = workdir / f"failure_{case}"
     d.mkdir()
     argv = build(d, str(scene_out / "scene.wav"), str(untrained_ckpt))
@@ -928,6 +967,7 @@ def test_failure_classes_map_to_exit_codes_without_traceback(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+    assert all(p in err for p in phrase), err
 
 
 @pytest.mark.parametrize("build, field", [(_HUGE_BATCH, "batch_size"),
@@ -1091,7 +1131,8 @@ def test_train_config_naming_n_classes_is_usage_error(train_config, workdir,
 
 def test_train_config_with_whole_float_model_field_trains(
         train_config, trained_out, workdir):
-    # jsonschema's integer admits 8.0; the model is built as from 8.
+    # JSON writers may emit 8.0 for 8, so an integer field takes it; the
+    # model is built as from 8.
     cfg = json.loads(train_config.read_text())
     cfg["model"]["hidden"] = 8.0
     cfg["model"]["seed"] = 4.0
@@ -1129,19 +1170,19 @@ def test_train_mvdr_trains_the_model_and_refuses_the_invariance_term(
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# The schema each command validates its --config against.
-CONFIG_SCHEMAS = {
-    "simulate": cli._SCENE_SCHEMA,
-    "features": cli._FEATURES_SCHEMA,
-    "beampattern": cli._BEAMPATTERN_SCHEMA,
-    "srp": cli._SRP_SCHEMA,
-    "train": cli._TRAIN_SCHEMA,
-    "infer": cli._INFER_SCHEMA,
-    "maskeval": cli._MASKEVAL_SCHEMA,
+# What each command checks its --config with before it reads any other file.
+CONFIG_READERS = {
+    "simulate": SceneSpec.from_dict,
+    "features": cli._features_config,
+    "beampattern": cli._beampattern_config,
+    "srp": cli._srp_config,
+    "train": cli._train_setup,
+    "infer": cli._infer_config,
+    "maskeval": cli._maskeval_config,
 }
 
 
-def test_readme_configs_match_their_schemas(tmp_path):
+def test_readme_configs_pass_their_commands_checks(tmp_path):
     text = README.read_text(encoding="utf-8")
     configs = dict(re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n",
                               text, flags=re.S))
@@ -1154,7 +1195,7 @@ def test_readme_configs_match_their_schemas(tmp_path):
     for name, body in configs.items():
         path = tmp_path / name
         path.write_text(body, encoding="utf-8")
-        cli._load_config(path, CONFIG_SCHEMAS[readers[name]])
+        CONFIG_READERS[readers[name]](cli._load_config(path))
 
 
 def test_help_exits_zero(capsys):
@@ -1163,24 +1204,26 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-_SCIPY_AFTER_COMMANDS = """\
+_MODULES_AFTER_COMMANDS = """\
 import json, sys
 import arrayvad.arraysim, arrayvad.cli, arrayvad.trainer
 codes = [arrayvad.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.split(".")[0] == "scipy")]))
+                                if m.split(".")[0] in sys.argv[2:])]))
 """
 
 
 def test_commands_import_no_scipy(scene_config, workdir, untrained_ckpt):
     # simulate renders an AR(2) source and writes PCM16; infer reads the
-    # WAV back. Neither, nor importing the trainer, may load scipy.
+    # WAV back. Neither, nor importing the trainer, may load scipy, and no
+    # command loads jsonschema: configs are checked against the dataclasses.
     out = workdir / "no_scipy"
     argvs = [["simulate", "--config", str(scene_config), "--out", str(out)],
              ["infer", "--checkpoint", str(untrained_ckpt),
               "--wav", str(out / "scene.wav"), "--out", str(out)]]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_AFTER_COMMANDS, json.dumps(argvs)],
+        [sys.executable, "-c", _MODULES_AFTER_COMMANDS, json.dumps(argvs),
+         "scipy", "jsonschema"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]

@@ -11,6 +11,7 @@ from arrayvad.frontends import (
     AnalyticSaccFrontend,
     EcSaccFrontend,
     IcSaccFrontend,
+    MvdrConfig,
     MvdrFrontend,
     SaccStftFrontend,
     make_frontend,
@@ -163,7 +164,7 @@ def test_analytic_real_ir_gradient_matches_fd():
 
 def test_mvdr_frontend_is_fixed_and_sane():
     geom = ArrayGeometry.uniform_circular(3, 0.05)
-    fe = MvdrFrontend(geom)
+    fe = MvdrFrontend(MvdrConfig(geometry=geom))
     assert fe.params == {}
     sig = make_signal(channels=3)
     feats = fe.features(sig)
@@ -177,7 +178,8 @@ def test_config_roundtrip_rebuilds_identical_frontend():
                small_frontend("ecsacc"),
                small_frontend("icsacc"),
                small_frontend("analytic", n_filters=4, kernel_len=32),
-               MvdrFrontend(ArrayGeometry.uniform_circular(4, 0.1))):
+               MvdrFrontend(MvdrConfig(
+                   geometry=ArrayGeometry.uniform_circular(4, 0.1)))):
         # fe was built with seed 3, so the rebuilt params are its own
         clone = make_frontend(fe.config(), seed=3)
         assert clone.config() == fe.config()
@@ -223,7 +225,8 @@ def test_analytic_stride_is_rejected():
 
 @pytest.mark.parametrize("kind", TRAINABLE + ["analytic"])
 def test_whole_float_config_values_build_the_int_frontend(kind):
-    # jsonschema's integer admits 3.0; it must build what 3 builds.
+    # JSON writers may emit 3.0 for 3, so an integer field takes it; it
+    # must build what 3 builds.
     fe = make_frontend({"kind": kind, "attn_dim": 4, "seed": 3})
     clone = make_frontend({"kind": kind, "attn_dim": 4.0, "seed": 3.0})
     assert clone.config() == fe.config()

@@ -9,7 +9,7 @@ from arrayvad.autodiff import Tensor, backward, grad, softmax, tsum
 from arrayvad.beamform import ArrayGeometry
 from arrayvad.checkpoint import named_tensors
 from arrayvad.errors import ArgumentError, NumericError
-from arrayvad.frontends import MvdrFrontend, make_frontend
+from arrayvad.frontends import MvdrConfig, MvdrFrontend, make_frontend
 from arrayvad.seqmodel import (
     TcnConfig,
     causal_conv1d,
@@ -33,10 +33,6 @@ def test_config_validation():
         TcnConfig(input_dim=64, kernel=0)
     cfg = TcnConfig(input_dim=64)
     assert TcnConfig.from_dict(asdict(cfg)) == cfg
-    # Older checkpoints name the class count; only the fixed 3 is read.
-    assert TcnConfig.from_dict({**asdict(cfg), "n_classes": 3}) == cfg
-    with pytest.raises(ArgumentError):
-        TcnConfig.from_dict({**asdict(cfg), "n_classes": 4})
 
 
 def test_init_is_deterministic():
@@ -62,7 +58,8 @@ def test_init_bounds_and_norm_identity():
 def test_parameter_count_formula_matches_enumeration():
     # An mvdr frontend trains nothing, so its table is the model's tensors.
     model = tcn_init(TcnConfig(input_dim=64), 0)
-    fixed = MvdrFrontend(ArrayGeometry.uniform_circular(4, 0.05))
+    fixed = MvdrFrontend(MvdrConfig(
+        geometry=ArrayGeometry.uniform_circular(4, 0.05)))
     table = named_tensors(fixed, model)
     assert sum(t.data.size for t in table.values()) == 727491
     # A default sacc bank adds 2 * 257 * 256 + 257 + 256 attention weights.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arrayvad.errors import ArgumentError, RangeError
-from arrayvad.frontends import AnalyticSaccFrontend
+from arrayvad.frontends import AnalyticConfig, AnalyticSaccFrontend
 from arrayvad.signal_io import MultichannelSignal
 from arrayvad.spectral import (
     ComplexSpectrogram,
@@ -252,7 +252,8 @@ def test_hilbert_rejects_odd_length():
 
 
 def test_analytic_apply_matches_naive_correlation():
-    fe = AnalyticSaccFrontend(n_filters=3, kernel_len=16, seed=5)
+    fe = AnalyticSaccFrontend(AnalyticConfig(n_filters=3, kernel_len=16,
+                                             seed=5))
     sig = MultichannelSignal(RNG.standard_normal((2, 500)), 16000)
     re, im, log_mag = (part.data for part in fe.analyse(sig))
     t_expect = (500 - 16) // 160 + 1  # 10 ms hop at 16 kHz
@@ -274,8 +275,9 @@ def test_analytic_apply_matches_naive_correlation():
 def test_analytic_frame_grid_matches_stft(rate):
     # With a kernel as long as the STFT window, the bank and the STFT frame
     # a signal alike at any rate: one frame per 10 ms.
-    fe = AnalyticSaccFrontend(sample_rate=rate, n_filters=4,
-                              kernel_len=CFG.win_samples(rate), seed=1)
+    fe = AnalyticSaccFrontend(AnalyticConfig(
+        sample_rate=rate, n_filters=4, kernel_len=CFG.win_samples(rate),
+        seed=1))
     sig = make_signal(c=2, rate=rate)
     out = fe.analyse(sig)[0]
     spec = stft(sig)
@@ -284,7 +286,8 @@ def test_analytic_frame_grid_matches_stft(rate):
 
 def test_analytic_init_bounds_and_determinism():
     def real_ir(seed):
-        fe = AnalyticSaccFrontend(n_filters=8, kernel_len=64, seed=seed)
+        fe = AnalyticSaccFrontend(AnalyticConfig(n_filters=8, kernel_len=64,
+                                                 seed=seed))
         return fe.params["real_ir"].data
 
     a, b, c = real_ir(3), real_ir(3), real_ir(4)
@@ -295,7 +298,7 @@ def test_analytic_init_bounds_and_determinism():
 
 
 def test_analytic_apply_rate_mismatch():
-    fe = AnalyticSaccFrontend(n_filters=2, kernel_len=16)
+    fe = AnalyticSaccFrontend(AnalyticConfig(n_filters=2, kernel_len=16))
     sig = MultichannelSignal(np.zeros((1, 64)), 8000)
     with pytest.raises(ArgumentError):
         fe.analyse(sig)
