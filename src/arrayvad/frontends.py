@@ -163,7 +163,7 @@ class Frontend:
     config_class = FrontendConfig
 
     def __init__(self, cfg):
-        if not isinstance(cfg, self.config_class):
+        if type(cfg) is not self.config_class:
             raise ArgumentError(
                 f"expected a {self.config_class.__name__}, got {cfg!r}")
         self.cfg = cfg
